@@ -2,19 +2,15 @@
 // halo exchange, ring-allreduce sweep, KV request/reply) run end-to-end
 // through app::World over each transport mechanism.
 //
-// Two kinds of numbers come out of every row:
-//   - simulated time (UseManualTime): what the machine configuration
-//     costs the *application* — the cross-mechanism comparison the
-//     platform exists to make (msg vs shm vs reliable for one program).
-//   - host_events/s: how fast the simulator chews through the run — the
-//     number the CI perf-smoke job gates against bench/baseline_app.json
-//     (--quick runs the msg-only subset; see .github/workflows/ci.yml).
+// Every row reports simulated time (UseManualTime): what the machine
+// configuration costs the *application* — the cross-mechanism comparison
+// the platform exists to make (msg vs shm vs reliable for one program).
+// Host-side cost of these runs is measured by svbench
+// (`svbench/run.py --workload apps`).
 //
 // app_bytes is the application payload entered into the transport per
 // run (aggregated over nodes), so bytes moved per mechanism is visible
 // alongside the time it took.
-#include <chrono>
-#include <string>
 
 #include "app/apps.hpp"
 #include "bench/bench_util.hpp"
@@ -24,22 +20,6 @@ namespace {
 
 enum AppCase : std::int64_t { kStencil, kAllreduce, kKv };
 enum TransportCase : std::int64_t { kMsg, kShm, kReliable };
-
-const char* app_name(std::int64_t a) {
-  switch (a) {
-    case kStencil:   return "stencil";
-    case kAllreduce: return "allreduce";
-    default:         return "kv";
-  }
-}
-
-const char* transport_name(std::int64_t t) {
-  switch (t) {
-    case kMsg:      return "msg";
-    case kShm:      return "shm";
-    default:        return "reliable";
-  }
-}
 
 app::World::Program make_program(std::int64_t a, app::AppResult* out) {
   switch (a) {
@@ -63,10 +43,8 @@ void BM_App(benchmark::State& state) {
   const std::int64_t app_case = state.range(0);
   const std::int64_t transport_case = state.range(1);
 
-  std::uint64_t events = 0;
   std::uint64_t app_bytes = 0;
   std::uint64_t ops = 0;
-  double host_sec = 0.0;
   for (auto _ : state) {
     // A World runs once; every iteration gets a fresh machine. The run is
     // deterministic, so repeat iterations only improve the host timing.
@@ -80,21 +58,15 @@ void BM_App(benchmark::State& state) {
     app::World world(machine, wp);
     world.launch(make_program(app_case, &result));
 
-    const std::uint64_t events0 = machine.kernel().events_executed();
-    const auto host0 = std::chrono::steady_clock::now();
     const sim::Tick t0 = machine.now();
     const bool ok =
         sys::run_until(machine, [&] { return world.done(); },
                        machine.now() + 2000 * sim::kMillisecond);
-    host_sec += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - host0)
-                    .count();
     if (!ok || result.errors != 0) {
       state.SkipWithError("application run failed");
       return;
     }
     report_sim_time(state, machine.now() - t0);
-    events += machine.kernel().events_executed() - events0;
     ops += result.ops;
     for (sim::NodeId n = 0; n < machine.size(); ++n) {
       app_bytes += world.transport(n).stats().bytes_sent.value();
@@ -106,52 +78,33 @@ void BM_App(benchmark::State& state) {
       static_cast<double>(state.iterations());
   state.counters["ops"] =
       static_cast<double>(ops) / static_cast<double>(state.iterations());
-  const double events_per_sec =
-      host_sec > 0 ? static_cast<double>(events) / host_sec : 0;
-  state.counters["host_events/s"] = events_per_sec;
-  record_kernel_result(std::string("app_") + app_name(app_case) + "_" +
-                           transport_name(transport_case),
-                       events_per_sec);
 }
 
 void AppArgs(benchmark::internal::Benchmark* b) {
   for (std::int64_t app_case : {kStencil, kAllreduce, kKv}) {
     for (std::int64_t transport_case : {kMsg, kShm, kReliable}) {
-      if (g_quick && transport_case != kMsg) {
-        continue;  // --quick: one mechanism, enough for a CI smoke
-      }
       b->Args({app_case, transport_case});
     }
   }
 }
 
+BENCHMARK(BM_App)
+    ->Apply(AppArgs)
+    ->UseManualTime()
+    ->Iterations(2)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
-
-// Registered from main(), not via the BENCHMARK macro: the sweep depends
-// on --quick, which static-init registration would run too early to see.
-void register_app() {
-  AppArgs(benchmark::RegisterBenchmark("BM_App", BM_App)
-              ->UseManualTime()
-              ->Iterations(2)
-              ->Unit(benchmark::kMicrosecond));
-}
-
 }  // namespace sv::bench
 
 int main(int argc, char** argv) {
-  sv::bench::parse_quick_flag(argc, argv);
   sv::bench::parse_trace_flag(argc, argv);
   sv::bench::parse_fault_flags(argc, argv);
-  // Separate default from the other benches' so a CI job running several
-  // in one directory never has one overwrite another's results.
-  sv::bench::g_kernel_json_out = "BENCH_app.json";
-  sv::bench::parse_kernel_json_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  sv::bench::register_app();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return sv::bench::finalize_kernel_results();
+  return 0;
 }

@@ -7,12 +7,8 @@
 // next (one bus crossing per side, but per-chunk sP occupancy bounds it);
 // approach 1 is the worst (double bus crossings plus aP copy overhead).
 //
-// bytes_per_second is simulated bandwidth (UseManualTime). host_events/s
-// is *host* kernel throughput — how fast the simulator itself chews
-// through events while producing the figure — and is what the CI
-// perf-smoke job watches (with --quick for a reduced sweep).
-#include <chrono>
-
+// bytes_per_second is simulated bandwidth (UseManualTime). Host-side cost
+// of the sweep is measured by svbench (`svbench/run.py --workload fig4`).
 #include "bench/bench_util.hpp"
 
 namespace sv::bench {
@@ -28,8 +24,6 @@ void BM_Fig4_Bandwidth(benchmark::State& state) {
 
   sim::Tick total = 0;
   std::uint64_t runs = 0;
-  const std::uint64_t events0 = machine.kernel().events_executed();
-  const auto host0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     const auto res = harness.run(approach, xfer_spec(len, false));
     if (!res.ok) {
@@ -40,69 +34,40 @@ void BM_Fig4_Bandwidth(benchmark::State& state) {
     total += res.latency();
     ++runs;
   }
-  const double host_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - host0)
-          .count();
-  const std::uint64_t events =
-      machine.kernel().events_executed() - events0;
   state.SetBytesProcessed(static_cast<std::int64_t>(len) *
                           static_cast<std::int64_t>(runs));
   state.counters["MBps"] =
       static_cast<double>(len) * static_cast<double>(runs) /
       (static_cast<double>(total) * kPsToSec) / 1e6;
   state.counters["approach"] = approach;
-  const double events_per_sec =
-      host_sec > 0 ? static_cast<double>(events) / host_sec : 0;
-  state.counters["host_events/s"] = events_per_sec;
-  // Recorded under the same JSON/baseline machinery as bench_kernel, so
-  // the CI perf-smoke job can gate the END-TO-END sweep (machine-level
-  // slowdowns the kernel microbench can't see) against
-  // bench/baseline_fig4.json.
-  record_kernel_result("fig4_a" + std::to_string(approach) + "_" +
-                           std::to_string(len),
-                       events_per_sec);
   maybe_write_trace(machine);
 }
 
 void Fig4Args(benchmark::internal::Benchmark* b) {
   for (int approach = 1; approach <= 3; ++approach) {
     for (std::int64_t len : {1024, 4096, 16384, 65536, 262144}) {
-      if (g_quick && (approach != 3 || (len != 4096 && len != 65536))) {
-        continue;  // --quick: approach 3 at two sizes, enough for a smoke
-      }
       b->Args({approach, len});
     }
   }
 }
 
+BENCHMARK(BM_Fig4_Bandwidth)
+    ->Apply(Fig4Args)
+    ->UseManualTime()
+    ->Iterations(3)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
-
-// Registered from main(), not via the BENCHMARK macro: the sweep depends
-// on --quick, which static-init registration would run too early to see.
-void register_fig4() {
-  Fig4Args(benchmark::RegisterBenchmark("BM_Fig4_Bandwidth",
-                                        BM_Fig4_Bandwidth)
-               ->UseManualTime()
-               ->Iterations(3)
-               ->Unit(benchmark::kMicrosecond));
-}
-
 }  // namespace sv::bench
 
 int main(int argc, char** argv) {
-  sv::bench::parse_quick_flag(argc, argv);
   sv::bench::parse_trace_flag(argc, argv);
   sv::bench::parse_fault_flags(argc, argv);
-  // Separate default from bench_kernel's so a CI job running both benches
-  // in one directory never has one overwrite the other's results.
-  sv::bench::g_kernel_json_out = "BENCH_fig4.json";
-  sv::bench::parse_kernel_json_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  sv::bench::register_fig4();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return sv::bench::finalize_kernel_results();
+  return 0;
 }

@@ -35,7 +35,8 @@ namespace sv::ckpt {
 class Snapshot {
  public:
   static constexpr std::uint32_t kMagic = 0x4B435653;  // "SVCK" little-endian
-  static constexpr std::uint32_t kVersion = 1;
+  /// Version 2: the processor chunk no longer carries batched-quantum ticks.
+  static constexpr std::uint32_t kVersion = 2;
 
   std::string config;  // full run configuration, caller-defined text
   std::uint64_t tick = 0;

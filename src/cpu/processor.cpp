@@ -14,14 +14,7 @@ Processor::Processor(sim::Kernel& kernel, std::string name, mem::MemBus& bus,
       bus_(bus),
       cache_(cache),
       bus_id_(bus.attach(this)),
-      mutex_(kernel, 1) {
-  if (cache_ != nullptr) {
-    // Cache entry points that could interleave with an in-flight batch
-    // (flush/invalidate/purge and direct read/write) revoke it first, so
-    // they always see the same mutex/schedule state as in slow mode.
-    cache_->set_fastpath_revoke([this] { batch_revoke(); });
-  }
-}
+      mutex_(kernel, 1) {}
 
 void Processor::trace_busy(const char* what, sim::Tick start, sim::Tick end) {
   trace::Tracer* tr = kernel_.tracer();
@@ -46,24 +39,17 @@ sim::Co<void> Processor::load(mem::Addr a, std::span<std::byte> out) {
     co_await load_uncached(a, out);
     co_return;
   }
-  // Reserve the work-phase key plus one key per cache chunk up front — in
-  // BOTH modes — so fast and slow runs issue identical sequence numbers at
-  // identical program points (the bit-identity argument, DESIGN.md §12).
+  // Reserve the work-phase key plus one key per cache chunk up front. The
+  // reservation pins where this access sits in the global dispatch order,
+  // which the golden corpus and the benchmark digests are recorded against
+  // (DESIGN.md §12.1).
   const sim::Tick t0 = now();
   const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
   const std::uint64_t s0 =
       kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, out.size()));
   busy_.add_busy(work_ticks);
   trace_busy("work", t0, t0 + work_ticks);
-  if (try_batch(a, out.data(), nullptr, out.size(), s0, t0)) {
-    if (co_await BatchAwait{*this} == 0) {
-      co_return;  // completed in one event; stats applied at the hit key
-    }
-    // Revoked: resumed at (t_work, s0), exactly where the slow path's work
-    // delay would have dispatched. Fall through to the slow cache access.
-  } else {
-    co_await sim::seq_delay(kernel_, t0 + work_ticks, s0);
-  }
+  co_await sim::seq_delay(kernel_, t0 + work_ticks, s0);
   co_await cache_->read(a, out, s0 + 1);
   ops_.inc();
   busy_.add_busy(now() - t0 - work_ticks);
@@ -81,117 +67,11 @@ sim::Co<void> Processor::store(mem::Addr a, std::span<const std::byte> in) {
       kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, in.size()));
   busy_.add_busy(work_ticks);
   trace_busy("work", t0, t0 + work_ticks);
-  if (try_batch(a, nullptr, in.data(), in.size(), s0, t0)) {
-    if (co_await BatchAwait{*this} == 0) {
-      co_return;
-    }
-  } else {
-    co_await sim::seq_delay(kernel_, t0 + work_ticks, s0);
-  }
+  co_await sim::seq_delay(kernel_, t0 + work_ticks, s0);
   co_await cache_->write(a, in, s0 + 1);
   ops_.inc();
   busy_.add_busy(now() - t0 - work_ticks);
   trace_busy("store", t0 + work_ticks, now());
-}
-
-// --- Quantum batching (DESIGN.md §12) --------------------------------------
-
-bool Processor::try_batch(mem::Addr a, std::byte* rdata,
-                          const std::byte* wdata, std::size_t size,
-                          std::uint64_t s0, sim::Tick t0) {
-  if (!params_.fastpath || kernel_.fault_injector() != nullptr) {
-    return false;
-  }
-  trace::Tracer* tr = kernel_.tracer();
-  if (tr != nullptr && tr->enabled()) {
-    return false;
-  }
-  // A bus transaction in flight could snoop or observe this cache mid-batch
-  // without re-entering transact (no revocation choke point), so the batch
-  // requires a fully quiescent bus.
-  if (!bus_.fast_quiescent()) {
-    return false;
-  }
-  // Another program sharing this processor may already hold the batch
-  // record (a live batch keeps the bus quiescent, so fast_quiescent()
-  // cannot see it). Concurrent cached accesses take the slow path — whose
-  // cache entry point revokes the live batch exactly like any other
-  // interleaving agent would.
-  if (batch_.live) {
-    return false;
-  }
-  void* line = cache_->batch_begin(a, size, wdata != nullptr);
-  if (line == nullptr) {
-    return false;
-  }
-  Batch& b = batch_;
-  b.live = true;
-  ++b.gen;
-  b.s0 = s0;
-  b.t0 = t0;
-  b.t_work = t0 + params_.clock.to_ticks(params_.op_overhead);
-  b.t_end = b.t_work + cache_->hit_ticks();
-  b.line = line;
-  b.addr = a;
-  b.rdata = rdata;
-  b.wdata = wdata;
-  b.size = size;
-  kernel_.schedule_at_seq(b.t_end, s0 + 1,
-                          [this, gen = b.gen] { batch_complete(gen); });
-  bus_.note_device_fast_state(+1);
-  return true;
-}
-
-void Processor::batch_complete(std::uint64_t gen) {
-  Batch& b = batch_;
-  if (!b.live || b.gen != gen) {
-    return;  // revoked; this event is dead
-  }
-  // Reproduces the slow path's actions at its chunk-hit dispatch
-  // (t_end, s0+1): commit through the handle captured at engagement (the
-  // slow path captures its Line* before the hit delay and commits blindly
-  // after), then the processor-side op accounting.
-  cache_->batch_commit(b.line, b.addr, b.rdata, b.wdata, b.size);
-  ops_.inc();
-  busy_.add_busy(b.t_end - b.t_work);
-  quantum_ticks_ += b.t_end - b.t0;
-  b.live = false;
-  *b.outcome = 0;
-  bus_.note_device_fast_state(-1);
-  // Resume last: the continuation may issue a new batch that re-uses the
-  // record.
-  b.waiter.resume();
-}
-
-void Processor::batch_revoke() {
-  Batch& b = batch_;
-  if (!b.live) {
-    return;
-  }
-  const sim::Tick t = kernel_.now();
-  const std::uint64_t s = kernel_.current_seq();
-  if (t < b.t_work || (t == b.t_work && s < b.s0)) {
-    // Before the work-phase key: fold back onto the slow schedule. Release
-    // the eagerly-taken cache lock (nothing can be queued on it: it was
-    // free at engagement and every acquirer since revokes first) and wake
-    // the program at the work key — exactly where the slow path's first
-    // event would have dispatched. Capture the handle and outcome slot
-    // now: by the time the wake fires, another program may have engaged a
-    // new batch and overwritten the shared record.
-    ++b.gen;
-    b.live = false;
-    cache_->batch_abort();
-    bus_.note_device_fast_state(-1);
-    kernel_.schedule_at_seq(b.t_work, b.s0,
-                            [h = b.waiter, out = b.outcome] {
-                              *out = 1;
-                              h.resume();
-                            });
-  }
-  // At or after the work key this is a no-op: the slow path would hold the
-  // cache lock here too, the completion event coincides with the slow
-  // chunk-hit key, and the commit is blind — every observable already
-  // matches the slow schedule, so the batch can safely run to completion.
 }
 
 sim::Co<void> Processor::load_uncached(mem::Addr a,
@@ -293,7 +173,6 @@ void Processor::run(sim::Co<void> program, sim::OneShot* done) {
 void Processor::ckpt_save(ckpt::Writer& w) const {
   ckpt::save(w, ops_);
   ckpt::save(w, busy_);
-  w.u64(quantum_ticks_);
 }
 
 }  // namespace sv::cpu

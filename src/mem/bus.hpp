@@ -131,41 +131,18 @@ class BusDevice {
     (void)res;
   }
 
-  // --- Fast-path contract (DESIGN.md §12) --------------------------------
-  // All three predicates must be pure. Returning false is always safe (the
+  // --- Bypass contract (DESIGN.md §12) ------------------------------------
+  // The predicate must be pure. Returning false is always safe (the
   // transaction takes the slow path); returning true is a promise.
 
   /// True when bus_snoop(req) is a pure function of static configuration:
   /// it returns kIgnore or kAccept (never Shared/Modified/Retry), has no
   /// side effects, and its answer cannot change except through a code path
-  /// that re-enters MemBus::transact (which revokes in-flight fast paths).
+  /// that re-enters MemBus::transact (which revokes an in-flight bypass).
   [[nodiscard]] virtual bool bus_snoop_stable(const BusRequest& req) const {
     (void)req;
     return false;
   }
-
-  /// True when bus_observe(req, ...) would be a no-op for this request.
-  /// Required for tenure coalescing, where observes of early tenures run
-  /// at the end of the burst instead of at their own completion ticks.
-  [[nodiscard]] virtual bool bus_observe_trivial(const BusRequest& req) const {
-    (void)req;
-    return false;
-  }
-
-  /// True when bus_read_data/bus_write_data for this request only move
-  /// bytes and bump value-based counters — no event scheduling, no
-  /// coroutine spawns. Required of the responder for tenure coalescing.
-  [[nodiscard]] virtual bool bus_data_pure(const BusRequest& req) const {
-    (void)req;
-    return false;
-  }
-
-  /// Revoke any fast path this device has in flight (e.g. a processor's
-  /// batched quantum). Called by MemBus::transact on entry — the choke
-  /// point every interaction that could invalidate a fast path's
-  /// assumptions goes through. Only invoked while the device has
-  /// registered live fast state via MemBus::note_device_fast_state.
-  virtual void fastpath_revoke() {}
 
   /// Combined eligibility probe: exactly bus_snoop_stable(req) followed by
   /// bus_snoop(req), fused so devices whose stability check and snoop share
@@ -197,10 +174,11 @@ class MemBus : public sim::SimObject {
     sim::Clock clock{15000};        // 66.67 MHz 60x bus
     sim::Cycles address_cycles = 2; // address tenure + snoop window
     sim::Cycles retry_backoff = 4;  // cycles before a retried op re-arbitrates
-    /// DMI-style bypass: contention-free transactions complete in a single
-    /// kernel event at the analytically computed tick (DESIGN.md §12).
-    /// Timing, stats and data movement are bit-identical either way;
-    /// defaults off under SV_NO_FASTPATH=1.
+    /// DMI-style bypass, the simulator's only fast path: contention-free
+    /// transactions complete in a single kernel event at the analytically
+    /// computed tick (DESIGN.md §12). Meant to be bit-identical either
+    /// way; §12.4 lists the known gaps. Defaults off under
+    /// SV_NO_FASTPATH=1.
     bool fastpath = sim::fastpath_default();
   };
 
@@ -223,43 +201,11 @@ class MemBus : public sim::SimObject {
   sim::Co<BusResult> transact_retry(int requester_id, BusRequest req,
                                     unsigned max_retries = 0);
 
-  /// Tenure coalescing (DESIGN.md §12): run up to `lines` consecutive
-  /// aligned full-line tenures (kRead when `rdata`, kWriteLine when
-  /// `wdata`) as ONE kernel event, with per-tenure stats and data movement
-  /// applied closed-form. Only succeeds when every tenure is provably
-  /// interference-free: all snoopers stable, all observers trivial, the
-  /// responder's data callbacks pure, and the kernel quiet through the
-  /// last completion tick. Returns the number of tenures completed (0 =
-  /// ineligible; the caller falls back to per-tenure transact calls, which
-  /// consume the same sequence numbers the burst would have).
-  sim::Co<std::size_t> transact_burst(int requester_id, Addr addr,
-                                      std::size_t lines, std::byte* rdata,
-                                      const std::byte* wdata, bool from_ap);
-
-  /// Revoke every in-flight fast path on this bus (the bus's own bypassed
-  /// transaction and any device-held fast state). Safe to call anywhere;
-  /// a no-op when nothing is in flight.
-  void revoke_fastpaths();
-
-  /// True when neither bus resource is held or queued for — the state a
-  /// processor quantum batch requires (an in-flight transaction could
-  /// otherwise snoop or observe mid-batch without re-entering transact).
-  [[nodiscard]] bool fast_quiescent() const {
-    return addr_bus_.available() == 1 && data_bus_.available() == 1 &&
-           !fast_rec_.wake_pending;
-  }
-
   /// Transactions completed via the single-event bypass. Deliberately an
   /// accessor, not a StatRegistry entry: the count is zero in slow mode by
   /// construction, and the registry dump must stay byte-identical across
   /// modes.
   [[nodiscard]] std::uint64_t fast_path_hits() const { return fast_hits_; }
-
-  /// Devices holding revocable fast state (a processor's live quantum
-  /// batch) register it here (+1 on engage, -1 on complete/revoke) so
-  /// transact entry can skip the whole-device revocation sweep — the
-  /// common case — when nothing is live.
-  void note_device_fast_state(int delta) { live_device_fast_ += delta; }
 
   [[nodiscard]] const BusStats& stats() const { return stats_; }
   BusStats& stats() { return stats_; }
@@ -282,9 +228,9 @@ class MemBus : public sim::SimObject {
     bool committed = false;  // address tenure passed: addr released, data held
     /// A revocation wake is scheduled but has not yet resumed the waiter.
     /// The record (waiter slot, wake_phase) is still owned by the revoked
-    /// transaction, so no new fast path or quantum batch may engage — the
-    /// lead-window arm releases the address bus, which would otherwise
-    /// look engageable while a transaction is still in flight.
+    /// transaction, so no new bypass may engage — the lead-window arm
+    /// releases the address bus, which would otherwise look engageable
+    /// while a transaction is still in flight.
     bool wake_pending = false;
     std::uint64_t gen = 0;   // liveness token for the completion event
     int wake_phase = 0;  // 0 completed; 1 resume at the lead key (re-run the
@@ -313,28 +259,6 @@ class MemBus : public sim::SimObject {
     int await_resume() const noexcept { return bus.fast_rec_.wake_phase; }
   };
 
-  /// One planned tenure of an in-flight burst (transact_burst).
-  struct BurstTenure {
-    sim::Tick t2 = 0;  // end of address tenure
-    sim::Tick t3 = 0;  // completion
-    int accept = -1;
-  };
-
-  /// The (at most one) in-flight burst. No liveness token is needed: the
-  /// proven quiet window means nothing can dispatch — and so nothing can
-  /// revoke — before the completion event fires.
-  struct BurstRecord {
-    int requester = -1;
-    BusOp op = BusOp::kRead;
-    Addr addr = 0;
-    std::byte* rdata = nullptr;
-    const std::byte* wdata = nullptr;
-    bool from_ap = false;
-    sim::Tick start = 0;
-    std::size_t count = 0;
-    std::coroutine_handle<> waiter;
-  };
-
   /// Check single-transaction bypass eligibility and, on success, engage:
   /// seize the address bus, fill fast_rec_ and schedule the completion
   /// event at (t3, s0+2).
@@ -342,11 +266,13 @@ class MemBus : public sim::SimObject {
                  sim::Tick t1, sim::Tick t2);
   void fast_complete(std::uint64_t gen);
   void fast_wake();
-  void burst_complete();
+  /// Fold the in-flight bypass, if any, back onto the slow schedule at the
+  /// phase the caller observes it (DESIGN.md §12.2). Called on every
+  /// transact() entry; a no-op when nothing is in flight.
+  void revoke_fast();
 
   sim::Co<void> wait_cycles(sim::Cycles c);
   [[nodiscard]] trace::Tracer* trace_target();
-  [[nodiscard]] bool fast_blockers() const;
 
   Params params_;
   std::vector<BusDevice*> devices_;
@@ -354,12 +280,7 @@ class MemBus : public sim::SimObject {
   sim::Semaphore data_bus_;
   BusStats stats_;
   std::uint64_t fast_hits_ = 0;
-  int live_device_fast_ = 0;
   FastRecord fast_rec_;
-  BurstRecord burst_rec_;
-  /// Scratch plan for the (at most one) in-flight burst; reused across
-  /// bursts so steady state stays allocation-free.
-  std::vector<BurstTenure> burst_plan_;
   trace::TrackId trace_track_ = trace::kNoTrack;
 };
 

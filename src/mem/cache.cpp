@@ -91,7 +91,6 @@ MesiState SnoopingCache::probe(Addr addr) const {
 }
 
 void SnoopingCache::purge_range(Addr addr, std::size_t len) {
-  revoke_batches();
   const Addr first = line_base(addr);
   const Addr last = line_base(addr + len - 1);
   for (Addr a = first; a <= last; a += kLineBytes) {
@@ -152,7 +151,6 @@ sim::Co<SnoopingCache::Line*> SnoopingCache::fill_line(Addr line_addr,
 
 sim::Co<void> SnoopingCache::read(Addr addr, std::span<std::byte> out,
                                   std::uint64_t chunk_seqs) {
-  revoke_batches();
   if (chunk_seqs == kAutoSeqs) {
     // Reserve one dispatch key per chunk at entry so the sequence stream is
     // a function of the access alone, not of which chunks hit.
@@ -171,9 +169,9 @@ sim::Co<void> SnoopingCache::read(Addr addr, std::span<std::byte> out,
     Line* line = find_line(a);
     if (line != nullptr) {
       co_await sim::seq_delay(kernel_, now() + hit_ticks(), seq);
-      // Counted at the chunk-completion key, not the probe: the batched
-      // fast path commits (and counts) at exactly this (tick, seq), so a
-      // run that stops mid-access dumps the same value in both modes.
+      // Counted at the chunk-completion key, not the probe. The golden
+      // corpus pins this: a run that stops mid-access dumps the count as of
+      // this (tick, seq).
       stats_.read_hits.inc();
     } else {
       // Miss: the chunk's reserved key goes unused (the fill's bus phases
@@ -191,7 +189,6 @@ sim::Co<void> SnoopingCache::read(Addr addr, std::span<std::byte> out,
 
 sim::Co<void> SnoopingCache::write(Addr addr, std::span<const std::byte> in,
                                    std::uint64_t chunk_seqs) {
-  revoke_batches();
   if (chunk_seqs == kAutoSeqs) {
     chunk_seqs = kernel_.reserve_seqs(chunk_count(addr, in.size()));
   }
@@ -209,7 +206,7 @@ sim::Co<void> SnoopingCache::write(Addr addr, std::span<const std::byte> in,
         (line->state == MesiState::kModified ||
          line->state == MesiState::kExclusive)) {
       co_await sim::seq_delay(kernel_, now() + hit_ticks(), seq);
-      stats_.write_hits.inc();  // completion key, matching batch_commit
+      stats_.write_hits.inc();  // completion key, like read_hits
     } else if (line != nullptr && line->state == MesiState::kShared) {
       // Upgrade: broadcast a kill so other holders drop their copies.
       stats_.write_hits.inc();
@@ -240,7 +237,6 @@ sim::Co<void> SnoopingCache::write(Addr addr, std::span<const std::byte> in,
 }
 
 sim::Co<void> SnoopingCache::flush_line(Addr addr) {
-  revoke_batches();
   co_await op_mutex_.acquire();
   Line* line = find_line(addr);
   if (line != nullptr) {
@@ -261,7 +257,6 @@ sim::Co<void> SnoopingCache::flush_line(Addr addr) {
 }
 
 sim::Co<void> SnoopingCache::invalidate_line(Addr addr) {
-  revoke_batches();
   co_await op_mutex_.acquire();
   if (Line* line = find_line(addr)) {
     line->state = MesiState::kInvalid;
@@ -275,53 +270,6 @@ sim::Co<void> SnoopingCache::flush_range(Addr addr, std::size_t len) {
   for (Addr a = first; a <= last; a += kLineBytes) {
     co_await flush_line(a);
   }
-}
-
-// --- Processor quantum-batch support ---------------------------------------
-
-void* SnoopingCache::batch_begin(Addr addr, std::size_t size, bool is_write) {
-  if (op_mutex_.available() != 1 || chunk_count(addr, size) != 1) {
-    return nullptr;
-  }
-  Line* line = find_line(addr);
-  if (line == nullptr) {
-    return nullptr;
-  }
-  if (is_write && line->state != MesiState::kModified &&
-      line->state != MesiState::kExclusive) {
-    return nullptr;  // S needs an upgrade kill, I a fill: slow path
-  }
-  const bool got = op_mutex_.try_acquire();
-  assert(got);
-  (void)got;
-  return line;
-}
-
-void SnoopingCache::batch_abort() {
-  // Nobody can be queued on the mutex: it was free at engagement and every
-  // acquirer since calls the revoke hook (which runs this) first — so the
-  // release is a plain count increment, consuming no sequence numbers.
-  op_mutex_.release();
-}
-
-void SnoopingCache::batch_commit(void* line_handle, Addr addr,
-                                 std::byte* rdata, const std::byte* wdata,
-                                 std::size_t size) {
-  // Commit blindly through the handle captured at engagement — mirroring
-  // the slow path, which captures its Line* before the hit delay and
-  // memcpys after, whatever bus observes did to the state meanwhile.
-  Line* line = static_cast<Line*>(line_handle);
-  const std::size_t offset = addr - line_base(addr);
-  if (rdata != nullptr) {
-    stats_.read_hits.inc();
-    std::memcpy(rdata, line->data.data() + offset, size);
-  } else {
-    stats_.write_hits.inc();
-    std::memcpy(line->data.data() + offset, wdata, size);
-    line->state = MesiState::kModified;
-  }
-  touch(*line);
-  op_mutex_.release();
 }
 
 // --- Snooping side ---------------------------------------------------------

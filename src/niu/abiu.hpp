@@ -99,13 +99,10 @@ class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
                       std::span<const std::byte> in) override;
   void bus_observe(const mem::BusRequest& req,
                    const mem::BusResult& res) override;
-  // Fast-path contract: NIU-window snoops are a pure decode of static
+  // Bypass contract: NIU-window snoops are a pure decode of static
   // configuration; NUMA and S-COMA snoops mutate forwarding state, so any
-  // address they cover is unstable. Observes only act on tracked or
-  // reflected ranges.
+  // address they cover is unstable.
   [[nodiscard]] bool bus_snoop_stable(
-      const mem::BusRequest& req) const override;
-  [[nodiscard]] bool bus_observe_trivial(
       const mem::BusRequest& req) const override;
 
   // --- ApBusPort (CTRL master services) ----------------------------------------

@@ -1,5 +1,6 @@
 #include "sim/config.hpp"
 
+#include <cctype>
 #include <stdexcept>
 
 namespace sv::sim {
@@ -40,7 +41,23 @@ std::uint64_t Config::get_u64(const std::string& key,
   if (it == values_.end()) {
     return def;
   }
-  return std::stoull(it->second, nullptr, 0);
+  // The whole value must be one unsigned number (decimal, 0x hex or 0
+  // octal): stoull alone would accept "12abc" as 12 and wrap "-1".
+  const std::string& v = it->second;
+  std::size_t used = 0;
+  std::uint64_t out = 0;
+  if (!v.empty() && std::isdigit(static_cast<unsigned char>(v[0])) != 0) {
+    try {
+      out = std::stoull(v, &used, 0);
+    } catch (const std::out_of_range&) {
+      used = 0;
+    }
+  }
+  if (used == 0 || used != v.size()) {
+    throw std::invalid_argument(key + ": expected an unsigned integer, got '" +
+                                v + "'");
+  }
+  return out;
 }
 
 double Config::get_double(const std::string& key, double def) const {
@@ -48,7 +65,18 @@ double Config::get_double(const std::string& key, double def) const {
   if (it == values_.end()) {
     return def;
   }
-  return std::stod(it->second);
+  const std::string& v = it->second;
+  std::size_t used = 0;
+  double out = 0.0;
+  try {
+    out = std::stod(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size()) {
+    throw std::invalid_argument(key + ": expected a number, got '" + v + "'");
+  }
+  return out;
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {

@@ -28,6 +28,9 @@ class Config {
     return values_.count(key) != 0;
   }
 
+  /// Typed getters return `def` when the key is absent. A present value
+  /// that does not parse as a whole throws std::invalid_argument naming
+  /// the key.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& def = "") const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,

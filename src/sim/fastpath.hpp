@@ -1,18 +1,19 @@
 // Global fast-path kill switch.
 //
-// Fast paths (DESIGN.md §12) are on by default; SV_NO_FASTPATH=1 in the
-// environment forces every Params.fastpath default to false, which is the
-// escape hatch the byte-identity tests and the golden corpus use to compare
-// modes. Components read the environment once — per-run toggling goes
-// through the explicit Params flags, not the environment.
+// The bus bypass (DESIGN.md §12), the simulator's only fast path, is on
+// by default; SV_NO_FASTPATH=1 in the environment forces the default of
+// MemBus::Params::fastpath to false, which is the escape hatch the
+// byte-identity tests and the golden corpus use to compare modes. The
+// environment is read once — per-run toggling goes through the explicit
+// Params flag, not the environment.
 #pragma once
 
 #include <cstdlib>
 
 namespace sv::sim {
 
-/// Default value for every fast-path Params flag: true unless
-/// SV_NO_FASTPATH is set to a non-empty value other than "0".
+/// Default value of MemBus::Params::fastpath: true unless SV_NO_FASTPATH
+/// is set to a non-empty value other than "0".
 inline bool fastpath_default() {
   static const bool enabled = [] {
     const char* v = std::getenv("SV_NO_FASTPATH");

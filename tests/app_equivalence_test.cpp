@@ -115,11 +115,10 @@ TEST(AppEquivalence, StencilOverScomaShm) {
   expect_bit_identical_across_threads(spec);
 }
 
-// Untraced S-COMA run with the fastpath left at its default: tracing
-// disables quantum batching, so only an untraced run exercises batching
-// under concurrent cached-access programs (ranks + the shm dispatcher on
-// one aP). Regression for a processor batch-record aliasing crash, plus a
-// parity check: fastpath on and off must agree to the byte.
+// Untraced S-COMA run: tracing disables the bus bypass, so only an
+// untraced run exercises it under concurrent cached-access programs (ranks
+// plus the shm dispatcher on one aP). Parity check: the bypass on and off
+// must agree to the byte.
 TEST(AppEquivalence, ScomaFastpathParityUntraced) {
   test::AppRunSpec spec = make_spec(test::AppKind::kStencil,
                                     app::TransportKind::kShm, 1);
@@ -142,11 +141,10 @@ TEST(AppEquivalence, ScomaFastpathParityUntraced) {
 }
 
 // A run that stops with a dispatcher poll mid-access dumps hit counters
-// at the termination instant — which must not depend on whether the
-// access was batched. Regression: the slow path used to count cache hits
-// at the probe key while batch_commit counts at the completion key, so a
-// drain ending inside that window dumped read_hits off by one (kv at 64
-// requests over S-COMA is a configuration that landed there).
+// at the termination instant — which must not depend on whether the bus
+// bypass is on. Cache hits count at the chunk-completion key; kv at 64
+// requests over S-COMA is a configuration whose drain ends inside an
+// access.
 TEST(AppEquivalence, FastpathParityAtTerminationWindow) {
   test::AppRunSpec spec = make_spec(test::AppKind::kKv,
                                     app::TransportKind::kShm, 1);

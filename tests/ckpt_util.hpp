@@ -81,8 +81,6 @@ struct SteppableRun {
     mp.threads = spec.threads;
     mp.fault = spec.fault;
     mp.node.bus.fastpath = spec.fastpath;
-    mp.node.ap.fastpath = spec.fastpath;
-    mp.node.sp.fastpath = spec.fastpath;
     return mp;
   }
 };
@@ -125,8 +123,6 @@ struct SteppableAppRun {
     mp.threads = spec.threads;
     mp.fault = spec.fault;
     mp.node.bus.fastpath = spec.fastpath;
-    mp.node.ap.fastpath = spec.fastpath;
-    mp.node.sp.fastpath = spec.fastpath;
     return mp;
   }
 

@@ -166,7 +166,7 @@ TEST_F(BusTest, TransactRetryEventuallySucceeds) {
 // address tenure, and the whole collision resolves bit-identically in both
 // modes.
 
-/// Accepts every address; stable and pure, so it never blocks a bypass.
+/// Accepts every address; stable, so it never blocks a bypass.
 class AcceptAllDevice : public BusDevice {
  public:
   std::string_view device_name() const override { return "acceptall"; }
@@ -179,8 +179,6 @@ class AcceptAllDevice : public BusDevice {
     }
   }
   bool bus_snoop_stable(const BusRequest&) const override { return true; }
-  bool bus_observe_trivial(const BusRequest&) const override { return true; }
-  bool bus_data_pure(const BusRequest&) const override { return true; }
 };
 
 /// ARTRYs the first `retries_left` transactions on `retry_addr`; ignores
@@ -203,8 +201,6 @@ class RetryOnceDevice : public BusDevice {
   bool bus_snoop_stable(const BusRequest& req) const override {
     return !(retries_left > 0 && req.addr == retry_addr);
   }
-  bool bus_observe_trivial(const BusRequest&) const override { return true; }
-  bool bus_data_pure(const BusRequest&) const override { return true; }
 };
 
 /// A master that only issues; its snoops are trivially stable.
@@ -214,8 +210,6 @@ class QuietMaster : public BusDevice {
   std::string_view device_name() const override { return name_; }
   SnoopResult bus_snoop(const BusRequest&) override { return {}; }
   bool bus_snoop_stable(const BusRequest&) const override { return true; }
-  bool bus_observe_trivial(const BusRequest&) const override { return true; }
-  bool bus_data_pure(const BusRequest&) const override { return true; }
 
  private:
   std::string name_;

@@ -587,6 +587,24 @@ TEST(Config, TypedAccessAndParsing) {
                std::invalid_argument);
 }
 
+TEST(Config, MalformedNumbersThrowNamingTheKey) {
+  auto cfg = Config::from_args({"hex=0x10", "abc=abc", "tail=12abc",
+                                "neg=-1", "empty=", "huge=99999999999999999999",
+                                "rate=0.5x"});
+  EXPECT_EQ(cfg.get_u64("hex", 0), 16u);
+  for (const char* key : {"abc", "tail", "neg", "empty", "huge"}) {
+    try {
+      (void)cfg.get_u64(key, 0);
+      ADD_FAILURE() << key << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(std::string(key) + ":", 0), 0u)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)cfg.get_double("rate", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_double("empty", 0), std::invalid_argument);
+}
+
 TEST(Config, MergeOverrides) {
   Config base;
   base.set_u64("a", 1);

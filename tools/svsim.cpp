@@ -65,6 +65,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,23 @@ sys::Machine::Params machine_params(const sim::Config& cfg) {
   p.node.enable_scoma = cfg.get_bool("scoma", true);
   p.fault = fault::Plan::from_config(cfg);
   return p;
+}
+
+/// Reject a well-formed value a driver cannot run: one line naming the
+/// key. main() maps std::invalid_argument to exit status 2, as it does for
+/// malformed numbers, which Config's typed getters reject.
+void require(bool ok, const std::string& key, const std::string& why) {
+  if (!ok) {
+    throw std::invalid_argument(key + ": " + why);
+  }
+}
+
+/// Drivers that move data from node 0 to node 1 (or all-to-all) cannot run
+/// on a single node.
+void require_two_nodes(const sys::Machine& machine, const char* workload) {
+  require(machine.size() >= 2, "nodes",
+          std::string(workload) + " needs at least 2 nodes, got " +
+              std::to_string(machine.size()));
 }
 
 /// The workload-driver boilerplate every run_* repeats, factored out: the
@@ -265,6 +283,7 @@ int run_msg(Harness& h, const sim::Config& cfg, bool express) {
   sys::Machine& machine = h.machine();
   const auto count = cfg.get_u64("count", 100);
   const auto bytes = cfg.get_u64("bytes", 32);
+  require_two_nodes(machine, express ? "express" : "msg");
   const auto map = machine.addr_map();
 
   std::vector<std::unique_ptr<msg::Endpoint>> eps;
@@ -323,7 +342,11 @@ int run_xfer(sys::Machine& machine, const sim::Config& cfg) {
                  "without threads=\n");
     return 2;
   }
-  const int approach = static_cast<int>(cfg.get_u64("approach", 3));
+  const auto approach_key = cfg.get_u64("approach", 3);
+  require(approach_key >= 1 && approach_key <= 5, "approach",
+          "expected 1..5, got " + std::to_string(approach_key));
+  require_two_nodes(machine, "xfer");
+  const int approach = static_cast<int>(approach_key);
   const auto bytes = static_cast<std::uint32_t>(cfg.get_u64("bytes", 16384));
   xfer::BlockTransferHarness harness(machine);
   xfer::TransferSpec spec;
@@ -356,6 +379,7 @@ int run_xfer(sys::Machine& machine, const sim::Config& cfg) {
 int run_dma(Harness& h, const sim::Config& cfg) {
   sys::Machine& machine = h.machine();
   const auto bytes = static_cast<std::uint32_t>(cfg.get_u64("bytes", 65536));
+  require_two_nodes(machine, "dma");
   auto ep0 = machine.node(0).make_endpoint();
   auto ep1 = machine.node(1).make_endpoint();
   bool got = false;
@@ -712,25 +736,30 @@ int main(int argc, char** argv) {
     harness.set_restore(&restored);
   }
   int rc = 2;
-  if (workload == "msg") {
-    rc = run_msg(harness, cfg, false);
-  } else if (workload == "express") {
-    rc = run_msg(harness, cfg, true);
-  } else if (workload == "xfer") {
-    rc = run_xfer(machine, cfg);
-  } else if (workload == "dma") {
-    rc = run_dma(harness, cfg);
-  } else if (workload == "scoma") {
-    rc = run_shm(harness, cfg, true);
-  } else if (workload == "numa") {
-    rc = run_shm(harness, cfg, false);
-  } else if (workload == "reliable") {
-    rc = run_reliable(harness, cfg);
-  } else if (workload.rfind("app.", 0) == 0) {
-    rc = run_app(harness, cfg, workload);
-  } else {
-    std::fprintf(stderr, "svsim: unknown workload '%s'\n",
-                 workload.c_str());
+  try {
+    if (workload == "msg") {
+      rc = run_msg(harness, cfg, false);
+    } else if (workload == "express") {
+      rc = run_msg(harness, cfg, true);
+    } else if (workload == "xfer") {
+      rc = run_xfer(machine, cfg);
+    } else if (workload == "dma") {
+      rc = run_dma(harness, cfg);
+    } else if (workload == "scoma") {
+      rc = run_shm(harness, cfg, true);
+    } else if (workload == "numa") {
+      rc = run_shm(harness, cfg, false);
+    } else if (workload == "reliable") {
+      rc = run_reliable(harness, cfg);
+    } else if (workload.rfind("app.", 0) == 0) {
+      rc = run_app(harness, cfg, workload);
+    } else {
+      std::fprintf(stderr, "svsim: unknown workload '%s'\n",
+                   workload.c_str());
+      return 2;
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "svsim: %s\n", e.what());
     return 2;
   }
 
