@@ -60,8 +60,8 @@ void BM_App(benchmark::State& state) {
 
     const sim::Tick t0 = machine.now();
     const bool ok =
-        sys::run_until(machine, [&] { return world.done(); },
-                       machine.now() + 2000 * sim::kMillisecond);
+        machine.run_epochs_until([&] { return world.done(); },
+                                 machine.now() + 2000 * sim::kMillisecond);
     if (!ok || result.errors != 0) {
       state.SkipWithError("application run failed");
       return;

@@ -77,8 +77,7 @@ RunOut run_all_to_all(std::size_t nodes, unsigned threads, int rounds) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const bool ok = sys::run_until(
-      machine,
+  const bool ok = machine.run_epochs_until(
       [&] {
         for (const auto f : done) {
           if (f == 0) {

@@ -118,8 +118,8 @@ Row run_row(std::size_t nodes, std::uint64_t count) {
   };
   const std::uint64_t events_before = machine.kernel().events_executed();
   const auto t2 = Clock::now();
-  row.completed = sys::run_until(machine, all_done,
-                                 machine.now() + 500 * sim::kMillisecond);
+  row.completed = machine.run_epochs_until(
+      all_done, machine.now() + 500 * sim::kMillisecond);
   const auto t3 = Clock::now();
   row.run_sec = std::chrono::duration<double>(t3 - t2).count();
   row.events = machine.kernel().events_executed() - events_before;

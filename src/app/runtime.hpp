@@ -158,7 +158,7 @@ class World {
 
   /// Start the transports and spawn `program` for every rank on its
   /// owning node's aP. Drive the machine afterwards with
-  /// sys::run_until(machine, [&]{ return world.done(); }, deadline).
+  /// machine.run_epochs_until([&]{ return world.done(); }, deadline).
   void launch(const Program& program);
 
   /// True once every rank's program (and all its nonblocking requests)

@@ -6,10 +6,8 @@
 #include <utility>
 
 #include "ckpt/capture.hpp"
-#include "msg/reliable.hpp"
 #include "sim/config.hpp"
-#include "sys/experiment.hpp"
-#include "sys/machine.hpp"
+#include "sys/workload.hpp"
 
 namespace sv::ckpt {
 
@@ -41,109 +39,27 @@ sim::Config parse_config(const std::string& text) {
   }
 }
 
-/// The deterministic payload node `src` sends as its i-th message.
-std::vector<std::byte> ring_payload(sim::NodeId src, std::uint64_t i,
-                                    std::uint64_t bytes) {
-  std::vector<std::byte> p(bytes);
-  for (std::size_t b = 0; b < p.size(); ++b) {
-    p[b] = static_cast<std::byte>(src + i + b);
-  }
-  return p;
+sys::Machine::Params ring_machine_params(const RingSpec& spec,
+                                        std::vector<std::uint64_t> script) {
+  sys::Machine::Params mp;
+  mp.nodes = spec.nodes;
+  mp.net = sys::Machine::NetKind::kIdeal;
+  mp.fault.seed = spec.fault_seed;
+  // Scripted mode (single event domain): even an empty script keeps the
+  // injector alive so drop opportunities are counted.
+  mp.fault.scripted = true;
+  std::sort(script.begin(), script.end());
+  mp.fault.drop_script = std::move(script);
+  return mp;
 }
 
-/// One ring machine plus its channels and completion/verdict flags.
-struct RingRun {
-  sys::Machine machine;
-  std::vector<std::unique_ptr<msg::Endpoint>> eps;
-  std::vector<std::unique_ptr<msg::ReliableChannel>> chans;
-  std::vector<std::uint8_t> done;
-  std::vector<std::uint8_t> gave_up;
-  std::string mismatch;  // first content violation seen, machine-wide
-
-  RingRun(const RingSpec& spec, std::vector<std::uint64_t> script)
-      : machine(machine_params(spec, std::move(script))),
-        done(spec.nodes, 0),
-        gave_up(spec.nodes, 0) {
-    const auto map = machine.addr_map();
-    msg::ReliableChannel::Params cp;
-    cp.window = spec.window;
-    cp.retransmit.base_timeout = spec.timeout_us * sim::kMicrosecond;
-    cp.retransmit.give_up_after = static_cast<unsigned>(spec.give_up);
-    for (sim::NodeId n = 0; n < machine.size(); ++n) {
-      eps.push_back(std::make_unique<msg::Endpoint>(
-          machine.node(n).ap(), machine.node(n).endpoint_config()));
-      chans.push_back(
-          std::make_unique<msg::ReliableChannel>(*eps[n], map, n, cp));
-      chans[n]->set_give_up(
-          [this, n](sim::NodeId) { gave_up[n] = 1; });
-      chans[n]->start();
-    }
-    for (sim::NodeId n = 0; n < machine.size(); ++n) {
-      machine.node(n).ap().run(node_program(n, spec));
-    }
-  }
-
-  [[nodiscard]] bool all_done() const {
-    for (const auto f : done) {
-      if (f == 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool any_gave_up() const {
-    for (const auto f : gave_up) {
-      if (f != 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  static sys::Machine::Params machine_params(
-      const RingSpec& spec, std::vector<std::uint64_t> script) {
-    sys::Machine::Params mp;
-    mp.nodes = spec.nodes;
-    mp.net = sys::Machine::NetKind::kIdeal;
-    mp.fault.seed = spec.fault_seed;
-    // Scripted mode (single event domain): even an empty script keeps the
-    // injector alive so drop opportunities are counted.
-    mp.fault.scripted = true;
-    std::sort(script.begin(), script.end());
-    mp.fault.drop_script = std::move(script);
-    return mp;
-  }
-
-  // `spec` by value: the coroutine frame outlives the constructor call
-  // that spawns it.
-  sim::Co<void> node_program(sim::NodeId self, RingSpec spec) {
-    const auto nodes = machine.size();
-    const auto right = static_cast<sim::NodeId>((self + 1) % nodes);
-    const auto left =
-        static_cast<sim::NodeId>((self + nodes - 1) % nodes);
-    msg::ReliableChannel& ch = *chans[self];
-    for (std::uint64_t i = 0; i < spec.count; ++i) {
-      co_await ch.send(right, ring_payload(self, i, spec.bytes));
-    }
-    for (std::uint64_t i = 0; i < spec.count; ++i) {
-      const std::vector<std::byte> got = co_await ch.recv(left);
-      const std::vector<std::byte> want =
-          ring_payload(left, i, spec.bytes);
-      if (got != want && mismatch.empty()) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "node %u message %llu from node %u: payload "
-                      "mismatch (%zu bytes)",
-                      self, static_cast<unsigned long long>(i), left,
-                      got.size());
-        mismatch = buf;
-      }
-    }
-    done[self] = 1;
-  }
-};
+/// The registry's reliable ring (verified payloads, give-ups recorded),
+/// configured by the spec's own key=value form.
+std::unique_ptr<sys::Run> launch_ring(sys::Machine& machine,
+                                      const RingSpec& spec) {
+  return sys::workload("reliable").launch(machine,
+                                          parse_config(spec.to_config()));
+}
 
 }  // namespace
 
@@ -196,28 +112,28 @@ ScenarioResult run_reliable_ring(const RingSpec& spec,
   for (const std::uint64_t d : drops) {
     script.push_back(base + d);
   }
-  RingRun run(eff, std::move(script));
+  sys::Machine machine(ring_machine_params(eff, std::move(script)));
+  const auto run = launch_ring(machine, eff);
   const sim::Tick deadline = eff.deadline_ms * sim::kMillisecond;
 
   if (resume != nullptr) {
     // Every scripted drop lands at/after the checkpoint's opportunity
     // base, so the replay prefix must reproduce the fault-free capture
     // bit-for-bit; verify() throws otherwise.
-    run_to_tick(run.machine, resume->tick, deadline);
-    Snapshot::verify(*resume, capture(run.machine, resume->config));
+    run_to_tick(machine, resume->tick, deadline);
+    Snapshot::verify(*resume, capture(machine, resume->config));
   }
 
-  const bool completed = sys::run_until(
-      run.machine, [&] { return run.all_done(); }, deadline);
+  const bool completed =
+      machine.run_epochs_until([&] { return run->finished(); }, deadline);
 
   ScenarioResult r;
-  r.opportunities =
-      run.machine.fault_injector()->drop_opportunities() - base;
-  r.state_hash = capture(run.machine, "").state_hash();
-  if (!run.mismatch.empty()) {
+  r.opportunities = machine.fault_injector()->drop_opportunities() - base;
+  r.state_hash = capture(machine, "").state_hash();
+  if (const std::string failure = run->failure(); !failure.empty()) {
     r.violation = true;
-    r.detail = run.mismatch;
-  } else if (!completed && !run.any_gave_up()) {
+    r.detail = failure;
+  } else if (!completed && !run->any_gave_up()) {
     r.violation = true;
     r.detail = "stuck: ring never completed and no channel gave up";
   }
@@ -225,15 +141,14 @@ ScenarioResult run_reliable_ring(const RingSpec& spec,
 }
 
 Snapshot checkpoint_reliable_ring(const RingSpec& spec, sim::Tick at) {
-  RingRun run(spec, {});
-  const sim::Tick deadline = spec.deadline_ms * sim::kMillisecond;
-  run_to_tick(run.machine, at, deadline);
+  sys::Machine machine(ring_machine_params(spec, {}));
+  const auto run = launch_ring(machine, spec);
+  run_to_tick(machine, at, spec.deadline_ms * sim::kMillisecond);
   std::string config = spec.to_config();
   config += "base_opp=" +
-            std::to_string(
-                run.machine.fault_injector()->drop_opportunities()) +
+            std::to_string(machine.fault_injector()->drop_opportunities()) +
             "\n";
-  return capture(run.machine, std::move(config));
+  return capture(machine, std::move(config));
 }
 
 ScenarioFn reliable_ring_scenario(RingSpec spec, const Snapshot* resume) {

@@ -1,5 +1,6 @@
 // The reliable-ring scenario: the concrete workload tools/svexplore and
-// tests/explorer_test explore.
+// tests/explorer_test explore, i.e. the workload registry's `reliable`
+// entry (sys/workload.hpp) on an ideal network under scripted drops.
 //
 // Every node streams `count` CRC-protected payloads to its right
 // neighbour over msg::ReliableChannel and consumes `count` from its left,

@@ -50,8 +50,7 @@ Ctrl::Ctrl(sim::Kernel& kernel, std::string name, sim::NodeId node,
       tx_work_(kernel),
       rx_arrival_(kernel),
       queue_space_(kernel),
-      sp_intr_(kernel),
-      log_(kernel, this->name()) {
+      sp_intr_(kernel) {
   for (auto& c : local_cmds_) {
     c = std::make_unique<sim::Channel<Command>>(kernel);
   }
@@ -247,7 +246,10 @@ sim::Co<std::optional<XlatEntry>> Ctrl::translate(std::uint16_t and_mask,
 void Ctrl::shutdown_tx_queue(unsigned q) {
   txq_.at(q).shutdown = true;
   stats_.protection_violations.inc();
-  log_.warn("tx queue ", q, " shut down (protection violation)");
+  if (trace::Tracer* tr = tracing()) {
+    tr->instant(trace_lane(txu_track_, "NIU.TxU", "niu"),
+                "txq" + std::to_string(q) + " shut down (protection)", now());
+  }
   raise_interrupt(kIntrProtection);
 }
 
@@ -481,8 +483,10 @@ sim::Co<void> Ctrl::rx_deliver(net::Packet pkt) {
     } catch (const std::invalid_argument&) {
       // Malformed remote command: drop it, like hardware would, and count.
       stats_.rx_dropped.inc();
-      log_.warn("dropped malformed remote command packet from node ",
-                pkt.src);
+      if (tr != nullptr) {
+        tr->instant(trace_lane(rxu_track_, "NIU.RxU", "niu"),
+                    "malformed remote command", now(), flow);
+      }
     }
     rx_span("rx cmd");
     co_return;
@@ -713,7 +717,12 @@ sim::Co<void> Ctrl::execute(Command cmd) {
       if (cmd.translate) {
         const auto xe = co_await translate(0xFFFF, 0, cmd.vdest);
         if (!xe) {
-          log_.warn("kSendMessage translation failed, vdest=", cmd.vdest);
+          if (trace::Tracer* tr = tracing()) {
+            tr->instant(trace_lane(cmd_track_, "NIU.CTRL", "niu"),
+                        "send: no translation for vdest " +
+                            std::to_string(cmd.vdest),
+                        now());
+          }
           break;
         }
         pkt.dest = xe->phys_node;

@@ -29,7 +29,6 @@
 #include "niu/regs.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
-#include "sim/logger.hpp"
 #include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -272,7 +271,6 @@ class Ctrl : public sim::SimObject {
   std::uint64_t intr_enable_ = ~std::uint64_t{0};
 
   CtrlStats stats_;
-  sim::Logger log_;
   bool started_ = false;
 
   // Trace lanes (lazily registered; kNoTrack until first use).

@@ -16,35 +16,6 @@ bool run_until(sim::Kernel& kernel, const std::function<bool()>& pred,
   return true;
 }
 
-bool run_until(Machine& machine, const std::function<bool()>& pred,
-               sim::Tick deadline) {
-  return machine.run_epochs_until(pred, deadline);
-}
-
-bool run_programs(sim::Kernel& kernel, std::vector<sim::Co<void>> programs,
-                  sim::Tick deadline,
-                  std::vector<sim::Tick>* finish_times) {
-  const std::size_t n = programs.size();
-  std::vector<sim::Tick> finished(n, sim::kTickInvalid);
-  std::size_t remaining = n;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    sim::spawn([](sim::Co<void> prog, sim::Kernel* k, sim::Tick* slot,
-                  std::size_t* rem) -> sim::Co<void> {
-      co_await std::move(prog);
-      *slot = k->now();
-      --*rem;
-    }(std::move(programs[i]), &kernel, &finished[i], &remaining));
-  }
-
-  const bool ok =
-      run_until(kernel, [&] { return remaining == 0; }, deadline);
-  if (finish_times != nullptr) {
-    *finish_times = std::move(finished);
-  }
-  return ok;
-}
-
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}
 

@@ -1,5 +1,5 @@
-// Experiment harness helpers: run programs on node processors, wait for
-// completion flags with timeouts, and format result tables.
+// Experiment harness helpers: drive a kernel until a predicate holds, and
+// format result tables.
 #pragma once
 
 #include <functional>
@@ -18,20 +18,6 @@ namespace sv::sys {
 /// predicate-based.)
 bool run_until(sim::Kernel& kernel, const std::function<bool()>& pred,
                sim::Tick deadline);
-
-/// Machine-level variant: drives the machine in whole lookahead epochs
-/// (Machine::run_epochs_until), which works for both the sequential and
-/// the partitioned layout and stops at identical instants in each. Use
-/// this wherever results are compared across --threads values.
-bool run_until(Machine& machine, const std::function<bool()>& pred,
-               sim::Tick deadline);
-
-/// Spawn one program per entry and run until all complete. Returns true on
-/// success, false on timeout. Completion times (per program) are appended
-/// to `finish_times` when non-null.
-bool run_programs(sim::Kernel& kernel, std::vector<sim::Co<void>> programs,
-                  sim::Tick deadline,
-                  std::vector<sim::Tick>* finish_times = nullptr);
 
 /// Simple fixed-width table printer for bench output.
 class Table {

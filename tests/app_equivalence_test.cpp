@@ -6,7 +6,7 @@
 // programs have smuggled cross-domain state outside the mechanisms.
 #include <string>
 
-#include "tests/app_util.hpp"
+#include "tests/test_util.hpp"
 
 namespace sv {
 namespace {
@@ -15,37 +15,29 @@ constexpr std::size_t kTraceCapacity = 1u << 19;
 const unsigned kThreadSweep[] = {1, 2, 4};
 const std::uint64_t kSeeds[] = {1, 0xfeedbeef};
 
-/// Derive a small per-seed parameter variation so both sweeps exercise
-/// different traffic, not just a different label.
-test::AppRunSpec make_spec(test::AppKind app, app::TransportKind tk,
-                           std::uint64_t seed) {
-  test::AppRunSpec spec;
-  spec.app = app;
-  spec.transport = tk;
-  spec.nodes = 4;
-  spec.trace_capacity = kTraceCapacity;
-  switch (app) {
-    case test::AppKind::kStencil:
-      spec.stencil.nx = 8;
-      spec.stencil.ny = 8 + (seed % 3);  // uneven row blocks on one seed
-      spec.stencil.iters = 2;
-      break;
-    case test::AppKind::kAllreduce:
-      spec.allreduce.min_elems = 4;
-      spec.allreduce.max_elems = 16;
-      spec.allreduce.iters = 1 + (seed % 2);
-      break;
-    case test::AppKind::kKv:
-      spec.kv.requests = 8;
-      spec.kv.seed = seed;
-      break;
+/// `app` over `transport` on 4 nodes, with a small per-seed parameter
+/// variation so both sweeps exercise different traffic, not just a
+/// different label.
+test::RunSpec make_spec(const std::string& app, const std::string& transport,
+                        std::uint64_t seed) {
+  std::vector<std::string> args = {"transport=" + transport};
+  if (app == "app.stencil") {  // uneven row blocks on one seed
+    args.insert(args.end(), {"nx=8", "iters=2",
+                             "ny=" + std::to_string(8 + seed % 3)});
+  } else if (app == "app.allreduce") {
+    args.insert(args.end(), {"min_elems=4", "max_elems=16",
+                             "iters=" + std::to_string(1 + seed % 2)});
+  } else {
+    args.insert(args.end(), {"requests=8", "seed=" + std::to_string(seed)});
   }
+  test::RunSpec spec(app, args);
+  spec.trace_capacity = kTraceCapacity;
   return spec;
 }
 
-void expect_bit_identical_across_threads(test::AppRunSpec spec) {
+void expect_bit_identical_across_threads(test::RunSpec spec) {
   spec.threads = 0;
-  const test::AppRunResult seq = test::run_app_and_dump_stats(spec);
+  const test::RunResult seq = test::run_machine_and_dump_stats(spec);
   ASSERT_TRUE(seq.completed);
   ASSERT_EQ(seq.trace_dropped, 0u)
       << "trace ring wrapped; grow kTraceCapacity so the comparison is "
@@ -56,7 +48,7 @@ void expect_bit_identical_across_threads(test::AppRunSpec spec) {
 
   for (const unsigned threads : kThreadSweep) {
     spec.threads = threads;
-    const test::AppRunResult par = test::run_app_and_dump_stats(spec);
+    const test::RunResult par = test::run_machine_and_dump_stats(spec);
     ASSERT_TRUE(par.completed) << "threads=" << threads;
     EXPECT_EQ(par.trace_dropped, 0u) << "threads=" << threads;
     EXPECT_EQ(par.end_time, seq.end_time) << "threads=" << threads;
@@ -69,49 +61,48 @@ void expect_bit_identical_across_threads(test::AppRunSpec spec) {
   }
 }
 
-void sweep(test::AppKind app, app::TransportKind tk) {
+void sweep(const std::string& app, const std::string& transport) {
   for (const auto seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    expect_bit_identical_across_threads(make_spec(app, tk, seed));
+    expect_bit_identical_across_threads(make_spec(app, transport, seed));
   }
 }
 
 TEST(AppEquivalence, StencilOverMsg) {
-  sweep(test::AppKind::kStencil, app::TransportKind::kMsg);
+  sweep("app.stencil", "msg");
 }
 TEST(AppEquivalence, StencilOverShm) {
-  sweep(test::AppKind::kStencil, app::TransportKind::kShm);
+  sweep("app.stencil", "shm");
 }
 TEST(AppEquivalence, StencilOverReliable) {
-  sweep(test::AppKind::kStencil, app::TransportKind::kReliable);
+  sweep("app.stencil", "reliable");
 }
 
 TEST(AppEquivalence, AllreduceOverMsg) {
-  sweep(test::AppKind::kAllreduce, app::TransportKind::kMsg);
+  sweep("app.allreduce", "msg");
 }
 TEST(AppEquivalence, AllreduceOverShm) {
-  sweep(test::AppKind::kAllreduce, app::TransportKind::kShm);
+  sweep("app.allreduce", "shm");
 }
 TEST(AppEquivalence, AllreduceOverReliable) {
-  sweep(test::AppKind::kAllreduce, app::TransportKind::kReliable);
+  sweep("app.allreduce", "reliable");
 }
 
 TEST(AppEquivalence, KvOverMsg) {
-  sweep(test::AppKind::kKv, app::TransportKind::kMsg);
+  sweep("app.kv", "msg");
 }
 TEST(AppEquivalence, KvOverShm) {
-  sweep(test::AppKind::kKv, app::TransportKind::kShm);
+  sweep("app.kv", "shm");
 }
 TEST(AppEquivalence, KvOverReliable) {
-  sweep(test::AppKind::kKv, app::TransportKind::kReliable);
+  sweep("app.kv", "reliable");
 }
 
 // S-COMA-backed shared-memory transport: coherent cached stores instead
 // of posted uncached ones — a different protocol mix under the same ring.
 TEST(AppEquivalence, StencilOverScomaShm) {
-  test::AppRunSpec spec = make_spec(test::AppKind::kStencil,
-                                    app::TransportKind::kShm, 1);
-  spec.shm_region = app::ShmTransport::Region::kScoma;
+  test::RunSpec spec = make_spec("app.stencil", "shm", 1);
+  spec.args.set("app.shm", "scoma");
   expect_bit_identical_across_threads(spec);
 }
 
@@ -120,18 +111,17 @@ TEST(AppEquivalence, StencilOverScomaShm) {
 // plus the shm dispatcher on one aP). Parity check: the bypass on and off
 // must agree to the byte.
 TEST(AppEquivalence, ScomaFastpathParityUntraced) {
-  test::AppRunSpec spec = make_spec(test::AppKind::kStencil,
-                                    app::TransportKind::kShm, 1);
-  spec.shm_region = app::ShmTransport::Region::kScoma;
+  test::RunSpec spec = make_spec("app.stencil", "shm", 1);
+  spec.args.set("app.shm", "scoma");
   spec.trace_capacity = 0;
 
   spec.fastpath = true;
-  const test::AppRunResult fast = test::run_app_and_dump_stats(spec);
+  const test::RunResult fast = test::run_machine_and_dump_stats(spec);
   ASSERT_TRUE(fast.completed);
   EXPECT_EQ(fast.app.errors, 0u);
 
   spec.fastpath = false;
-  const test::AppRunResult slow = test::run_app_and_dump_stats(spec);
+  const test::RunResult slow = test::run_machine_and_dump_stats(spec);
   ASSERT_TRUE(slow.completed);
   EXPECT_EQ(slow.end_time, fast.end_time);
   EXPECT_EQ(slow.app.checksum, fast.app.checksum);
@@ -146,20 +136,18 @@ TEST(AppEquivalence, ScomaFastpathParityUntraced) {
 // requests over S-COMA is a configuration whose drain ends inside an
 // access.
 TEST(AppEquivalence, FastpathParityAtTerminationWindow) {
-  test::AppRunSpec spec = make_spec(test::AppKind::kKv,
-                                    app::TransportKind::kShm, 1);
-  spec.shm_region = app::ShmTransport::Region::kScoma;
+  test::RunSpec spec = make_spec("app.kv", "shm", 1);
+  spec.args.set("app.shm", "scoma");
+  spec.args.set("requests", "64");
   spec.trace_capacity = 0;
-  spec.kv.requests = 64;
-  spec.kv.seed = 1;
 
   spec.fastpath = true;
-  const test::AppRunResult fast = test::run_app_and_dump_stats(spec);
+  const test::RunResult fast = test::run_machine_and_dump_stats(spec);
   ASSERT_TRUE(fast.completed);
   EXPECT_EQ(fast.app.errors, 0u);
 
   spec.fastpath = false;
-  const test::AppRunResult slow = test::run_app_and_dump_stats(spec);
+  const test::RunResult slow = test::run_machine_and_dump_stats(spec);
   ASSERT_TRUE(slow.completed);
   EXPECT_EQ(slow.end_time, fast.end_time);
   EXPECT_EQ(slow.app.checksum, fast.app.checksum);
@@ -170,10 +158,9 @@ TEST(AppEquivalence, FastpathParityAtTerminationWindow) {
 // Ranks oversubscribe nodes: local short-circuit delivery and remote
 // frames interleave, and the interleaving must still be epoch-stable.
 TEST(AppEquivalence, TwoRanksPerNodeStillIdentical) {
-  test::AppRunSpec spec = make_spec(test::AppKind::kAllreduce,
-                                    app::TransportKind::kMsg, 1);
+  test::RunSpec spec = make_spec("app.allreduce", "msg", 1);
   spec.nodes = 2;
-  spec.nranks = 4;
+  spec.args.set("ranks", "4");
   expect_bit_identical_across_threads(spec);
 }
 

@@ -3,7 +3,7 @@
 // host-computed references — each core case swept over all three
 // transports. These run sequentially (threads=0); cross-thread
 // byte-identity is app_equivalence_test's job.
-#include "app_util.hpp"
+#include "tests/test_util.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -44,8 +44,8 @@ app::TransportStats run_program(TransportKind tk, std::size_t nodes,
   wp.transport = tk;
   app::World world(machine, wp);
   world.launch(program);
-  EXPECT_TRUE(sys::run_until(machine, [&] { return world.done(); },
-                             machine.now() + 2000 * sim::kMillisecond))
+  EXPECT_TRUE(machine.run_epochs_until(
+      [&] { return world.done(); }, machine.now() + 2000 * sim::kMillisecond))
       << "program timed out at " << machine.now() << " ps";
   app::TransportStats total;
   for (sim::NodeId n = 0; n < machine.size(); ++n) {
@@ -436,10 +436,8 @@ TEST(AppWorld, RingAcrossFourRanksOnTwoNodes) {
 TEST(AppPrograms, StencilRunsCleanOnEveryTransport) {
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    AppRunSpec spec;
-    spec.app = AppKind::kStencil;
-    spec.transport = tk;
-    const auto res = run_app_and_dump_stats(spec);
+    const auto res = run_machine_and_dump_stats(
+        {"app.stencil", {std::string("transport=") + transport_name(tk)}});
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     EXPECT_EQ(res.app.ops, 4u * 4u);  // iters summed over 4 ranks
@@ -450,10 +448,8 @@ TEST(AppPrograms, StencilRunsCleanOnEveryTransport) {
 TEST(AppPrograms, AllreduceSweepValidatesAgainstHost) {
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    AppRunSpec spec;
-    spec.app = AppKind::kAllreduce;
-    spec.transport = tk;
-    const auto res = run_app_and_dump_stats(spec);
+    const auto res = run_machine_and_dump_stats(
+        {"app.allreduce", {std::string("transport=") + transport_name(tk)}});
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     EXPECT_GT(res.app.ops, 0u);
@@ -463,11 +459,9 @@ TEST(AppPrograms, AllreduceSweepValidatesAgainstHost) {
 TEST(AppPrograms, KvServiceAnswersEveryRequest) {
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    AppRunSpec spec;
-    spec.app = AppKind::kKv;
-    spec.transport = tk;
-    spec.kv.requests = 24;
-    const auto res = run_app_and_dump_stats(spec);
+    const auto res = run_machine_and_dump_stats(
+        {"app.kv", {std::string("transport=") + transport_name(tk),
+                    "requests=24"}});
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     // Clients and servers both count each request: 3 clients x 24, twice.
@@ -489,42 +483,31 @@ fault::Plan lossy_plan(std::uint64_t seed) {
   return p;
 }
 
-void run_app_under_faults(AppKind app, std::uint64_t seed) {
-  AppRunSpec spec;
-  spec.app = app;
-  spec.transport = TransportKind::kReliable;
-  spec.fault = lossy_plan(seed);
-  spec.stencil.nx = 8;
-  spec.stencil.ny = 8;
-  spec.stencil.iters = 2;
-  spec.allreduce.max_elems = 16;
-  spec.allreduce.iters = 1;
-  spec.kv.requests = 8;
-  const auto res = run_app_and_dump_stats(spec);
-  EXPECT_TRUE(res.completed);
-  EXPECT_EQ(res.app.errors, 0u);
-  EXPECT_GT(res.app.ops, 0u);
+/// `app`, shrunk by `args`, over the reliable transport at two fault seeds.
+void run_app_under_faults(const std::string& app,
+                          std::vector<std::string> args) {
+  args.push_back("transport=reliable");
+  for (const std::uint64_t seed : {1ull, 99ull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RunSpec spec(app, args);
+    spec.fault = lossy_plan(seed);
+    const auto res = run_machine_and_dump_stats(spec);
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.app.errors, 0u);
+    EXPECT_GT(res.app.ops, 0u);
+  }
 }
 
 TEST(AppFaultMatrix, StencilCompletesOverLossyReliable) {
-  for (const std::uint64_t seed : {1ull, 99ull}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    run_app_under_faults(AppKind::kStencil, seed);
-  }
+  run_app_under_faults("app.stencil", {"nx=8", "ny=8", "iters=2"});
 }
 
 TEST(AppFaultMatrix, AllreduceCompletesOverLossyReliable) {
-  for (const std::uint64_t seed : {1ull, 99ull}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    run_app_under_faults(AppKind::kAllreduce, seed);
-  }
+  run_app_under_faults("app.allreduce", {"max_elems=16", "iters=1"});
 }
 
 TEST(AppFaultMatrix, KvCompletesOverLossyReliable) {
-  for (const std::uint64_t seed : {1ull, 99ull}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    run_app_under_faults(AppKind::kKv, seed);
-  }
+  run_app_under_faults("app.kv", {"requests=8"});
 }
 
 }  // namespace

@@ -58,15 +58,13 @@ void expect_replay_identical(const test::RunSpec& spec, sim::Tick at) {
   EXPECT_EQ(a.stats_json(), b.stats_json());
 }
 
-test::RunSpec base_spec(test::Workload w, unsigned threads, bool fastpath) {
-  test::RunSpec spec;
-  spec.workload = w;
-  spec.nodes = 4;
+/// A 4-node msg, scoma or reliable run; each takes the keys it declares.
+test::RunSpec base_spec(const std::string& workload, unsigned threads,
+                        bool fastpath) {
+  test::RunSpec spec(workload, {"count=12", "bytes=32", "ops=40", "words=8",
+                                "timeout_us=20"});
   spec.threads = threads;
   spec.fastpath = fastpath;
-  spec.count = 12;
-  spec.bytes = 32;
-  spec.ops = 40;
   return spec;
 }
 
@@ -76,7 +74,7 @@ TEST(CkptReplayTest, MsgSweep) {
       SCOPED_TRACE(::testing::Message()
                    << "threads=" << threads << " fastpath=" << fastpath);
       expect_replay_identical(
-          base_spec(test::Workload::kMsg, threads, fastpath),
+          base_spec("msg", threads, fastpath),
           10 * sim::kMicrosecond);
     }
   }
@@ -88,7 +86,7 @@ TEST(CkptReplayTest, ShmSweep) {
       SCOPED_TRACE(::testing::Message()
                    << "threads=" << threads << " fastpath=" << fastpath);
       expect_replay_identical(
-          base_spec(test::Workload::kShm, threads, fastpath),
+          base_spec("scoma", threads, fastpath),
           10 * sim::kMicrosecond);
     }
   }
@@ -100,7 +98,7 @@ TEST(CkptReplayTest, ReliableSweep) {
       SCOPED_TRACE(::testing::Message()
                    << "threads=" << threads << " fastpath=" << fastpath);
       expect_replay_identical(
-          base_spec(test::Workload::kReliable, threads, fastpath),
+          base_spec("reliable", threads, fastpath),
           10 * sim::kMicrosecond);
     }
   }
@@ -110,7 +108,7 @@ TEST(CkptReplayTest, ReliableUnderFaultsReplays) {
   // With the fault injector live, the snapshot additionally carries the
   // "fault" chunk (raw RNG words + decision cursors); the replay must
   // land on the very same words.
-  test::RunSpec spec = base_spec(test::Workload::kReliable, 0, true);
+  test::RunSpec spec = base_spec("reliable", 0, true);
   spec.net = sys::Machine::NetKind::kFatTree;
   spec.fault.seed = 7;
   spec.fault.drop_rate = 0.05;
@@ -122,12 +120,12 @@ TEST(CkptReplayTest, PartitionedCaptureIsThreadCountInvariant) {
   // All partitioned machines have the same domain shape (one per node),
   // so the snapshot is a function of the spec and the tick alone —
   // identical for 1, 2 and 4 workers.
-  const test::RunSpec spec1 = base_spec(test::Workload::kMsg, 1, true);
+  const test::RunSpec spec1 = base_spec("msg", 1, true);
   test::SteppableRun one(spec1);
   const ckpt::Snapshot ref = one.capture_at(10 * sim::kMicrosecond);
   for (const unsigned threads : {2u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    test::SteppableRun run(base_spec(test::Workload::kMsg, threads, true));
+    test::SteppableRun run(base_spec("msg", threads, true));
     expect_verify_ok(ref, run.capture_at(ref.tick));
   }
 }
@@ -139,9 +137,9 @@ TEST(CkptReplayTest, LargeMachineReplays256) {
   // sweeps, sequential and partitioned.
   for (const unsigned threads : {0u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    test::RunSpec spec = base_spec(test::Workload::kMsg, threads, true);
+    test::RunSpec spec = base_spec("msg", threads, true);
     spec.nodes = 256;
-    spec.count = 2;
+    spec.args.set_u64("count", 2);
     expect_replay_identical(spec, 2 * sim::kMicrosecond);
   }
 }
@@ -149,7 +147,7 @@ TEST(CkptReplayTest, LargeMachineReplays256) {
 TEST(CkptReplayTest, TraceSpansByteIdentical) {
   // A checkpointed-then-continued run and an uninterrupted run emit the
   // same golden trace, byte for byte — capture is observation only.
-  test::RunSpec spec = base_spec(test::Workload::kMsg, 0, true);
+  test::RunSpec spec = base_spec("msg", 0, true);
   spec.trace_capacity = 4096;
 
   test::SteppableRun a(spec);
@@ -169,50 +167,43 @@ TEST(CkptReplayTest, TraceSpansByteIdentical) {
 // completion, collective generations, transport sequence state and
 // mailbox contents.
 
-void expect_app_replay_identical(const test::AppRunSpec& spec,
+void expect_app_replay_identical(const test::RunSpec& spec,
                                  sim::Tick at) {
-  test::SteppableAppRun a(spec);
+  test::SteppableRun a(spec);
   const ckpt::Snapshot snap = a.capture_at(at);
   EXPECT_NE(snap.find("app"), nullptr) << "app chunk missing from capture";
 
-  test::SteppableAppRun b(spec);
+  test::SteppableRun b(spec);
   const ckpt::Snapshot replay = b.capture_at(snap.tick);
   expect_verify_ok(snap, replay);
 
   a.finish();
   b.finish();
-  EXPECT_EQ(a.app.errors, 0u);
-  EXPECT_EQ(b.app.errors, 0u);
-  expect_verify_ok(ckpt::capture(a.machine, "final", &a.world),
-                   ckpt::capture(b.machine, "final", &b.world));
+  EXPECT_EQ(a.run->app.errors, 0u);
+  EXPECT_EQ(b.run->app.errors, 0u);
+  expect_verify_ok(a.capture("final"), b.capture("final"));
   EXPECT_EQ(a.stats_json(), b.stats_json());
 }
 
 TEST(CkptReplayTest, AppStencilMsgSweep) {
   for (const unsigned threads : {0u, 2u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    test::AppRunSpec spec;
-    spec.app = test::AppKind::kStencil;
-    spec.transport = app::TransportKind::kMsg;
+    test::RunSpec spec("app.stencil", {"transport=msg"});
     spec.threads = threads;
     expect_app_replay_identical(spec, 10 * sim::kMicrosecond);
   }
 }
 
 TEST(CkptReplayTest, AppAllreduceShmReplay) {
-  test::AppRunSpec spec;
-  spec.app = test::AppKind::kAllreduce;
-  spec.transport = app::TransportKind::kShm;
-  spec.allreduce.max_elems = 32;
-  expect_app_replay_identical(spec, 10 * sim::kMicrosecond);
+  expect_app_replay_identical(
+      test::RunSpec("app.allreduce", {"transport=shm", "max_elems=32"}),
+      10 * sim::kMicrosecond);
 }
 
 TEST(CkptReplayTest, AppKvReliableReplay) {
-  test::AppRunSpec spec;
-  spec.app = test::AppKind::kKv;
-  spec.transport = app::TransportKind::kReliable;
-  spec.kv.requests = 16;
-  expect_app_replay_identical(spec, 10 * sim::kMicrosecond);
+  expect_app_replay_identical(
+      test::RunSpec("app.kv", {"transport=reliable", "requests=16"}),
+      10 * sim::kMicrosecond);
 }
 
 // --- Committed corpus: the checked-in snapshot must restore against the

@@ -10,7 +10,6 @@
 
 #include "sys/stats_dump.hpp"
 #include "tests/test_util.hpp"
-#include "xfer/approaches.hpp"
 
 namespace sv {
 namespace {
@@ -30,16 +29,11 @@ XferOut run_xfer(int approach, std::uint32_t bytes, bool fastpath) {
   auto mp = test::small_machine_params(2);
   mp.node.bus.fastpath = fastpath;
   sys::Machine machine(mp);
-  xfer::BlockTransferHarness harness(machine);
-  xfer::TransferSpec spec;
-  spec.len = bytes;
-  if (approach >= 4) {
-    spec.dst = niu::kScomaBase + 0x8000;
-  }
-  xfer::RunOptions opt;
-  opt.consume = approach >= 4;
-  const auto res = harness.run(approach, spec, opt);
-  EXPECT_TRUE(res.ok) << "approach " << approach << " failed verification";
+  sim::Config cfg;
+  cfg.set_u64("approach", static_cast<std::uint64_t>(approach));
+  cfg.set_u64("bytes", bytes);
+  EXPECT_EQ(sys::workload("xfer").launch(machine, cfg)->failure(), "")
+      << "approach " << approach;
 
   XferOut out;
   for (sim::NodeId i = 0; i < machine.size(); ++i) {
@@ -100,31 +94,18 @@ void expect_runspec_identical(test::RunSpec spec) {
 }
 
 TEST(FastPath, MsgWorkloadByteIdentical) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kMsg;
-  spec.nodes = 4;
-  spec.count = 16;
-  spec.bytes = 32;
-  expect_runspec_identical(spec);
+  expect_runspec_identical(test::RunSpec("msg", {"count=16", "bytes=32"}));
 }
 
 TEST(FastPath, ShmWorkloadByteIdentical) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kShm;
-  spec.nodes = 4;
-  spec.ops = 40;
-  expect_runspec_identical(spec);
+  expect_runspec_identical(test::RunSpec("scoma", {"ops=40", "words=8"}));
 }
 
 /// The bypass composes with the partitioned kernel: a threaded fast run
 /// matches a sequential slow run byte for byte (the strongest cross-mode
 /// statement the suite makes).
 TEST(FastPath, PartitionedFastMatchesSequentialSlow) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kMsg;
-  spec.nodes = 4;
-  spec.count = 12;
-  spec.bytes = 64;
+  test::RunSpec spec("msg", {"count=12", "bytes=64"});
 
   spec.fastpath = true;
   spec.threads = 2;

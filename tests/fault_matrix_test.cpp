@@ -46,22 +46,22 @@ fault::Plan full_matrix_plan(std::uint64_t seed) {
   return p;
 }
 
-/// Run a reliable ring (every node streams 25 payloads to its right
-/// neighbour) on a 4-node fat tree under the full fault matrix via the
-/// shared workload harness. The harness asserts completion, exactly-once
-/// delivery counts and packet conservation; this wrapper additionally
-/// checks the matrix actually fired and returns the machine-wide stats
-/// JSON for replay comparison.
-std::string run_matrix(std::uint64_t seed) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kReliable;
-  spec.nodes = 4;
+/// A reliable ring (every node streams 25 payloads to its right
+/// neighbour) on a 4-node fat tree under the full fault matrix.
+test::RunSpec matrix_ring(std::uint64_t seed) {
+  test::RunSpec spec("reliable", {"count=25", "bytes=48", "timeout_us=20"});
   spec.net = sys::Machine::NetKind::kFatTree;
   spec.fault = full_matrix_plan(seed);
-  spec.count = 25;
-  spec.bytes = 48;
-  spec.retransmit_timeout = 20 * sim::kMicrosecond;
-  const test::RunResult res = test::run_machine_and_dump_stats(spec);
+  return spec;
+}
+
+/// Run the matrix ring via the shared workload harness. The harness
+/// asserts completion, exactly-once delivery counts and packet
+/// conservation; this wrapper additionally checks the matrix actually
+/// fired and returns the machine-wide stats JSON for replay comparison.
+std::string run_matrix(std::uint64_t seed) {
+  const test::RunResult res = test::run_machine_and_dump_stats(
+      matrix_ring(seed));
 
   // The matrix must actually have fired: a fault plan this aggressive that
   // injects nothing would make the replay check vacuous.
@@ -110,15 +110,7 @@ TEST(FaultMatrixTest, CheckpointPreservesInjectorCursorsBitIdentically) {
   // same epoch boundary must land on the identical bytes — the injector's
   // schedule position survives restore bit for bit, which is what makes
   // the matrix replayable across a checkpoint.
-  test::RunSpec spec;
-  spec.workload = test::Workload::kReliable;
-  spec.nodes = 4;
-  spec.net = sys::Machine::NetKind::kFatTree;
-  spec.fault = full_matrix_plan(base_seed());
-  spec.count = 25;
-  spec.bytes = 48;
-  spec.retransmit_timeout = 20 * sim::kMicrosecond;
-
+  const test::RunSpec spec = matrix_ring(base_seed());
   test::SteppableRun a(spec);
   const ckpt::Snapshot snap = a.capture_at(30 * sim::kMicrosecond);
   ASSERT_NE(a.machine.fault_injector(), nullptr);

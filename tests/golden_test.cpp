@@ -18,10 +18,8 @@
 
 #include "sim/crc32.hpp"
 #include "sys/stats_dump.hpp"
-#include "tests/app_util.hpp"
 #include "tests/ckpt_util.hpp"
 #include "tests/test_util.hpp"
-#include "xfer/approaches.hpp"
 
 namespace sv {
 namespace {
@@ -78,20 +76,15 @@ void check_golden(const std::string& name, const std::string& actual) {
             "SV_GOLDEN_WRITE=1 ./golden_test and commit the diff.";
 }
 
-/// Figure 3/4 block transfers: run one approach at one size on a 2-node
-/// fat tree and dump the machine stats.
+/// Figure 3/4 block transfers: run the registry's xfer entry (one
+/// approach at one size) on a 2-node fat tree and dump the machine stats.
 std::string run_xfer(int approach, std::uint32_t bytes) {
   sys::Machine machine(test::small_machine_params(2));
-  xfer::BlockTransferHarness harness(machine);
-  xfer::TransferSpec spec;
-  spec.len = bytes;
-  if (approach >= 4) {
-    spec.dst = niu::kScomaBase + 0x8000;
-  }
-  xfer::RunOptions opt;
-  opt.consume = approach >= 4;
-  const auto res = harness.run(approach, spec, opt);
-  EXPECT_TRUE(res.ok) << "approach " << approach << " failed verification";
+  sim::Config cfg;
+  cfg.set_u64("approach", static_cast<std::uint64_t>(approach));
+  cfg.set_u64("bytes", bytes);
+  EXPECT_EQ(sys::workload("xfer").launch(machine, cfg)->failure(), "")
+      << "approach " << approach;
   std::ostringstream os;
   sys::dump_stats_json(machine, os);
   return os.str();
@@ -110,36 +103,30 @@ TEST(GoldenStats, Fig4BandwidthApproach3) {
 }
 
 TEST(GoldenStats, ExtMsgAllToAll) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kMsg;
-  spec.nodes = 4;
-  spec.count = 16;
-  spec.bytes = 32;
-  const auto res = test::run_machine_and_dump_stats(spec);
+  const auto res = test::run_machine_and_dump_stats(
+      test::RunSpec("msg", {"count=16", "bytes=32"}));
   ASSERT_TRUE(res.completed);
   check_golden("ext_msg_4node", res.stats_json);
 }
 
 TEST(GoldenStats, ExtScomaContention) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kShm;
-  spec.nodes = 4;
-  spec.ops = 40;
-  const auto res = test::run_machine_and_dump_stats(spec);
+  const auto res = test::run_machine_and_dump_stats(
+      test::RunSpec("scoma", {"ops=40", "words=8"}));
   ASSERT_TRUE(res.completed);
   check_golden("ext_scoma_4node", res.stats_json);
 }
 
-TEST(GoldenStats, ExtReliableUnderLoss) {
-  test::RunSpec spec;
-  spec.workload = test::Workload::kReliable;
-  spec.nodes = 4;
-  spec.count = 12;
-  spec.bytes = 48;
+/// A 4-node reliable ring under 5% drops and 5% corruption.
+test::RunSpec lossy_ring() {
+  test::RunSpec spec("reliable", {"count=12", "bytes=48", "timeout_us=20"});
   spec.fault.seed = sim::Rng::kDefaultSeed;
   spec.fault.drop_rate = 0.05;
   spec.fault.corrupt_rate = 0.05;
-  const auto res = test::run_machine_and_dump_stats(spec);
+  return spec;
+}
+
+TEST(GoldenStats, ExtReliableUnderLoss) {
+  const auto res = test::run_machine_and_dump_stats(lossy_ring());
   ASSERT_TRUE(res.completed);
   check_golden("ext_reliable_4node", res.stats_json);
 }
@@ -150,14 +137,7 @@ TEST(GoldenStats, ExtReliableRestored) {
   // snapshotted mid-flight, a second machine replays to the capture tick,
   // byte-verifies against the snapshot, then finishes — and its stats
   // must match this corpus entry forever after.
-  test::RunSpec spec;
-  spec.workload = test::Workload::kReliable;
-  spec.nodes = 4;
-  spec.count = 12;
-  spec.bytes = 48;
-  spec.fault.seed = sim::Rng::kDefaultSeed;
-  spec.fault.drop_rate = 0.05;
-  spec.fault.corrupt_rate = 0.05;
+  test::RunSpec spec = lossy_ring();
   spec.net = sys::Machine::NetKind::kFatTree;
 
   test::SteppableRun original(spec);
@@ -178,36 +158,28 @@ TEST(GoldenStats, ExtReliableRestored) {
 // the transport that stresses it best. The stats JSON includes the app.*
 // transport counters, so both the machine and the runtime are pinned.
 
-TEST(GoldenStats, ExtAppStencilMsg) {
-  test::AppRunSpec spec;
-  spec.app = test::AppKind::kStencil;
-  spec.transport = app::TransportKind::kMsg;
-  const auto res = test::run_app_and_dump_stats(spec);
+void check_app_golden(const std::string& name, const test::RunSpec& spec) {
+  const auto res = test::run_machine_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(res.app.errors, 0u);
-  check_golden("ext_app_stencil_msg", res.stats_json);
+  check_golden(name, res.stats_json);
+}
+
+TEST(GoldenStats, ExtAppStencilMsg) {
+  check_app_golden("ext_app_stencil_msg",
+                   test::RunSpec("app.stencil", {"transport=msg"}));
 }
 
 TEST(GoldenStats, ExtAppAllreduceShm) {
-  test::AppRunSpec spec;
-  spec.app = test::AppKind::kAllreduce;
-  spec.transport = app::TransportKind::kShm;
-  spec.allreduce.max_elems = 32;
-  const auto res = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(res.completed);
-  ASSERT_EQ(res.app.errors, 0u);
-  check_golden("ext_app_allreduce_shm", res.stats_json);
+  check_app_golden(
+      "ext_app_allreduce_shm",
+      test::RunSpec("app.allreduce", {"transport=shm", "max_elems=32"}));
 }
 
 TEST(GoldenStats, ExtAppKvReliable) {
-  test::AppRunSpec spec;
-  spec.app = test::AppKind::kKv;
-  spec.transport = app::TransportKind::kReliable;
-  spec.kv.requests = 16;
-  const auto res = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(res.completed);
-  ASSERT_EQ(res.app.errors, 0u);
-  check_golden("ext_app_kv_reliable", res.stats_json);
+  check_app_golden(
+      "ext_app_kv_reliable",
+      test::RunSpec("app.kv", {"transport=reliable", "requests=16"}));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // paper's protected multi-queue design is for).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "msg/channel.hpp"
 #include "shm/scoma_region.hpp"
@@ -13,10 +15,16 @@
 namespace sv {
 namespace {
 
+// gtest (and so ctest) names each case by the raw bytes of its parameter.
+// `pad` fills what would otherwise be indeterminate padding after `net`, so
+// every build names the cases the same.
 struct MachineParam {
   std::size_t nodes;
   sys::Machine::NetKind net;
+  std::uint32_t pad = 0;
 };
+static_assert(sizeof(MachineParam) == 16 &&
+              std::has_unique_object_representations_v<MachineParam>);
 
 class MachineSweep : public ::testing::TestWithParam<MachineParam> {};
 

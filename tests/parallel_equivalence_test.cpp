@@ -71,11 +71,7 @@ fault::Plan lossy_plan(std::uint64_t seed) {
 TEST(ParallelEquivalence, MsgAllToAllMatchesSequential) {
   for (const auto seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    test::RunSpec spec;
-    spec.workload = test::Workload::kMsg;
-    spec.nodes = 4;
-    spec.count = 10;
-    spec.bytes = 32;
+    test::RunSpec spec("msg", {"count=10", "bytes=32"});
     spec.fault = corrupt_only_plan(seed);
     expect_bit_identical_across_threads(spec);
   }
@@ -89,23 +85,16 @@ TEST(ParallelEquivalence, ScomaContentionMatchesSequential) {
   // coherence interleaving the epochs have to reproduce.
   for (const auto seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    test::RunSpec spec;
-    spec.workload = test::Workload::kShm;
-    spec.nodes = 4;
-    spec.ops = 30;
-    spec.seed = seed;
-    expect_bit_identical_across_threads(spec);
+    expect_bit_identical_across_threads(test::RunSpec(
+        "scoma", {"ops=30", "words=8", "seed=" + std::to_string(seed)}));
   }
 }
 
 TEST(ParallelEquivalence, ReliableRingUnderLossMatchesSequential) {
   for (const auto seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    test::RunSpec spec;
-    spec.workload = test::Workload::kReliable;
-    spec.nodes = 4;
-    spec.count = 8;
-    spec.bytes = 48;
+    test::RunSpec spec("reliable",
+                       {"count=8", "bytes=48", "timeout_us=20"});
     spec.fault = lossy_plan(seed);
     // The completion predicate already requires balanced books; skip the
     // extra conservation drain, whose millisecond of retransmit-timer
@@ -117,21 +106,16 @@ TEST(ParallelEquivalence, ReliableRingUnderLossMatchesSequential) {
 
 TEST(ParallelEquivalence, FaultFreeMachineMatchesToo) {
   // No injector at all: the zero-fault fast path must be just as identical.
-  test::RunSpec spec;
-  spec.workload = test::Workload::kMsg;
-  spec.nodes = 4;
-  spec.count = 12;
-  expect_bit_identical_across_threads(spec);
+  expect_bit_identical_across_threads(
+      test::RunSpec("msg", {"count=12", "bytes=32"}));
 }
 
 TEST(ParallelEquivalence, OversubscribedThreadsStillIdentical) {
   // More nodes than workers: each worker runs several domains; results
   // must not change (ParallelKernel clamps and stripes deterministically,
   // but the *simulation output* must be stripe-agnostic).
-  test::RunSpec spec;
-  spec.workload = test::Workload::kMsg;
+  test::RunSpec spec("msg", {"count=6", "bytes=32"});
   spec.nodes = 6;
-  spec.count = 6;
   expect_bit_identical_across_threads(spec);
 }
 

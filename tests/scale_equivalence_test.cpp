@@ -25,7 +25,6 @@
 #include <string>
 
 #include "sim/crc32.hpp"
-#include "tests/app_util.hpp"
 #include "tests/test_util.hpp"
 
 namespace sv {
@@ -111,23 +110,18 @@ std::string cell_name(const SweepCell& c) {
   return os.str();
 }
 
-void sweep_machine_workload(test::Workload wl, const char* wl_name,
-                            std::size_t nodes, std::uint64_t count,
-                            std::uint64_t ops) {
-  const std::string golden =
-      std::string("scale_") + wl_name + "_" + std::to_string(nodes);
+/// Run `spec` on `nodes` nodes at every sweep cell; each cell must match
+/// the one golden entry `scale_<name>_<nodes>`.
+void sweep(const std::string& name, std::size_t nodes, test::RunSpec spec) {
+  const std::string golden = "scale_" + name + "_" + std::to_string(nodes);
+  spec.nodes = nodes;
+  if (spec.trace_capacity == 0) {
+    spec.trace_capacity = kTraceCapacity;
+  }
   for (const SweepCell& cell : kCells) {
     SCOPED_TRACE(golden + " " + cell_name(cell));
-    test::RunSpec spec;
-    spec.workload = wl;
-    spec.nodes = nodes;
-    spec.net = sys::Machine::NetKind::kIdeal;
     spec.threads = cell.threads;
     spec.fastpath = cell.fastpath;
-    spec.count = count;
-    spec.bytes = 32;
-    spec.ops = ops;
-    spec.trace_capacity = kTraceCapacity;
     const test::RunResult res = test::run_machine_and_dump_stats(spec);
     ASSERT_TRUE(res.completed);
     ASSERT_EQ(res.trace_dropped, 0u)
@@ -138,51 +132,32 @@ void sweep_machine_workload(test::Workload wl, const char* wl_name,
 }
 
 void sweep_stencil(std::size_t nodes) {
-  const std::string golden = "scale_stencil_" + std::to_string(nodes);
-  for (const SweepCell& cell : kCells) {
-    SCOPED_TRACE(golden + " " + cell_name(cell));
-    test::AppRunSpec spec;
-    spec.app = test::AppKind::kStencil;
-    spec.transport = app::TransportKind::kMsg;
-    spec.nodes = nodes;
-    spec.threads = cell.threads;
-    spec.fastpath = cell.fastpath;
-    spec.stencil.nx = 8;
-    spec.stencil.ny = 2 * nodes;
-    spec.stencil.iters = 2;
-    // The stencil produces far more spans than the raw-mechanism
-    // workloads; the sequential machine holds all of them in one ring.
-    spec.trace_capacity = 4 * kTraceCapacity;
-    const test::AppRunResult res = test::run_app_and_dump_stats(spec);
-    ASSERT_TRUE(res.completed);
-    ASSERT_EQ(res.trace_dropped, 0u);
-    check_against_golden(golden, artifact(res.stats_json, res.span_dump),
-                         &cell == &kCells[0] ? "canonical" : cell_name(cell));
-  }
+  test::RunSpec spec("app.stencil", {"transport=msg", "nx=8", "iters=2",
+                                     "ny=" + std::to_string(2 * nodes)});
+  // The stencil produces far more spans than the raw-mechanism
+  // workloads; the sequential machine holds all of them in one ring.
+  spec.trace_capacity = 4 * kTraceCapacity;
+  sweep("stencil", nodes, spec);
 }
 
-TEST(ScaleEquivalence, Msg8) {
-  sweep_machine_workload(test::Workload::kMsg, "msg", 8, 4, 0);
-}
-TEST(ScaleEquivalence, Msg16) {
-  sweep_machine_workload(test::Workload::kMsg, "msg", 16, 4, 0);
-}
-TEST(ScaleEquivalence, Msg32) {
-  sweep_machine_workload(test::Workload::kMsg, "msg", 32, 3, 0);
-}
+TEST(ScaleEquivalence, Msg8) { sweep("msg", 8, {"msg", {"count=4"}}); }
+TEST(ScaleEquivalence, Msg16) { sweep("msg", 16, {"msg", {"count=4"}}); }
+TEST(ScaleEquivalence, Msg32) { sweep("msg", 32, {"msg", {"count=3"}}); }
 
 TEST(ScaleEquivalence, Shm8) {
-  sweep_machine_workload(test::Workload::kShm, "shm", 8, 0, 12);
+  sweep("shm", 8, {"scoma", {"ops=12", "words=8"}});
 }
 TEST(ScaleEquivalence, Shm16) {
-  sweep_machine_workload(test::Workload::kShm, "shm", 16, 0, 8);
+  sweep("shm", 16, {"scoma", {"ops=8", "words=8"}});
 }
 
 TEST(ScaleEquivalence, Reliable8) {
-  sweep_machine_workload(test::Workload::kReliable, "reliable", 8, 3, 0);
+  sweep("reliable", 8,
+        {"reliable", {"count=3", "bytes=32", "timeout_us=20"}});
 }
 TEST(ScaleEquivalence, Reliable16) {
-  sweep_machine_workload(test::Workload::kReliable, "reliable", 16, 2, 0);
+  sweep("reliable", 16,
+        {"reliable", {"count=2", "bytes=32", "timeout_us=20"}});
 }
 
 TEST(ScaleEquivalence, Stencil8) { sweep_stencil(8); }

@@ -1,30 +1,50 @@
 #!/bin/sh
-# svsim must reject bad input with exactly one stderr line naming the
-# offending key and exit status 2: no abort, no signal, and no run.
+# svsim and svexplore must reject bad input with exactly one stderr line
+# naming the offending key and exit status 2: no abort, no signal, no
+# hang, and no run.
 #
-#   usage: svsim_bad_input.sh PATH/TO/svsim
+#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore
 svsim=$1
+svexplore=$2
 status=0
 errfile=$(mktemp)
 trap 'rm -f "$errfile"' EXIT
 
+# check PATTERN TOOL ARGS...: TOOL ARGS must fail as above, with a stderr
+# line matching PATTERN.
 check() {
-  key=$1
-  shift
-  out=$("$svsim" "$@" 2>"$errfile")
+  pattern=$1
+  tool=$2
+  shift 2
+  out=$("$tool" "$@" 2>"$errfile")
   rc=$?
   err=$(cat "$errfile")
   lines=$(printf '%s\n' "$err" | wc -l)
   if [ "$rc" -ne 2 ] || [ -n "$out" ] || [ "$lines" -ne 1 ] ||
-     ! printf '%s' "$err" | grep -q "$key"; then
-    echo "FAIL: svsim $*: exit $rc, stdout '$out', stderr '$err'"
+     ! printf '%s' "$err" | grep -q "$pattern"; then
+    echo "FAIL: $(basename "$tool") $*: exit $rc, stdout '$out', stderr '$err'"
     status=1
   else
-    echo "ok: svsim $* -> $err"
+    echo "ok: $(basename "$tool") $* -> $err"
   fi
 }
 
-check count msg count=abc
-check nodes msg nodes=1
-check approach xfer approach=9
+check count "$svsim" msg count=abc
+check nodes "$svsim" msg nodes=1
+check approach "$svsim" xfer approach=9
+check "'fault.drop_rte'.*'fault.drop_rate'" \
+  "$svsim" reliable fault.drop_rte=0.5
+check words "$svsim" scoma words=0
+check bytes "$svsim" msg bytes=100000
+check count "$svsim" msg count=65
+check count "$svsim" express count=129
+check bytes "$svsim" dma bytes=0
+check bytes "$svsim" dma bytes=100
+check bytes "$svsim" xfer bytes=0
+check bytes "$svsim" reliable bytes=100000
+check net "$svsim" msg net=idael
+check app.shm "$svsim" app.stencil app.shm=scomaa
+check stats_format "$svsim" msg stats_format=jsno
+check threads "$svsim" xfer threads=2
+check "'max_drop'.*'max_drops'" "$svexplore" max_drop=1
 exit $status

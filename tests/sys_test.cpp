@@ -1,5 +1,5 @@
-// System-harness tests: the experiment helpers (run_until, run_programs,
-// Table formatting) and machine-wide statistics collection.
+// System-harness tests: the experiment helpers (run_until, Table
+// formatting) and machine-wide statistics collection.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -22,29 +22,6 @@ TEST(ExperimentTest, RunUntilReturnsFalseOnIdleKernel) {
   sim::Kernel kernel;
   bool never = false;
   EXPECT_FALSE(run_until(kernel, [&] { return never; }, 1000));
-}
-
-TEST(ExperimentTest, RunProgramsCollectsFinishTimes) {
-  sim::Kernel kernel;
-  std::vector<sim::Co<void>> programs;
-  for (int i = 1; i <= 3; ++i) {
-    programs.push_back([](sim::Kernel* k, sim::Tick d) -> sim::Co<void> {
-      co_await sim::delay(*k, d);
-    }(&kernel, i * 100));
-  }
-  std::vector<sim::Tick> times;
-  EXPECT_TRUE(run_programs(kernel, std::move(programs), 10000, &times));
-  EXPECT_EQ(times, (std::vector<sim::Tick>{100, 200, 300}));
-}
-
-TEST(ExperimentTest, RunProgramsTimesOut) {
-  sim::Kernel kernel;
-  sim::Signal never(kernel);
-  std::vector<sim::Co<void>> programs;
-  programs.push_back([](sim::Signal* s) -> sim::Co<void> {
-    co_await *s;  // never pulsed
-  }(&never));
-  EXPECT_FALSE(run_programs(kernel, std::move(programs), 1000));
 }
 
 TEST(TableTest, FormatsAlignedColumns) {

@@ -1,6 +1,8 @@
 // Shared test helpers: small-machine factories, kernel-driving utilities
 // and a canonical "run a workload, dump its stats" harness used by the
-// golden corpus and the parallel-equivalence sweep.
+// golden corpus and the parallel-equivalence sweep. The workloads
+// themselves are registry entries (sys/workload.hpp), the same drivers
+// svsim runs.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "sys/experiment.hpp"
 #include "sys/machine.hpp"
 #include "sys/stats_dump.hpp"
+#include "sys/workload.hpp"
 #include "trace/trace.hpp"
 
 namespace sv::test {
@@ -57,8 +60,8 @@ inline void run_co(sim::Kernel& kernel, sim::Co<void> co,
 /// the same instant) for sequential and partitioned machines alike.
 inline void expect_network_conserves(sys::Machine& machine,
                                      sim::Tick drain = 2 * sim::kMillisecond) {
-  (void)sys::run_until(machine, [] { return false; },
-                       machine.now() + drain);
+  (void)machine.run_epochs_until([] { return false; },
+                                 machine.now() + drain);
   const auto a = machine.network().audit();
   EXPECT_TRUE(a.balanced())
       << "packet conservation violated: injected=" << a.injected
@@ -79,14 +82,15 @@ inline std::vector<std::byte> pattern_bytes(std::size_t n,
 // Canonical workload harness (golden corpus + parallel-equivalence sweep)
 // ---------------------------------------------------------------------------
 
-enum class Workload {
-  kMsg,       ///< all-to-all Basic messaging, one driver per node
-  kShm,       ///< S-COMA load/store contention on a few shared words
-  kReliable,  ///< ReliableChannel ring (survives drop/overflow faults)
-};
-
+/// One registry workload (sys/workload.hpp) on a small machine: `workload`
+/// and `args` are what svsim would take on its command line, and the
+/// fields below shape small_machine_params.
 struct RunSpec {
-  Workload workload = Workload::kMsg;
+  RunSpec(std::string name, const std::vector<std::string>& kv)
+      : workload(std::move(name)), args(sim::Config::from_args(kv)) {}
+
+  std::string workload;
+  sim::Config args;
   std::size_t nodes = 4;
   unsigned threads = 0;  ///< 0 = sequential single-domain machine
   sys::Machine::NetKind net = sys::Machine::NetKind::kIdeal;
@@ -95,17 +99,6 @@ struct RunSpec {
   /// (SV_NO_FASTPATH); fastpath_test pins it both ways to assert
   /// byte-identity within one process.
   bool fastpath = sim::fastpath_default();
-
-  std::uint64_t count = 20;  ///< messages per node (kMsg / kReliable)
-  std::uint64_t bytes = 32;  ///< payload bytes per message
-  std::uint64_t ops = 60;    ///< loads+stores per node (kShm)
-  std::uint64_t seed = 42;   ///< base seed for kShm access streams
-
-  // ReliableChannel knobs (kReliable only).
-  std::size_t window = 16;
-  sim::Tick retransmit_timeout = 20 * sim::kMicrosecond;
-  unsigned give_up_after = 8;
-
   std::size_t trace_capacity = 0;  ///< >0 attaches tracers, captures spans
   sim::Tick deadline = 2000 * sim::kMillisecond;
   bool check_conservation = true;
@@ -114,178 +107,69 @@ struct RunSpec {
 struct RunResult {
   bool completed = false;
   sim::Tick end_time = 0;    ///< machine.now() after the run (and drain)
-  std::string stats_json;    ///< sys::dump_stats_json of the whole machine
+  std::string stats_json;    ///< machine stats (+ app.* counters), one object
   std::string span_dump;     ///< trace::canonical_span_dump (tracing only)
   std::uint64_t trace_dropped = 0;
   fault::Stats fault_stats;  ///< zeroes when the plan created no injector
+  app::AppResult app;        ///< app.* runs only
 };
 
-namespace detail {
-
-inline void start_msg_drivers(sys::Machine& machine, const RunSpec& spec,
-                              std::vector<std::unique_ptr<msg::Endpoint>>& eps,
-                              std::vector<std::uint8_t>& done) {
-  const auto map = machine.addr_map();
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    eps.push_back(std::make_unique<msg::Endpoint>(
-        machine.node(n).ap(), machine.node(n).endpoint_config()));
-  }
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](msg::Endpoint* ep, msg::AddressMap map_, sim::NodeId self,
-           std::size_t nodes, std::uint64_t count, std::uint64_t bytes,
-           std::uint8_t* flag) -> sim::Co<void> {
-          std::vector<std::byte> payload(bytes);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            const auto dst = static_cast<sim::NodeId>(
-                (self + 1 + i % (nodes - 1)) % nodes);
-            co_await ep->send(map_.user0(dst), payload);
-          }
-          for (std::uint64_t i = 0; i < count; ++i) {
-            (void)co_await ep->recv();
-          }
-          *flag = 1;
-        }(eps[n].get(), map, n, machine.size(), spec.count, spec.bytes,
-          &done[n]));
-  }
-}
-
-inline void start_shm_drivers(sys::Machine& machine, const RunSpec& spec,
-                              std::vector<std::uint8_t>& done) {
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](sys::Node* node, std::uint64_t ops, std::uint64_t seed,
-           std::uint8_t* flag) -> sim::Co<void> {
-          // Every node hammers the same few shared words from its own
-          // processor — the cross-node sharing the coherence protocol
-          // exists for — with a private, seed-derived access stream.
-          sim::Rng rng(seed);
-          shm::ScomaRegion region(node->ap());
-          for (std::uint64_t i = 0; i < ops; ++i) {
-            const mem::Addr off = 0x1000 + rng.below(8) * 64;
-            if (rng.chance(0.5)) {
-              co_await region.store<std::uint32_t>(
-                  off, static_cast<std::uint32_t>(i));
-            } else {
-              (void)co_await region.load<std::uint32_t>(off);
-            }
-          }
-          *flag = 1;
-        }(&machine.node(n), spec.ops,
-          spec.seed ^ (0x9e3779b97f4a7c15ull * (n + 1)), &done[n]));
-  }
-}
-
-inline void start_reliable_drivers(
-    sys::Machine& machine, const RunSpec& spec,
-    std::vector<std::unique_ptr<msg::Endpoint>>& eps,
-    std::vector<std::unique_ptr<msg::ReliableChannel>>& chans,
-    std::vector<std::uint8_t>& done) {
-  const auto map = machine.addr_map();
-  msg::ReliableChannel::Params cp;
-  cp.window = spec.window;
-  cp.retransmit.base_timeout = spec.retransmit_timeout;
-  cp.retransmit.give_up_after = spec.give_up_after;
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    eps.push_back(std::make_unique<msg::Endpoint>(
-        machine.node(n).ap(), machine.node(n).endpoint_config()));
-    chans.push_back(
-        std::make_unique<msg::ReliableChannel>(*eps[n], map, n, cp));
-    chans[n]->start();
-  }
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](msg::ReliableChannel* ch, sim::NodeId self, std::size_t nodes,
-           std::uint64_t count, std::uint64_t bytes,
-           std::uint8_t* flag) -> sim::Co<void> {
-          const auto right = static_cast<sim::NodeId>((self + 1) % nodes);
-          const auto left =
-              static_cast<sim::NodeId>((self + nodes - 1) % nodes);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            std::vector<std::byte> payload(bytes);
-            for (std::size_t b = 0; b < payload.size(); ++b) {
-              payload[b] = static_cast<std::byte>(self + i + b);
-            }
-            co_await ch->send(right, payload);
-          }
-          for (std::uint64_t i = 0; i < count; ++i) {
-            (void)co_await ch->recv(left);
-          }
-          *flag = 1;
-        }(chans[n].get(), n, machine.size(), spec.count, spec.bytes,
-          &done[n]));
-  }
-}
-
-}  // namespace detail
-
-/// Build a machine for `spec`, start one driver coroutine per node, run to
-/// completion in whole lookahead epochs and return the machine-wide stats
-/// JSON (plus the canonical trace-span dump when tracing is on).
-///
-/// The drivers are partition-safe by construction: every completion flag,
-/// endpoint, channel and region is owned by exactly one node's domain, and
-/// the run is driven through Machine::run_epochs_until. The identical
-/// RunSpec therefore produces a byte-identical RunResult at every
-/// Params::threads value — that equivalence is what
-/// parallel_equivalence_test asserts and golden_test pins over time.
-inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
+inline sys::Machine::Params machine_params(const RunSpec& spec) {
   auto mp = small_machine_params(spec.nodes, spec.net);
   mp.threads = spec.threads;
   mp.fault = spec.fault;
   mp.node.bus.fastpath = spec.fastpath;
-  sys::Machine machine(mp);
+  return mp;
+}
+
+/// Machine stats plus, for app runs, the World's app.* counters.
+inline std::string stats_json(const sys::Run& run) {
+  std::ostringstream os;
+  run.stats().dump_json(os);
+  return os.str();
+}
+
+/// Build a machine for `spec`, launch its workload, run it to completion
+/// in whole lookahead epochs and return the machine-wide stats JSON (plus
+/// the canonical trace-span dump when tracing is on).
+///
+/// The drivers are partition-safe by construction: every completion flag,
+/// endpoint, channel and region is owned by exactly one node's domain, and
+/// completion is evaluated at epoch boundaries only (workers parked). The
+/// identical RunSpec therefore produces a byte-identical RunResult at
+/// every Params::threads value — that equivalence is what the equivalence
+/// suites assert and golden_test pins over time. Reliable runs also wait
+/// for empty retransmit windows and balanced books: tail ACKs are
+/// droppable too.
+inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
+  sys::Machine machine(machine_params(spec));
   if (spec.trace_capacity > 0) {
     machine.enable_tracing(spec.trace_capacity);
   }
-
-  std::vector<std::unique_ptr<msg::Endpoint>> eps;
-  std::vector<std::unique_ptr<msg::ReliableChannel>> chans;
-  std::vector<std::uint8_t> done(machine.size(), 0);
-  switch (spec.workload) {
-    case Workload::kMsg:
-      detail::start_msg_drivers(machine, spec, eps, done);
-      break;
-    case Workload::kShm:
-      detail::start_shm_drivers(machine, spec, done);
-      break;
-    case Workload::kReliable:
-      detail::start_reliable_drivers(machine, spec, eps, chans, done);
-      break;
-  }
-
-  // Completion is evaluated at epoch boundaries only (workers parked), so
-  // reading the per-node flags and channel state here is race-free and the
-  // stop boundary is the same whatever the thread count. Reliable runs
-  // additionally wait for empty retransmit windows and balanced books —
-  // tail ACKs are droppable too.
+  const auto run = sys::workload(spec.workload).launch(machine, spec.args);
   const auto all_done = [&] {
-    for (const auto f : done) {
-      if (f == 0) {
-        return false;
-      }
+    if (!run->finished()) {
+      return false;
     }
-    for (const auto& ch : chans) {
+    for (const auto& ch : run->channels) {
       if (ch->unacked() != 0) {
         return false;
       }
     }
-    return chans.empty() || machine.network().audit().balanced();
+    return run->channels.empty() || machine.network().audit().balanced();
   };
 
   RunResult res;
   res.completed =
-      sys::run_until(machine, all_done, machine.now() + spec.deadline);
+      machine.run_epochs_until(all_done, machine.now() + spec.deadline);
   EXPECT_TRUE(res.completed)
-      << "workload timed out at " << machine.now() << " ps";
-
-  if (spec.workload == Workload::kReliable && res.completed) {
-    for (const auto& ch : chans) {
-      EXPECT_EQ(ch->stats().payloads_delivered.value(), spec.count);
-      EXPECT_EQ(ch->unacked(), 0u);
-      for (sim::NodeId peer = 0; peer < machine.size(); ++peer) {
-        EXPECT_FALSE(ch->failed(peer));
-      }
+      << spec.workload << " timed out at " << machine.now() << " ps";
+  EXPECT_EQ(run->failure(), "");
+  EXPECT_FALSE(run->any_gave_up());
+  if (res.completed) {
+    for (const auto& ch : run->channels) {  // a ring: exactly once
+      EXPECT_EQ(ch->stats().payloads_delivered.value(),
+                ch->stats().payloads_sent.value());
     }
   }
   if (spec.check_conservation && res.completed) {
@@ -293,12 +177,11 @@ inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
   }
 
   res.end_time = machine.now();
+  res.app = run->app;
   if (machine.fault_injector() != nullptr) {
     res.fault_stats = machine.fault_injector()->stats();
   }
-  std::ostringstream os;
-  sys::dump_stats_json(machine, os);
-  res.stats_json = os.str();
+  res.stats_json = stats_json(*run);
   if (spec.trace_capacity > 0) {
     const auto trs = machine.tracers();
     for (const auto* t : trs) {

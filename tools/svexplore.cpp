@@ -18,10 +18,12 @@
 // byte-verifies against the file, and only drop placements *after* the
 // checkpoint are explored.
 //
-// Keys (standalone mode): nodes count bytes window timeout_us give_up
-//   deadline_ms fault_seed — the ring spec; and the search bounds
+// Keys (standalone mode): nodes deadline_ms fault_seed and the registry
+//   `reliable` entry's count bytes window timeout_us give_up — the ring
+//   spec, defaulting to ckpt::RingSpec's values; and the search bounds
 //   max_drops (default 2) max_opportunities (0 = observed horizon)
-//   max_runs (default 2000).
+//   max_runs (default 2000). An unknown key or an out-of-range value is
+//   one line on stderr and exit 2.
 //
 // write_snapshot=FILE at=TICK: instead of exploring, run the fault-free
 // ring to the first epoch boundary at/after TICK, write the checkpoint
@@ -33,8 +35,34 @@
 
 #include "ckpt/scenario.hpp"
 #include "sim/config.hpp"
+#include "sys/workload.hpp"
 
 using namespace sv;
+
+namespace {
+
+/// svexplore's own keys; the ring's traffic keys are the registry's.
+const sys::KeyTable& explore_keys() {
+  static const sys::KeyTable keys = [] {
+    const ckpt::RingSpec ring;
+    return sys::KeyTable{
+        sys::uint_key("nodes", ring.nodes, 1, 1024, "ring nodes"),
+        sys::uint_key("deadline_ms", ring.deadline_ms, 1, 100'000,
+                      "simulated time limit per run, ms"),
+        sys::uint_key("fault_seed", ring.fault_seed, 0, sys::kNoLimit,
+                      "fault injector seed"),
+        sys::uint_key("max_drops", 2, 0, 8, "drops per pattern"),
+        sys::uint_key("max_opportunities", 0, 0, sys::kNoLimit,
+                      "drop horizon; 0 = observed"),
+        sys::uint_key("max_runs", 2000, 1, sys::kNoLimit, "run budget"),
+        sys::text_key("write_snapshot", "write a checkpoint and exit"),
+        sys::uint_key("at", 0, 0, sys::kNoLimit, "checkpoint tick, ps"),
+    };
+  }();
+  return keys;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string snapshot_path;
@@ -51,6 +79,7 @@ int main(int argc, char** argv) {
   sim::Config cfg;
   try {
     cfg = sim::Config::from_args(args);
+    sys::check_keys(cfg, {&explore_keys(), &sys::workload("reliable").keys});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "svexplore: %s\n", e.what());
     return 2;
