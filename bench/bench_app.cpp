@@ -1,6 +1,7 @@
-// Application-runtime macro-benchmark: the three shipped apps (stencil
-// halo exchange, ring-allreduce sweep, KV request/reply) run end-to-end
-// through app::World over each transport mechanism.
+// Application-runtime macro-benchmark: the registry's three app workloads
+// (app.stencil halo exchange, app.allreduce ring-allreduce sweep, app.kv
+// request/reply; sys/workload.hpp) run end-to-end through app::World over
+// each transport mechanism.
 //
 // Every row reports simulated time (UseManualTime): what the machine
 // configuration costs the *application* — the cross-mechanism comparison
@@ -12,36 +13,22 @@
 // run (aggregated over nodes), so bytes moved per mechanism is visible
 // alongside the time it took.
 
-#include "app/apps.hpp"
 #include "bench/bench_util.hpp"
+#include "sys/workload.hpp"
 
 namespace sv::bench {
 namespace {
 
-enum AppCase : std::int64_t { kStencil, kAllreduce, kKv };
-enum TransportCase : std::int64_t { kMsg, kShm, kReliable };
-
-app::World::Program make_program(std::int64_t a, app::AppResult* out) {
-  switch (a) {
-    case kStencil: {
-      app::StencilParams p;  // 16x16, 4 iterations
-      return app::make_stencil(p, out);
-    }
-    case kAllreduce: {
-      app::AllreduceParams p;  // 4..64 doubling, 2 iterations each
-      return app::make_allreduce_sweep(p, out);
-    }
-    default: {
-      app::KvParams p;
-      p.requests = 16;
-      return app::make_kv(p, out);
-    }
-  }
-}
+constexpr const char* kApps[] = {"app.stencil", "app.allreduce", "app.kv"};
+constexpr const char* kTransports[] = {"msg", "shm", "reliable"};
 
 void BM_App(benchmark::State& state) {
-  const std::int64_t app_case = state.range(0);
-  const std::int64_t transport_case = state.range(1);
+  const sys::Workload& app = sys::workload(kApps[state.range(0)]);
+  sim::Config cfg;
+  cfg.set("transport", kTransports[state.range(1)]);
+  if (app.name == "app.kv") {
+    cfg.set("requests", "16");
+  }
 
   std::uint64_t app_bytes = 0;
   std::uint64_t ops = 0;
@@ -50,26 +37,18 @@ void BM_App(benchmark::State& state) {
     // deterministic, so repeat iterations only improve the host timing.
     sys::Machine machine(default_machine_params(4));
     maybe_enable_tracing(machine);
-    app::World::Params wp;
-    wp.transport = transport_case == kMsg   ? app::TransportKind::kMsg
-                   : transport_case == kShm ? app::TransportKind::kShm
-                                            : app::TransportKind::kReliable;
-    app::AppResult result;
-    app::World world(machine, wp);
-    world.launch(make_program(app_case, &result));
-
-    const sim::Tick t0 = machine.now();
+    const auto run = app.launch(machine, cfg);
     const bool ok =
-        machine.run_epochs_until([&] { return world.done(); },
+        machine.run_epochs_until([&] { return run->finished(); },
                                  machine.now() + 2000 * sim::kMillisecond);
-    if (!ok || result.errors != 0) {
+    if (!ok || !run->failure().empty()) {
       state.SkipWithError("application run failed");
       return;
     }
-    report_sim_time(state, machine.now() - t0);
-    ops += result.ops;
+    report_sim_time(state, machine.now() - run->start);
+    ops += run->app.ops;
     for (sim::NodeId n = 0; n < machine.size(); ++n) {
-      app_bytes += world.transport(n).stats().bytes_sent.value();
+      app_bytes += run->world->transport(n).stats().bytes_sent.value();
     }
     maybe_write_trace(machine);
   }
@@ -81,9 +60,9 @@ void BM_App(benchmark::State& state) {
 }
 
 void AppArgs(benchmark::internal::Benchmark* b) {
-  for (std::int64_t app_case : {kStencil, kAllreduce, kKv}) {
-    for (std::int64_t transport_case : {kMsg, kShm, kReliable}) {
-      b->Args({app_case, transport_case});
+  for (std::int64_t a = 0; a < 3; ++a) {
+    for (std::int64_t t = 0; t < 3; ++t) {
+      b->Args({a, t});
     }
   }
 }

@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
 
   sys::Table table({"approach", "notify_us", "consumed_us", "BW_MB/s",
                     "tx_aP_us", "tx_sP_us", "rx_sP_us", "verified"});
+  bool all_verified = true;
   for (int approach = 1; approach <= 5; ++approach) {
     xfer::TransferSpec spec;
     spec.sender = 0;
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
     xfer::RunOptions opt;
     opt.consume = true;
     const auto res = harness.run(approach, spec, opt);
+    all_verified = all_verified && res.ok;
 
     table.add_row({kApproachNames[approach],
                    sys::Table::fmt_us(res.latency()),
@@ -72,5 +74,5 @@ int main(int argc, char** argv) {
       "  - approaches 4/5 'notify' after ~1/4 of the data -- the receiver\n"
       "    unblocks early and rides clsSRAM retries for late lines; 5 does\n"
       "    the line-opening in aBIU hardware (rx_sP drops to ~0).\n");
-  return 0;
+  return all_verified ? 0 : 1;
 }

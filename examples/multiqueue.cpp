@@ -11,6 +11,8 @@
 //
 //   $ ./multiqueue
 #include <cstdio>
+#include <functional>
+#include <string_view>
 
 #include "msg/dram_queue.hpp"
 #include "sys/experiment.hpp"
@@ -28,6 +30,13 @@ int main() {
 
   msg::Endpoint ep0 = machine.node(0).make_endpoint();
 
+  // Every demo waits for its outcome; a wait that times out, or a wrong
+  // outcome, fails the run.
+  bool ok = true;
+  const auto wait_for = [&](const std::function<bool()>& pred) {
+    const sim::Tick deadline = kernel.now() + 100 * sim::kMillisecond;
+    ok = sys::run_until(kernel, pred, deadline) && ok;
+  };
 
   // --- 1. Protection ---------------------------------------------------------
   std::printf("== protection ==\n");
@@ -39,12 +48,8 @@ int main() {
           co_await ep->send(0xEE, std::vector<std::byte>(4));
           *done = true;
         }(&ep0, &sent));
-    sys::run_until(kernel,
-                   [&] {
-                     return sent &&
-                            ctrl0.txq(sys::Node::kTxUser0).shutdown;
-                   },
-                   kernel.now() + 100 * sim::kMillisecond);
+    wait_for(
+        [&] { return sent && ctrl0.txq(sys::Node::kTxUser0).shutdown; });
     std::printf("  sent to invalid vdest 0xEE -> tx queue %u shut down "
                 "(shutdown reg = 0x%llX, interrupt status = 0x%llX)\n",
                 sys::Node::kTxUser0,
@@ -110,14 +115,11 @@ int main() {
     ctrl0.tx_producer_update(
         sys::Node::kTxUser1,
         static_cast<std::uint16_t>(urgent.producer + 1));
-    sys::run_until(kernel, [&] { return rx.producer != before; },
-                   t0 + 100 * sim::kMillisecond);
+    wait_for([&] { return rx.producer != before; });
     std::printf("  probe behind 16 bulk messages, %s: %.2f us\n", c.name,
                 static_cast<double>(kernel.now() - t0) / 1e6);
     // Drain the bulk before the next round.
-    sys::run_until(kernel,
-                   [&] { return ctrl0.txq(sys::Node::kTxUser0).empty(); },
-                   kernel.now() + 100 * sim::kMillisecond);
+    wait_for([&] { return ctrl0.txq(sys::Node::kTxUser0).empty(); });
     auto& rctrl = machine.node(1).niu().ctrl();
     rctrl.rx_consumer_update(sys::Node::kRxUser0,
                              rctrl.rxq(sys::Node::kRxUser0).producer);
@@ -134,6 +136,7 @@ int main() {
     machine.node(1).miss_service()->register_queue(kLogical, desc);
 
     bool got = false;
+    bool intact = false;
     machine.node(0).ap().run(
         [](msg::Endpoint* ep) -> sim::Co<void> {
           const char text[] = "spilled to DRAM";
@@ -143,21 +146,27 @@ int main() {
         }(&ep0));
     msg::DramQueue dq(machine.node(1).ap(), desc);
     machine.node(1).ap().run(
-        [](msg::DramQueue* q, bool* done) -> sim::Co<void> {
+        [](msg::DramQueue* q, bool* done, bool* intact) -> sim::Co<void> {
           msg::Message m = co_await q->recv();
+          const char* text = reinterpret_cast<const char*>(m.data.data());
           std::printf("  message for unbound logical queue 0x%04X arrived "
                       "via the miss queue: \"%s\"\n",
-                      m.logical,
-                      reinterpret_cast<const char*>(m.data.data()));
+                      m.logical, text);
+          *intact = m.logical == kLogical &&
+                    std::string_view(text) == "spilled to DRAM";
           *done = true;
-        }(&dq, &got));
-    sys::run_until(kernel, [&] { return got; },
-                   kernel.now() + 100 * sim::kMillisecond);
+        }(&dq, &got, &intact));
+    wait_for([&] { return got; });
+    const auto spills = machine.node(1).miss_service()->serviced().value();
     std::printf("  firmware miss service handled %llu spill(s)\n",
-                static_cast<unsigned long long>(
-                    machine.node(1).miss_service()->serviced().value()));
+                static_cast<unsigned long long>(spills));
+    ok = ok && intact && spills == 1;
   }
 
+  if (!ok) {
+    std::printf("a demo timed out or went wrong\n");
+    return 1;
+  }
   std::printf("all demos completed at %.2f us simulated\n",
               static_cast<double>(kernel.now()) / 1e6);
   return 0;

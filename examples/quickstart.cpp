@@ -16,6 +16,14 @@
 
 using namespace sv;
 
+namespace {
+
+constexpr char kText[] = "hello from node 0";
+constexpr std::uint8_t kExtra = 0x42;
+constexpr std::uint32_t kWord = 0xDEADBEEF;
+
+}  // namespace
+
 int main() {
   // 1. Build the machine: two nodes, default (paper) configuration.
   sys::Machine::Params params;
@@ -31,22 +39,21 @@ int main() {
   msg::Endpoint ep1 = machine.node(1).make_endpoint();
 
   bool done = false;
+  bool intact = false;
 
   // 3. Node 0's program: a Basic message, then an Express message.
   machine.node(0).ap().run(
       [](msg::Endpoint* ep, msg::AddressMap map) -> sim::Co<void> {
-        const char text[] = "hello from node 0";
-        co_await ep->send(map.user0(1),
-                          std::as_bytes(std::span(text, sizeof(text))));
+        co_await ep->send(map.user0(1), std::as_bytes(std::span(kText)));
         // Express: 5 bytes in a single uncached store.
-        co_await ep->send_express(
-            static_cast<std::uint8_t>(map.express(1)), /*extra=*/0x42,
-            /*word=*/0xDEADBEEF);
+        co_await ep->send_express(static_cast<std::uint8_t>(map.express(1)),
+                                  kExtra, kWord);
       }(&ep0, map));
 
-  // 4. Node 1's program: receive both and report.
+  // 4. Node 1's program: receive both, report and check them.
   machine.node(1).ap().run(
-      [](msg::Endpoint* ep, sim::Kernel* kernel, bool* flag) -> sim::Co<void> {
+      [](msg::Endpoint* ep, sim::Kernel* kernel, bool* flag,
+         bool* ok) -> sim::Co<void> {
         msg::Message m = co_await ep->recv();
         std::printf("[%8.2f us] node 1 got Basic message from node %u: "
                     "\"%s\" (%zu bytes)\n",
@@ -58,8 +65,11 @@ int main() {
                     "word=0x%08X\n",
                     static_cast<double>(kernel->now()) / 1e6, e.extra,
                     e.word);
+        *ok = m.src_node == 0 && m.data.size() == sizeof(kText) &&
+              std::memcmp(m.data.data(), kText, sizeof(kText)) == 0 &&
+              e.extra == kExtra && e.word == kWord;
         *flag = true;
-      }(&ep1, &machine.kernel(), &done));
+      }(&ep1, &machine.kernel(), &done, &intact));
 
   // 5. Run the simulation until the programs finish.
   if (!sys::run_until(machine.kernel(), [&] { return done; },
@@ -75,5 +85,9 @@ int main() {
               static_cast<unsigned long long>(
                   net.packets_delivered()),
               net.transit_ps().mean() / 1e6);
+  if (!intact) {
+    std::printf("node 1 received the wrong text or Express word\n");
+    return 1;
+  }
   return 0;
 }

@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
+#include <span>
 
 #include "sys/experiment.hpp"
 #include "sys/stats_dump.hpp"
@@ -33,32 +35,57 @@ constexpr int kRounds = 8;
 struct Run {
   sim::Tick total = 0;
   std::uint64_t packets = 0;
+  bool ok = true;  // no timeout, and the consumer saw every write
 };
+
+/// Page offset of the i-th of n lines the producer spreads its writes over.
+mem::Addr line_offset(unsigned i, unsigned n) {
+  const unsigned lines = kPageLen / mem::kLineBytes;
+  return static_cast<mem::Addr>((i * lines) / n) * mem::kLineBytes;
+}
+
+/// True if every line the producer wrote in round `salt` holds the written
+/// value in the consumer's copy (a later write to a line wins).
+bool consumer_holds(sys::Machine& machine, unsigned n, int salt) {
+  std::map<mem::Addr, std::uint32_t> want;
+  for (unsigned i = 0; i < n; ++i) {
+    want[line_offset(i, n)] = static_cast<std::uint32_t>(salt * 1000 + i);
+  }
+  for (const auto& [off, value] : want) {
+    std::uint32_t got = 0;
+    machine.node(1).dram().store().read(
+        kConsumerCopy + off, std::as_writable_bytes(std::span(&got, 1)));
+    if (got != value) {
+      return false;
+    }
+  }
+  return true;
+}
 
 Run run_strategy(sys::Machine& machine, int mode, unsigned dirty_lines) {
   auto& kernel = machine.kernel();
   auto& ctrl0 = machine.node(0).niu().ctrl();
+  auto& ctrl1 = machine.node(1).niu().ctrl();
   const auto packets0 = machine.network().packets_delivered();
   const sim::Tick t0 = kernel.now();
+  bool ok = true;
 
   for (int round = 0; round < kRounds; ++round) {
     // The producer aP modifies `dirty_lines` lines.
     bool wrote = false;
     machine.node(0).ap().run(
         [](cpu::Processor* ap, unsigned n, int salt, bool* d) -> sim::Co<void> {
-          const unsigned total = kPageLen / mem::kLineBytes;
           for (unsigned i = 0; i < n; ++i) {
-            const mem::Addr a =
-                kPage + static_cast<mem::Addr>((i * total) / n) *
-                            mem::kLineBytes;
             co_await ap->store_scalar<std::uint32_t>(
-                a, static_cast<std::uint32_t>(salt * 1000 + i));
+                kPage + line_offset(i, n),
+                static_cast<std::uint32_t>(salt * 1000 + i));
           }
           co_await ap->flush_range(kPage, kPageLen);
           *d = true;
         }(&machine.node(0).ap(), dirty_lines, round, &wrote));
-    sys::run_until(kernel, [&] { return wrote; },
-                   kernel.now() + 500 * sim::kMillisecond);
+    ok = sys::run_until(kernel, [&] { return wrote; },
+                        kernel.now() + 500 * sim::kMillisecond) &&
+         ok;
 
     // Publish.
     niu::Command cmd;
@@ -79,16 +106,21 @@ Run run_strategy(sys::Machine& machine, int mode, unsigned dirty_lines) {
     cmd.dest_node = 1;
     cmd.dest_addr = kConsumerCopy;
     ctrl0.post_command(0, std::move(cmd));
-    sys::run_until(kernel,
-                   [&] {
-                     return ctrl0.commands_idle() &&
-                            machine.node(1).niu().ctrl().commands_idle();
-                   },
-                   kernel.now() + 500 * sim::kMillisecond);
+    // The round ends when both command engines are idle and the consumer's
+    // copy holds every line written: the last remote writes are still on
+    // the wire when the engines go idle. A stale line times out.
+    ok = sys::run_until(kernel,
+                        [&] {
+                          return ctrl0.commands_idle() &&
+                                 ctrl1.commands_idle() &&
+                                 consumer_holds(machine, dirty_lines, round);
+                        },
+                        kernel.now() + 500 * sim::kMillisecond) &&
+         ok;
   }
 
   return Run{kernel.now() - t0,
-             machine.network().packets_delivered() - packets0};
+             machine.network().packets_delivered() - packets0, ok};
 }
 
 }  // namespace
@@ -102,6 +134,7 @@ int main(int argc, char** argv) {
               kRounds, dirty, kPageLen / 32);
 
   sys::Table table({"strategy", "total_us", "per_round_us", "packets"});
+  bool all_ok = true;
   for (const auto& [name, mode] :
        std::initializer_list<std::pair<const char*, int>>{
            {"full page (kBlockXfer)", -1},
@@ -119,6 +152,10 @@ int main(int argc, char** argv) {
       machine.node(0).niu().ssram().write(kOldCopy, snap);
     }
     const Run r = run_strategy(machine, mode, dirty);
+    if (!r.ok) {
+      std::printf("%s: timed out or left a written line stale\n", name);
+      all_ok = false;
+    }
     table.add_row({name, sys::Table::fmt_us(r.total),
                    sys::Table::fmt_us(r.total / kRounds),
                    std::to_string(r.packets)});
@@ -127,5 +164,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nThe tracked strategy ships only what changed, without\n"
               "reading the whole page to find out what that was.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

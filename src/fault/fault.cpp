@@ -1,7 +1,8 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <stdexcept>
 
 #include "ckpt/stats_io.hpp"
 #include "sim/config.hpp"
@@ -27,18 +28,23 @@ Plan Plan::from_config(const sim::Config& cfg) {
       cfg.get_double("fault.rx_overflow_rate", p.rx_overflow_rate);
   // fault.drop_script=3,17,42 switches to scripted mode (the explorer's
   // reproduction path): those global drop opportunities and only those.
-  if (const std::string script = cfg.get_string("fault.drop_script");
-      !script.empty()) {
-    p.scripted = true;
-    std::istringstream in(script);
-    std::string tok;
-    while (std::getline(in, tok, ',')) {
-      if (!tok.empty()) {
-        p.drop_script.push_back(std::stoull(tok));
-      }
+  // Every comma-separated item must be one decimal unsigned integer.
+  const std::string script = cfg.get_string("fault.drop_script");
+  p.scripted = !script.empty();
+  for (std::size_t pos = 0; p.scripted && pos <= script.size();) {
+    const std::size_t end = std::min(script.find(',', pos), script.size());
+    std::uint64_t idx = 0;
+    const auto [ptr, ec] =
+        std::from_chars(script.data() + pos, script.data() + end, idx);
+    if (ec != std::errc{} || ptr != script.data() + end || end == pos) {
+      throw std::invalid_argument(
+          "fault.drop_script: expected comma-separated unsigned integers, "
+          "got '" + script + "'");
     }
-    std::sort(p.drop_script.begin(), p.drop_script.end());
+    p.drop_script.push_back(idx);
+    pos = end + 1;
   }
+  std::sort(p.drop_script.begin(), p.drop_script.end());
   return p;
 }
 

@@ -65,7 +65,7 @@ struct Plan {
   /// whose global index — counting every drop_packet() call across all
   /// lanes in arrival order — appears in `drop_script` (kept sorted).
   /// Global arrival order is only deterministic in a single event domain,
-  /// so scripted runs require threads == 0.
+  /// so scripted runs require threads == 0 (sys::Machine rejects others).
   bool scripted = false;
   std::vector<std::uint64_t> drop_script;
 
@@ -78,7 +78,9 @@ struct Plan {
   /// Read "fault.*" keys (fault.seed, fault.drop_rate, fault.corrupt_rate,
   /// fault.link_down_rate, fault.link_down_ticks, fault.router_stall_rate,
   /// fault.router_stall_cycles, fault.starve_rate, fault.starve_cycles,
-  /// fault.rx_overflow_rate). Missing keys keep the defaults above.
+  /// fault.rx_overflow_rate, fault.drop_script). Missing keys keep the
+  /// defaults above; a malformed value throws std::invalid_argument naming
+  /// the key.
   static Plan from_config(const sim::Config& cfg);
 };
 

@@ -77,8 +77,10 @@ std::vector<std::byte> encode_remote(const Command& cmd) {
     addr_word |= static_cast<std::uint64_t>(cmd.len) << 40;
   }
   put_u64(wire.data() + 8, addr_word);
-  std::memcpy(wire.data() + kRemoteCmdHeaderBytes, cmd.data.data(),
-              cmd.data.size());
+  if (!cmd.data.empty()) {
+    std::memcpy(wire.data() + kRemoteCmdHeaderBytes, cmd.data.data(),
+                cmd.data.size());
+  }
   return wire;
 }
 

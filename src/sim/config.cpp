@@ -65,13 +65,18 @@ double Config::get_double(const std::string& key, double def) const {
   if (it == values_.end()) {
     return def;
   }
+  // As for get_u64, the whole value must be the number: stod alone would
+  // also skip leading blanks and accept a '+' sign, "nan" and "inf".
   const std::string& v = it->second;
   std::size_t used = 0;
   double out = 0.0;
-  try {
-    out = std::stod(v, &used);
-  } catch (const std::exception&) {
-    used = 0;
+  if (!v.empty() && (std::isdigit(static_cast<unsigned char>(v[0])) != 0 ||
+                     v[0] == '-' || v[0] == '.')) {
+    try {
+      out = std::stod(v, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
   }
   if (used == 0 || used != v.size()) {
     throw std::invalid_argument(key + ": expected a number, got '" + v + "'");

@@ -11,6 +11,12 @@ Machine::Machine(Params params) : params_(params) {
         "Machine: threads > 0 requires NetKind::kIdeal (the fat tree's "
         "shared routers have no home domain)");
   }
+  if (partitioned && params_.fault.scripted) {
+    throw std::invalid_argument(
+        "Machine: threads > 0 cannot run a scripted fault plan "
+        "(fault.drop_script counts drop opportunities in one domain's "
+        "arrival order)");
+  }
   const std::size_t ndomains = partitioned ? params_.nodes : 1;
   domains_.reserve(ndomains);
   for (std::size_t i = 0; i < ndomains; ++i) {

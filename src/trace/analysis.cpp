@@ -75,7 +75,7 @@ TraceAnalysis TraceAnalysis::parse_text(const std::string& text) {
       s.track = t;
       s.ts_ps = us_to_ps(e.number_or("ts", 0.0));
       s.dur_ps = us_to_ps(e.number_or("dur", 0.0));
-      s.flow = static_cast<std::uint64_t>(e["args"].number_or("flow", 0.0));
+      s.flow = e["args"].u64_or("flow", 0);
       s.name = e.string_or("name", "");
       AnalyzedTrack& tr = out.tracks[t];
       if (tr.category.empty()) {

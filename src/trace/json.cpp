@@ -213,7 +213,10 @@ class JsonParser {
     if (ec != std::errc{} || ptr != last || first == last) {
       fail("bad number");
     }
-    return Json(out);
+    Json j(out);
+    const auto [iptr, iec] = std::from_chars(first, last, j.u64_);
+    j.exact_ = iec == std::errc{} && iptr == last;
+    return j;
   }
 
   std::string_view text_;
@@ -234,6 +237,14 @@ const Json& Json::operator[](const std::string& key) const {
 double Json::number_or(const std::string& key, double dflt) const {
   const Json& v = (*this)[key];
   return v.type() == Type::kNumber ? v.as_number() : dflt;
+}
+
+std::uint64_t Json::u64_or(const std::string& key, std::uint64_t dflt) const {
+  const Json& v = (*this)[key];
+  if (v.type() != Type::kNumber) {
+    return dflt;
+  }
+  return v.exact_ ? v.u64_ : static_cast<std::uint64_t>(v.num_);
 }
 
 std::string Json::string_or(const std::string& key, std::string dflt) const {

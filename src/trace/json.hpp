@@ -1,7 +1,8 @@
 // A minimal JSON value + recursive-descent parser, just enough to read
 // back the Chrome trace files the sink writes (and the StatRegistry JSON
 // dump). No external dependencies; throws std::runtime_error on malformed
-// input.
+// input. A non-negative integer literal also keeps its exact 64-bit value,
+// so ids above 2^53 (trace flow ids) survive the round trip.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,10 @@ class Json {
 
   /// Convenience accessors with defaults for optional members.
   [[nodiscard]] double number_or(const std::string& key, double dflt) const;
+  /// A number member as an integer: exact for a non-negative integer
+  /// literal that fits 64 bits, else converted from its double.
+  [[nodiscard]] std::uint64_t u64_or(const std::string& key,
+                                     std::uint64_t dflt) const;
   [[nodiscard]] std::string string_or(const std::string& key,
                                       std::string dflt) const;
 
@@ -52,6 +57,8 @@ class Json {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double num_ = 0.0;
+  std::uint64_t u64_ = 0;
+  bool exact_ = false;  // u64_ holds the literal's value
   std::string str_;
   Array arr_;
   Object obj_;

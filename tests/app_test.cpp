@@ -145,18 +145,39 @@ sim::Co<void> fragment_program(Comm& c, std::size_t bytes,
   }
 }
 
+/// Application bytes one frame carries: the mechanism's payload less the
+/// 16-byte WireHeader.
+std::size_t frame_payload(TransportKind t) {
+  switch (t) {
+    case TransportKind::kMsg:
+      return 72;
+    case TransportKind::kShm:
+      return 104;
+    case TransportKind::kReliable:
+      return 56;
+  }
+  return 0;
+}
+
 TEST(AppPointToPoint, FragmentsAndReassemblesLargeMessages) {
-  // 1000 bytes spans many frames on every transport (payloads 72/104/56).
+  // 1000 bytes spans many frames on every transport; exactly 1x and 2x a
+  // frame's payload, and 2x plus one byte, sit on fragment boundaries.
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    std::uint64_t mismatches = 0;
-    const auto stats =
-        run_program(tk, 2, 2, [&mismatches](Comm& c) -> sim::Co<void> {
-          co_await fragment_program(c, 1000, &mismatches);
-        });
-    EXPECT_EQ(mismatches, 0u);
-    EXPECT_EQ(stats.msgs_delivered.value(), 2u);
-    EXPECT_GT(stats.frames_sent.value(), 8u);
+    const std::size_t cap = frame_payload(tk);
+    for (const std::size_t bytes : {std::size_t{1000}, cap, 2 * cap,
+                                    2 * cap + 1}) {
+      SCOPED_TRACE(bytes);
+      std::uint64_t mismatches = 0;
+      const auto stats = run_program(
+          tk, 2, 2, [&mismatches, bytes](Comm& c) -> sim::Co<void> {
+            co_await fragment_program(c, bytes, &mismatches);
+          });
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_EQ(stats.msgs_delivered.value(), 2u);
+      // One frame per started frame payload, plus the zero-length one's.
+      EXPECT_EQ(stats.frames_sent.value(), (bytes + cap - 1) / cap + 1);
+    }
   }
 }
 

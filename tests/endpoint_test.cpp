@@ -1,11 +1,10 @@
 // Layer-0 library tests: the full aP path (cached compose + flush, pointer
 // window stores, shadow polling) for Basic, Express, TagOn and raw
-// messages; firmware DMA; the Channel (MPI-lite) veneer.
+// messages; firmware DMA.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "msg/channel.hpp"
 #include "msg/dma.hpp"
 #include "tests/test_util.hpp"
 
@@ -161,9 +160,9 @@ TEST_F(EndpointTest, ExpressIsFasterThanBasic) {
   sim::Tick basic_done = 0, express_done = 0;
   bool got_b = false, got_e = false;
 
+  const auto payload = test::pattern_bytes(5);  // outlives the lazy send
   const sim::Tick t0 = machine.kernel().now();
-  machine.node(0).ap().run(
-      eps[0]->send(map.user0(1), test::pattern_bytes(5)));
+  machine.node(0).ap().run(eps[0]->send(map.user0(1), payload));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* done) -> sim::Co<void> {
         (void)co_await ep->recv();
@@ -285,45 +284,6 @@ TEST_F(EndpointTest, DmaReadPullsRemoteData) {
   std::vector<std::byte> dst(2048);
   machine.node(0).dram().store().read(0x40000, dst);
   EXPECT_EQ(dst, data);
-}
-
-TEST_F(EndpointTest, ChannelFragmentsLargePayload) {
-  auto big = test::pattern_bytes(1000, 8);
-  bool got = false;
-
-  machine.node(0).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map,
-         const std::vector<std::byte>* data) -> sim::Co<void> {
-        msg::Channel ch(*ep, map, 0);
-        co_await ch.send(1, 77, *data);
-      }(eps[0].get(), machine.addr_map(), &big));
-  machine.node(1).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map,
-         const std::vector<std::byte>* want, bool* done) -> sim::Co<void> {
-        msg::Channel ch(*ep, map, 1);
-        auto data = co_await ch.recv(0, 77);
-        EXPECT_EQ(data, *want);
-        *done = true;
-      }(eps[1].get(), machine.addr_map(), &big, &got));
-  drive_until([&] { return got; });
-}
-
-TEST_F(EndpointTest, ChannelBarrierAndAllreduce) {
-  int done = 0;
-  for (sim::NodeId n = 0; n < 2; ++n) {
-    machine.node(n).ap().run(
-        [](msg::Endpoint* ep, msg::AddressMap map, sim::NodeId self,
-           int* d) -> sim::Co<void> {
-          msg::Channel ch(*ep, map, self);
-          co_await ch.barrier();
-          const std::uint64_t sum =
-              co_await ch.allreduce_sum(self + 1);  // 1 + 2
-          EXPECT_EQ(sum, 3u);
-          co_await ch.barrier();
-          ++*d;
-        }(eps[n].get(), machine.addr_map(), n, &done));
-  }
-  drive_until([&] { return done == 2; });
 }
 
 }  // namespace

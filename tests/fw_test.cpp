@@ -93,8 +93,8 @@ TEST_F(FwTest, MissServiceHandlesBurstAcrossWrap) {
 }
 
 TEST_F(FwTest, MissServiceCountsUnregisteredQueues) {
-  machine.node(0).ap().run(
-      eps[0]->send_raw(1, 0x0BBB, test::pattern_bytes(8)));
+  const auto payload = test::pattern_bytes(8);  // outlives the lazy send
+  machine.node(0).ap().run(eps[0]->send_raw(1, 0x0BBB, payload));
   drive_until([&] {
     return machine.node(1).miss_service()->unregistered().value() == 1;
   });

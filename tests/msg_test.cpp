@@ -1,11 +1,9 @@
-// Message-library tests beyond the endpoint basics: Channel edge cases
-// (tag matching, interleaved sources, empty payloads), dual endpoints per
+// Message-library tests beyond the endpoint basics: dual endpoints per
 // node (multitasking), interrupt-driven receive, and express flow control.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "msg/channel.hpp"
 #include "tests/test_util.hpp"
 
 namespace sv {
@@ -22,78 +20,6 @@ class MsgTest : public ::testing::Test {
 
   sys::Machine machine;
 };
-
-TEST_F(MsgTest, ChannelTagMatchingBuffersOutOfOrder) {
-  auto ep0 = machine.node(0).make_endpoint();
-  auto ep1 = machine.node(1).make_endpoint();
-  const auto map = machine.addr_map();
-  bool done = false;
-
-  machine.node(0).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map) -> sim::Co<void> {
-        msg::Channel ch(*ep, map, 0);
-        co_await ch.send_value<std::uint32_t>(1, /*tag=*/10, 100);
-        co_await ch.send_value<std::uint32_t>(1, /*tag=*/20, 200);
-        co_await ch.send_value<std::uint32_t>(1, /*tag=*/30, 300);
-      }(&ep0, map));
-  machine.node(1).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map, bool* d) -> sim::Co<void> {
-        msg::Channel ch(*ep, map, 1);
-        // Receive in the *reverse* tag order: earlier messages buffer.
-        EXPECT_EQ((co_await ch.recv_value<std::uint32_t>(0, 30)), 300u);
-        EXPECT_EQ((co_await ch.recv_value<std::uint32_t>(0, 20)), 200u);
-        EXPECT_EQ((co_await ch.recv_value<std::uint32_t>(0, 10)), 100u);
-        *d = true;
-      }(&ep1, map, &done));
-  drive_until([&] { return done; });
-}
-
-TEST_F(MsgTest, ChannelEmptyPayload) {
-  auto ep0 = machine.node(0).make_endpoint();
-  auto ep1 = machine.node(1).make_endpoint();
-  const auto map = machine.addr_map();
-  bool done = false;
-
-  machine.node(0).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map) -> sim::Co<void> {
-        msg::Channel ch(*ep, map, 0);
-        co_await ch.send(1, /*tag=*/5, {});
-      }(&ep0, map));
-  machine.node(1).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map, bool* d) -> sim::Co<void> {
-        msg::Channel ch(*ep, map, 1);
-        auto data = co_await ch.recv(0, 5);
-        EXPECT_TRUE(data.empty());
-        *d = true;
-      }(&ep1, map, &done));
-  drive_until([&] { return done; });
-}
-
-TEST_F(MsgTest, ChannelExactFragmentBoundary) {
-  auto ep0 = machine.node(0).make_endpoint();
-  auto ep1 = machine.node(1).make_endpoint();
-  const auto map = machine.addr_map();
-  // 80 bytes of fragment data per Basic message: test exactly 1x and 2x.
-  for (const std::size_t size : {80u, 160u, 161u}) {
-    auto data = test::pattern_bytes(size, static_cast<std::uint8_t>(size));
-    bool done = false;
-    machine.node(0).ap().run(
-        [](msg::Endpoint* ep, msg::AddressMap map,
-           const std::vector<std::byte>* d) -> sim::Co<void> {
-          msg::Channel ch(*ep, map, 0);
-          co_await ch.send(1, 1, *d);
-        }(&ep0, map, &data));
-    machine.node(1).ap().run(
-        [](msg::Endpoint* ep, msg::AddressMap map,
-           const std::vector<std::byte>* want, bool* d) -> sim::Co<void> {
-          msg::Channel ch(*ep, map, 1);
-          auto got = co_await ch.recv(0, 1);
-          EXPECT_EQ(got, *want);
-          *d = true;
-        }(&ep1, map, &data, &done));
-    drive_until([&] { return done; });
-  }
-}
 
 TEST_F(MsgTest, TwoJobsShareOneNiuWithoutInterference) {
   // Job A uses the user0 endpoints, job B the user1 endpoints, running

@@ -590,7 +590,8 @@ TEST(Config, TypedAccessAndParsing) {
 TEST(Config, MalformedNumbersThrowNamingTheKey) {
   auto cfg = Config::from_args({"hex=0x10", "abc=abc", "tail=12abc",
                                 "neg=-1", "empty=", "huge=99999999999999999999",
-                                "rate=0.5x"});
+                                "rate=0.5x", "blank= 0.5", "plus=+0.5",
+                                "nan=nan"});
   EXPECT_EQ(cfg.get_u64("hex", 0), 16u);
   for (const char* key : {"abc", "tail", "neg", "empty", "huge"}) {
     try {
@@ -601,8 +602,9 @@ TEST(Config, MalformedNumbersThrowNamingTheKey) {
           << e.what();
     }
   }
-  EXPECT_THROW((void)cfg.get_double("rate", 0), std::invalid_argument);
-  EXPECT_THROW((void)cfg.get_double("empty", 0), std::invalid_argument);
+  for (const char* key : {"rate", "empty", "blank", "plus", "nan"}) {
+    EXPECT_THROW((void)cfg.get_double(key, 0), std::invalid_argument) << key;
+  }
 }
 
 TEST(Config, MergeOverrides) {

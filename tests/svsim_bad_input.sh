@@ -46,5 +46,8 @@ check net "$svsim" msg net=idael
 check app.shm "$svsim" app.stencil app.shm=scomaa
 check stats_format "$svsim" msg stats_format=jsno
 check threads "$svsim" xfer threads=2
+check fault.drop_script "$svsim" msg fault.drop_script=abc
+check fault.drop_script "$svsim" msg fault.drop_script=-1
+check fault.drop_script "$svsim" reliable threads=2 fault.drop_script=3,9
 check "'max_drop'.*'max_drops'" "$svexplore" max_drop=1
 exit $status
