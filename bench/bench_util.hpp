@@ -15,10 +15,12 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "sim/config.hpp"
 #include "sys/experiment.hpp"
 #include "trace/chrome_sink.hpp"
 #include "xfer/approaches.hpp"
@@ -59,66 +61,79 @@ inline void parse_quick_flag(int& argc, char** argv) {
   argc = w;
 }
 
-/// Strip a leading --threads=N from argv. Call before
+/// Remove every argv entry that starts with `flag` (e.g. "--threads="),
+/// passing the text after it to `take`. Call before
 /// benchmark::Initialize, which rejects flags it does not know.
+template <typename Take>
+inline void strip_flag(int& argc, char** argv, std::string_view flag,
+                       Take take) {
+  int w = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, flag.size()) == flag) {
+      take(std::string(arg.substr(flag.size())));
+    } else {
+      argv[w++] = argv[i];
+    }
+  }
+  argc = w;
+}
+
+/// `value`, given as `flag`=value, read by sim::Config's strict getters
+/// and checked against [lo, hi]. A malformed or out-of-range value ends
+/// the process: one line naming the flag on stderr, exit 2.
+template <typename T>
+T flag_value(const std::string& flag, const std::string& value, T lo, T hi) {
+  sim::Config cfg;
+  cfg.set(flag, value);
+  try {
+    if constexpr (std::is_floating_point_v<T>) {
+      const double v = cfg.get_double(flag, 0.0);
+      if (v >= lo && v <= hi) {
+        return v;
+      }
+    } else {
+      const std::uint64_t v = cfg.get_u64(flag, 0);
+      if (v >= lo && v <= hi) {
+        return static_cast<T>(v);
+      }
+    }
+    std::ostringstream os;
+    os << flag << ": expected " << lo << ".." << hi << ", got '" << value
+       << "'";
+    std::fprintf(stderr, "%s\n", os.str().c_str());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+  std::exit(2);
+}
+
+/// Strip --threads=N (0..64, as svsim's threads=) from argv.
 inline void parse_threads_flag(int& argc, char** argv) {
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    constexpr std::string_view kFlag = "--threads=";
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      g_threads = static_cast<unsigned>(
-          std::strtoul(std::string(arg.substr(kFlag.size())).c_str(),
-                       nullptr, 10));
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
+  strip_flag(argc, argv, "--threads=", [](const std::string& v) {
+    g_threads = flag_value<unsigned>("--threads", v, 0, 64);
+  });
 }
 
-/// Strip a leading --trace=FILE from argv. Call before
-/// benchmark::Initialize, which rejects flags it does not know.
+/// Strip --trace=FILE from argv.
 inline void parse_trace_flag(int& argc, char** argv) {
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    constexpr std::string_view kFlag = "--trace=";
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      g_trace_file = std::string(arg.substr(kFlag.size()));
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
+  strip_flag(argc, argv, "--trace=",
+             [](const std::string& v) { g_trace_file = v; });
 }
 
-/// Strip --fault_drop=P, --fault_corrupt=P and --fault_seed=N (P in [0,1])
-/// from argv into g_fault_plan. Call before benchmark::Initialize.
+/// Strip --fault_drop=P, --fault_corrupt=P (P in [0,1]) and --fault_seed=N
+/// from argv into g_fault_plan.
 inline void parse_fault_flags(int& argc, char** argv) {
-  const auto eat = [](std::string_view arg, std::string_view flag,
-                      double* out) {
-    if (arg.substr(0, flag.size()) != flag) {
-      return false;
-    }
-    *out = std::strtod(std::string(arg.substr(flag.size())).c_str(), nullptr);
-    return true;
-  };
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    double v = 0.0;
-    if (eat(arg, "--fault_drop=", &v)) {
-      g_fault_plan.drop_rate = v;
-    } else if (eat(arg, "--fault_corrupt=", &v)) {
-      g_fault_plan.corrupt_rate = v;
-    } else if (eat(arg, "--fault_seed=", &v)) {
-      g_fault_plan.seed = static_cast<std::uint64_t>(v);
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
+  strip_flag(argc, argv, "--fault_drop=", [](const std::string& v) {
+    g_fault_plan.drop_rate = flag_value("--fault_drop", v, 0.0, 1.0);
+  });
+  strip_flag(argc, argv, "--fault_corrupt=", [](const std::string& v) {
+    g_fault_plan.corrupt_rate = flag_value("--fault_corrupt", v, 0.0, 1.0);
+  });
+  strip_flag(argc, argv, "--fault_seed=", [](const std::string& v) {
+    g_fault_plan.seed =
+        flag_value<std::uint64_t>("--fault_seed", v, 0, ~std::uint64_t{0});
+  });
 }
 
 inline void maybe_enable_tracing(sys::Machine& machine) {
@@ -221,32 +236,16 @@ inline void record_kernel_result(std::string name, double events_per_sec) {
   kernel_results().push_back({std::move(name), events_per_sec});
 }
 
-/// Strip --json_out=FILE, --check_baseline=FILE and --tolerance=F from
-/// argv. Call before benchmark::Initialize.
+/// Strip --json_out=FILE, --check_baseline=FILE and --tolerance=F (F in
+/// [0,1]) from argv. Call before benchmark::Initialize.
 inline void parse_kernel_json_flags(int& argc, char** argv) {
-  const auto eat = [](std::string_view arg, std::string_view flag,
-                      std::string* out) {
-    if (arg.substr(0, flag.size()) != flag) {
-      return false;
-    }
-    *out = std::string(arg.substr(flag.size()));
-    return true;
-  };
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    std::string v;
-    if (eat(arg, "--json_out=", &v)) {
-      g_kernel_json_out = v;
-    } else if (eat(arg, "--check_baseline=", &v)) {
-      g_kernel_baseline = v;
-    } else if (eat(arg, "--tolerance=", &v)) {
-      g_kernel_tolerance = std::strtod(v.c_str(), nullptr);
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
+  strip_flag(argc, argv, "--json_out=",
+             [](const std::string& v) { g_kernel_json_out = v; });
+  strip_flag(argc, argv, "--check_baseline=",
+             [](const std::string& v) { g_kernel_baseline = v; });
+  strip_flag(argc, argv, "--tolerance=", [](const std::string& v) {
+    g_kernel_tolerance = flag_value("--tolerance", v, 0.0, 1.0);
+  });
 }
 
 /// Parse the flat {"case": number, ...} JSON this header itself writes.

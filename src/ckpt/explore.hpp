@@ -25,8 +25,8 @@
 //
 // The engine is workload-agnostic: the caller supplies a ScenarioFn that
 // builds a machine (typically restored from a checkpoint), applies the
-// drop pattern, runs to completion, and reports what it saw. tools/
-// svexplore and tests/explorer_test provide their own runners.
+// drop pattern, runs to completion, and reports what it saw:
+// ckpt::drop_scenario (ckpt/scenario.hpp), or a synthetic one in a test.
 #pragma once
 
 #include <cstdint>

@@ -1,159 +1,153 @@
 #include "ckpt/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "ckpt/capture.hpp"
-#include "sim/config.hpp"
 #include "sys/workload.hpp"
 
 namespace sv::ckpt {
 
+RunConfig run_config(const std::string& workload,
+                     const std::vector<std::string>& args) {
+  RunConfig run{workload, sim::Config::from_args(args)};
+  sys::check_keys(run.cfg, {&sys::machine_keys(), &sys::run_keys(),
+                            &sys::workload(workload).keys});
+  return run;
+}
+
+std::string snapshot_config(const RunConfig& run) {
+  std::string text = "workload=" + run.workload + "\n";
+  for (const sys::KeyTable* t :
+       {&sys::machine_keys(), &sys::workload(run.workload).keys}) {
+    for (const sys::Key& k : *t) {
+      if (run.cfg.contains(k.name) || !k.def.empty()) {
+        text += k.name + "=" + run.cfg.get_string(k.name, k.def) + "\n";
+      }
+    }
+  }
+  // A restored run must not checkpoint again.
+  for (const sys::Key& k : sys::run_keys()) {
+    if (run.cfg.contains(k.name) && k.name.rfind("ckpt.", 0) != 0) {
+      text += k.name + "=" + run.cfg.get_string(k.name) + "\n";
+    }
+  }
+  return text;
+}
+
+RunConfig snapshot_args(const Snapshot& snap) {
+  std::string workload;
+  std::vector<std::string> args;
+  std::istringstream in(snap.config);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("workload=", 0) == 0) {
+      workload = line.substr(line.find('=') + 1);
+    } else if (!line.empty()) {
+      args.push_back(line);
+    }
+  }
+  if (workload.empty()) {
+    throw std::invalid_argument("snapshot config names no workload");
+  }
+  return run_config(workload, args);
+}
+
 namespace {
 
-constexpr char kScenarioTag[] = "reliable_ring";
+/// `run` launched on its machine with drops at opportunities base + d for
+/// each d in `drops`, and, with `resume`, replayed to its tick and
+/// byte-verified against it.
+struct Trial {
+  sys::Machine machine;
+  std::unique_ptr<sys::Run> run;
+  sim::Tick deadline;
 
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      nl = text.size();
+  Trial(const RunConfig& rc, const std::vector<std::uint64_t>& drops,
+        std::uint64_t base, const Snapshot* resume)
+      : machine(params(rc.cfg, drops, base)),
+        run(sys::workload(rc.workload).launch(machine, rc.cfg)),
+        deadline(sys::Args(rc.cfg, sys::run_keys()).u64("deadline_ms") *
+                 sim::kMillisecond) {
+    if (resume != nullptr) {
+      // Every drop lands at or after the snapshot's opportunity base, so
+      // the prefix must reproduce the fault-free capture byte for byte.
+      run_to_tick(machine, resume->tick, deadline);
+      Snapshot::verify(*resume,
+                       capture(machine, resume->config, run->world.get()));
     }
-    if (nl > pos) {
-      lines.push_back(text.substr(pos, nl - pos));
+  }
+
+  static sys::Machine::Params params(const sim::Config& cfg,
+                                     const std::vector<std::uint64_t>& drops,
+                                     std::uint64_t base) {
+    sys::Machine::Params mp = sys::machine_params(cfg);
+    mp.fault.scripted = true;
+    for (const std::uint64_t d : drops) {
+      mp.fault.drop_script.push_back(base + d);
     }
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-sim::Config parse_config(const std::string& text) {
-  try {
-    return sim::Config::from_args(split_lines(text));
-  } catch (const std::exception& e) {
-    throw Error(std::string("bad scenario config: ") + e.what());
-  }
-}
-
-sys::Machine::Params ring_machine_params(const RingSpec& spec,
-                                        std::vector<std::uint64_t> script) {
-  sys::Machine::Params mp;
-  mp.nodes = spec.nodes;
-  mp.net = sys::Machine::NetKind::kIdeal;
-  mp.fault.seed = spec.fault_seed;
-  // Scripted mode (single event domain): even an empty script keeps the
-  // injector alive so drop opportunities are counted.
-  mp.fault.scripted = true;
-  std::sort(script.begin(), script.end());
-  mp.fault.drop_script = std::move(script);
-  return mp;
-}
-
-/// The registry's reliable ring (verified payloads, give-ups recorded),
-/// configured by the spec's own key=value form.
-std::unique_ptr<sys::Run> launch_ring(sys::Machine& machine,
-                                      const RingSpec& spec) {
-  return sys::workload("reliable").launch(machine,
-                                          parse_config(spec.to_config()));
-}
-
-}  // namespace
-
-std::string RingSpec::to_config() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "scenario=%s\nnodes=%llu\ncount=%llu\nbytes=%llu\n"
-                "window=%llu\ntimeout_us=%llu\ngive_up=%llu\n"
-                "deadline_ms=%llu\nfault_seed=%llu\n",
-                kScenarioTag, static_cast<unsigned long long>(nodes),
-                static_cast<unsigned long long>(count),
-                static_cast<unsigned long long>(bytes),
-                static_cast<unsigned long long>(window),
-                static_cast<unsigned long long>(timeout_us),
-                static_cast<unsigned long long>(give_up),
-                static_cast<unsigned long long>(deadline_ms),
-                static_cast<unsigned long long>(fault_seed));
-  return buf;
-}
-
-RingSpec RingSpec::from_config(const std::string& text) {
-  const sim::Config cfg = parse_config(text);
-  if (cfg.get_string("scenario") != kScenarioTag) {
-    throw Error("snapshot is not a reliable_ring scenario (scenario=" +
-                cfg.get_string("scenario", "<missing>") + ")");
-  }
-  RingSpec spec;
-  spec.nodes = cfg.get_u64("nodes", spec.nodes);
-  spec.count = cfg.get_u64("count", spec.count);
-  spec.bytes = cfg.get_u64("bytes", spec.bytes);
-  spec.window = cfg.get_u64("window", spec.window);
-  spec.timeout_us = cfg.get_u64("timeout_us", spec.timeout_us);
-  spec.give_up = cfg.get_u64("give_up", spec.give_up);
-  spec.deadline_ms = cfg.get_u64("deadline_ms", spec.deadline_ms);
-  spec.fault_seed = cfg.get_u64("fault_seed", spec.fault_seed);
-  return spec;
-}
-
-ScenarioResult run_reliable_ring(const RingSpec& spec,
-                                 const std::vector<std::uint64_t>& drops,
-                                 const Snapshot* resume) {
-  RingSpec eff = spec;
-  std::uint64_t base = 0;
-  if (resume != nullptr) {
-    eff = RingSpec::from_config(resume->config);
-    base = parse_config(resume->config).get_u64("base_opp", 0);
-  }
-  std::vector<std::uint64_t> script;
-  script.reserve(drops.size());
-  for (const std::uint64_t d : drops) {
-    script.push_back(base + d);
-  }
-  sys::Machine machine(ring_machine_params(eff, std::move(script)));
-  const auto run = launch_ring(machine, eff);
-  const sim::Tick deadline = eff.deadline_ms * sim::kMillisecond;
-
-  if (resume != nullptr) {
-    // Every scripted drop lands at/after the checkpoint's opportunity
-    // base, so the replay prefix must reproduce the fault-free capture
-    // bit-for-bit; verify() throws otherwise.
-    run_to_tick(machine, resume->tick, deadline);
-    Snapshot::verify(*resume, capture(machine, resume->config));
+    std::sort(mp.fault.drop_script.begin(), mp.fault.drop_script.end());
+    return mp;
   }
 
-  const bool completed =
-      machine.run_epochs_until([&] { return run->finished(); }, deadline);
+  [[nodiscard]] std::uint64_t opportunities() {
+    return machine.fault_injector()->drop_opportunities();
+  }
+};
+
+ScenarioResult run_pattern(const RunConfig& rc,
+                           const std::vector<std::uint64_t>& drops,
+                           std::uint64_t base, const Snapshot* resume) {
+  Trial t(rc, drops, base, resume);
+  const bool completed = t.machine.run_epochs_until(
+      [&] { return t.run->finished(); }, t.deadline);
 
   ScenarioResult r;
-  r.opportunities = machine.fault_injector()->drop_opportunities() - base;
-  r.state_hash = capture(machine, "").state_hash();
-  if (const std::string failure = run->failure(); !failure.empty()) {
+  r.opportunities = t.opportunities() - base;
+  r.state_hash = capture(t.machine, "", t.run->world.get()).state_hash();
+  if (const std::string failure = t.run->failure(); !failure.empty()) {
     r.violation = true;
     r.detail = failure;
-  } else if (!completed && !run->any_gave_up()) {
+  } else if (!completed && !t.run->any_gave_up()) {
     r.violation = true;
-    r.detail = "stuck: ring never completed and no channel gave up";
+    r.detail = "stuck: the run never completed and no channel gave up";
   }
   return r;
 }
 
-Snapshot checkpoint_reliable_ring(const RingSpec& spec, sim::Tick at) {
-  sys::Machine machine(ring_machine_params(spec, {}));
-  const auto run = launch_ring(machine, spec);
-  run_to_tick(machine, at, spec.deadline_ms * sim::kMillisecond);
-  std::string config = spec.to_config();
-  config += "base_opp=" +
-            std::to_string(machine.fault_injector()->drop_opportunities()) +
-            "\n";
-  return capture(machine, std::move(config));
+void require_empty_script(const sim::Config& cfg) {
+  const std::string script = cfg.get_string("fault.drop_script");
+  if (!script.empty()) {
+    throw std::invalid_argument("fault.drop_script: expected an empty "
+                                "script, got '" + script +
+                                "' (the explorer writes it)");
+  }
 }
 
-ScenarioFn reliable_ring_scenario(RingSpec spec, const Snapshot* resume) {
-  return [spec, resume](const std::vector<std::uint64_t>& drops) {
-    return run_reliable_ring(spec, drops, resume);
+}  // namespace
+
+ScenarioFn drop_scenario(RunConfig run) {
+  require_empty_script(run.cfg);
+  return [run = std::move(run)](const std::vector<std::uint64_t>& drops) {
+    return run_pattern(run, drops, 0, nullptr);
+  };
+}
+
+ScenarioFn drop_scenario(const Snapshot& snap) {
+  RunConfig run = snapshot_args(snap);
+  if (!run.cfg.contains("fault.drop_script")) {
+    throw std::invalid_argument(
+        "fault.drop_script: the snapshot was written without it, so its run "
+        "has no fault injector; write it with fault.drop_script=");
+  }
+  require_empty_script(run.cfg);
+  const std::uint64_t base = Trial(run, {}, 0, &snap).opportunities();
+  return [run = std::move(run), base,
+          snap](const std::vector<std::uint64_t>& drops) {
+    return run_pattern(run, drops, base, &snap);
   };
 }
 

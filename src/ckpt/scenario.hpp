@@ -1,78 +1,67 @@
-// The reliable-ring scenario: the concrete workload tools/svexplore and
-// tests/explorer_test explore, i.e. the workload registry's `reliable`
-// entry (sys/workload.hpp) on an ideal network under scripted drops.
+// The snapshot config format, and the explorer's scenario (DESIGN.md §14).
 //
-// Every node streams `count` CRC-protected payloads to its right
-// neighbour over msg::ReliableChannel and consumes `count` from its left,
-// verifying each received payload byte-for-byte against the sender's
-// deterministic pattern. Run under a scripted drop pattern
-// (fault::Plan::drop_script), the outcome classifies the channel's
-// contract:
+// A snapshot's config text is the run it came from: `workload=NAME` for a
+// registry entry (sys/workload.hpp), then every key of the machine table
+// and of the workload's table at its effective value (as given, else its
+// default; a key whose default is empty is written only when given, as
+// its absence is a value of its own), then the run keys given except
+// ckpt.*. svsim writes it and svsim and svexplore read it, checked
+// against the tables svsim checks its command line against, so a default
+// changed later cannot silently fork a restore.
 //
-//   completed, payloads correct          ok (give-up allowed: a final-ACK
-//                                        loss burst can exhaust the
-//                                        retransmit budget after every
-//                                        payload already arrived)
-//   any payload wrong / reordered /      violation (exactly-once or
-//   duplicated                           in-order broken)
-//   stuck at the deadline, some node     ok (give-up is the contract's
-//   gave up                              declared-failure outcome)
-//   stuck at the deadline, nobody        violation (liveness: neither
-//   gave up                              delivery nor give-up)
-//
-// A run can start from a committed checkpoint: replay to the snapshot's
-// tick (byte-verified against the file), with the drop pattern's indices
-// interpreted relative to the drop-opportunity horizon recorded in the
-// snapshot — so the explorer searches only placements after the
-// checkpoint, exactly the "explore from here" workflow.
+// The explorer's scenario runs such a config under a scripted drop
+// pattern (fault::Plan::drop_script). A run violates its contract if it
+// reports a failure (a wrong, reordered or duplicated payload) or if it
+// is stuck at its deadline with no reliable channel having given up; a
+// give-up is the contract's declared-failure outcome. Resumed from a
+// snapshot, every run first replays to its tick and byte-verifies, and a
+// pattern's indices count from the drop opportunities seen by then, so
+// only placements after the checkpoint are searched.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ckpt/explore.hpp"
 #include "ckpt/snapshot.hpp"
-#include "sim/types.hpp"
+#include "sim/config.hpp"
 
 namespace sv::ckpt {
 
-struct RingSpec {
-  std::uint64_t nodes = 2;
-  std::uint64_t count = 20;
-  std::uint64_t bytes = 32;
-  std::uint64_t window = 8;
-  std::uint64_t timeout_us = 20;
-  std::uint64_t give_up = 4;
-  std::uint64_t deadline_ms = 20;
-  std::uint64_t fault_seed = 1;
-
-  /// key=value lines, the snapshot-embedded form.
-  [[nodiscard]] std::string to_config() const;
-  /// Inverse of to_config(); throws ckpt::Error on malformed text or a
-  /// non-ring scenario tag.
-  static RingSpec from_config(const std::string& text);
+/// One run's configuration: a registry workload and its key=value args.
+struct RunConfig {
+  std::string workload;
+  sim::Config cfg;
 };
 
-/// Run the ring once with the given relative drop pattern. With `resume`,
-/// the spec is taken from the snapshot, the replay is byte-verified at
-/// the capture tick (throws Error on divergence — the drops all land
-/// after it, so the prefix must match the fault-free original), and drop
-/// indices are offset by the snapshot's recorded opportunity base.
-[[nodiscard]] ScenarioResult run_reliable_ring(
-    const RingSpec& spec, const std::vector<std::uint64_t>& drops,
-    const Snapshot* resume = nullptr);
+/// `workload` run with key=value `args`, checked against the machine,
+/// run and workload tables. Throws std::invalid_argument, one line naming
+/// the key, on an unknown workload or key or a malformed or out-of-range
+/// value.
+[[nodiscard]] RunConfig run_config(const std::string& workload,
+                                   const std::vector<std::string>& args);
 
-/// Run the fault-free ring to the first epoch boundary at/after `at` and
-/// capture. The snapshot embeds the spec plus the drop-opportunity count
-/// observed so far (`base_opp=`), which later resumed runs subtract.
-[[nodiscard]] Snapshot checkpoint_reliable_ring(const RingSpec& spec,
-                                                sim::Tick at);
+/// The config text a snapshot of `run` embeds (the format above).
+[[nodiscard]] std::string snapshot_config(const RunConfig& run);
 
-/// Bind spec (+ optional resume point) into the explorer's ScenarioFn.
-/// `resume`, when given, must outlive the returned function.
-[[nodiscard]] ScenarioFn reliable_ring_scenario(RingSpec spec,
-                                                const Snapshot* resume =
-                                                    nullptr);
+/// The run a snapshot's config text describes, checked as run_config
+/// checks it. A config holding only some keys (as svsim wrote them before
+/// the whole schema was embedded) reads the same way, the rest at their
+/// defaults.
+[[nodiscard]] RunConfig snapshot_args(const Snapshot& snap);
+
+/// The explorer's scenario: `run`'s workload on a machine built by
+/// sys::machine_params(run.cfg) in scripted drop mode, each call dropping
+/// the opportunities its pattern names, until the run finishes or its
+/// deadline_ms passes. Throws std::invalid_argument naming
+/// fault.drop_script if `run` sets a non-empty script.
+[[nodiscard]] ScenarioFn drop_scenario(RunConfig run);
+
+/// The same resumed from `snap`'s tick. One replay here learns the
+/// opportunity base, and each call replays and byte-verifies (Error on
+/// divergence). Throws std::invalid_argument naming fault.drop_script
+/// unless the snapshot was written with an empty one: only then does its
+/// run count drop opportunities and drop none.
+[[nodiscard]] ScenarioFn drop_scenario(const Snapshot& snap);
 
 }  // namespace sv::ckpt

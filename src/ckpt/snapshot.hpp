@@ -13,7 +13,7 @@
 //   magic   u32  'SVCK'
 //   version u32  kVersion
 //   payload:
-//     config str   (key=value lines, or a caller-defined spec string)
+//     config str   (the run's configuration, ckpt/scenario.hpp's format)
 //     tick   u64   (capture time; an epoch boundary)
 //     count  u64
 //     count x { name str, chunk bytes }
@@ -38,7 +38,7 @@ class Snapshot {
   /// Version 2: the processor chunk no longer carries batched-quantum ticks.
   static constexpr std::uint32_t kVersion = 2;
 
-  std::string config;  // full run configuration, caller-defined text
+  std::string config;  // the run's configuration (ckpt/scenario.hpp)
   std::uint64_t tick = 0;
 
   /// Add one component chunk. Names must be unique and appended in a

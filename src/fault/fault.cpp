@@ -28,10 +28,11 @@ Plan Plan::from_config(const sim::Config& cfg) {
       cfg.get_double("fault.rx_overflow_rate", p.rx_overflow_rate);
   // fault.drop_script=3,17,42 switches to scripted mode (the explorer's
   // reproduction path): those global drop opportunities and only those.
+  // An empty script drops nothing but still counts the opportunities.
   // Every comma-separated item must be one decimal unsigned integer.
   const std::string script = cfg.get_string("fault.drop_script");
-  p.scripted = !script.empty();
-  for (std::size_t pos = 0; p.scripted && pos <= script.size();) {
+  p.scripted = cfg.contains("fault.drop_script");
+  for (std::size_t pos = 0; !script.empty() && pos <= script.size();) {
     const std::size_t end = std::min(script.find(',', pos), script.size());
     std::uint64_t idx = 0;
     const auto [ptr, ec] =

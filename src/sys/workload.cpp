@@ -164,9 +164,29 @@ const KeyTable& machine_keys() {
         uint_key("fault.starve_cycles", f.starve_cycles, 0, 0xffffffff,
                  "starvation length, router cycles"),
         rate_key("fault.rx_overflow_rate", "NIU rx discard per packet"),
-        text_key("fault.drop_script", "drop exactly these opportunities"),
+        text_key("fault.drop_script",
+                 "drop exactly these opportunities (empty: none, counted)"),
     };
   }();
+  return keys;
+}
+
+const KeyTable& run_keys() {
+  static const KeyTable keys = {
+      bool_key("stats", "0", "dump every component's counters"),
+      choice_key("stats_format", "text", "text|json", "stats format"),
+      uint_key("deadline_ms", 2000, 1, 1'000'000, "simulated time limit, ms"),
+      text_key("trace", "write a Chrome trace JSON file"),
+      uint_key("trace_buf", trace::Tracer::kDefaultCapacity, 1,
+               std::size_t{1} << 28, "trace ring capacity, events"),
+      text_key("trace_stream", "stream Chrome JSON to a file (threads=0 only)"),
+      uint_key("ckpt.at", 0, 0, kNoLimit,
+               "snapshot at the first epoch boundary >= this ps"),
+      uint_key("ckpt.every", 0, 0, kNoLimit,
+               "snapshot every this many ps to <ckpt.out>.<tick>.svck"),
+      text_key("ckpt.out", "snapshot file (prefix with ckpt.every)",
+               "svsim.svck"),
+  };
   return keys;
 }
 

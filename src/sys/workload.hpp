@@ -84,6 +84,10 @@ class Args {
 const KeyTable& machine_keys();
 Machine::Params machine_params(const sim::Config& cfg);
 
+/// Keys of a run rather than of the machine or the workload: its time
+/// limit, stats and trace output, and checkpoints (svsim's own keys).
+const KeyTable& run_keys();
+
 /// A launched workload: the state its node programs share with the
 /// caller, who reads it only at epoch boundaries. The programs hold its
 /// address, so it never moves.

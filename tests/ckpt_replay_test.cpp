@@ -12,10 +12,12 @@
 // The committed corpus entry tests/ckpt/reliable_ring.svck additionally
 // pins the on-disk format: if a ckpt_save() changes shape, this suite
 // fails until the snapshot version is bumped and the corpus regenerated
-// (tools/svexplore write_snapshot=...).
+// (svsim ckpt.at=..., with the keys its config text holds).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/scenario.hpp"
@@ -217,14 +219,71 @@ std::string corpus_path() {
 TEST(CkptReplayTest, CommittedCorpusRestoresByteIdentically) {
   const ckpt::Snapshot snap = ckpt::Snapshot::load_file(corpus_path());
   EXPECT_GT(snap.tick, 0u);
-  EXPECT_FALSE(snap.chunks().empty());
+  EXPECT_EQ(snap.chunks().size(), 31u);
 
-  // run_reliable_ring with a resume snapshot replays to the capture tick
-  // and byte-verifies every chunk (throwing on divergence) before it
-  // continues; a fault-free continuation must end without violation.
-  const ckpt::RingSpec spec = ckpt::RingSpec::from_config(snap.config);
-  const ckpt::ScenarioResult res = ckpt::run_reliable_ring(spec, {}, &snap);
+  // The explorer's scenario resumed from a snapshot replays to the
+  // capture tick and byte-verifies every chunk (throwing on divergence)
+  // before it continues; a fault-free continuation must end without
+  // violation.
+  const ckpt::ScenarioResult res = ckpt::drop_scenario(snap)({});
   EXPECT_FALSE(res.violation) << res.detail;
+}
+
+TEST(CkptReplayTest, CorpusConfigIsTheSchema) {
+  // The corpus embeds every machine and `reliable` key at its value, in
+  // table order, exactly as snapshot_config writes it.
+  const ckpt::Snapshot snap = ckpt::Snapshot::load_file(corpus_path());
+  const ckpt::RunConfig run = ckpt::snapshot_args(snap);
+  EXPECT_EQ(run.workload, "reliable");
+  EXPECT_EQ(ckpt::snapshot_config(run), snap.config);
+  for (const sys::KeyTable* t :
+       {&sys::machine_keys(), &sys::workload("reliable").keys}) {
+    for (const sys::Key& k : *t) {
+      EXPECT_TRUE(k.def.empty() || run.cfg.contains(k.name)) << k.name;
+    }
+  }
+}
+
+TEST(CkptReplayTest, SubsetConfigStillRestores) {
+  // Before every key was embedded, a snapshot held only the keys given
+  // (in key order). Such a config reads back with the rest at their
+  // defaults, and the rebuilt run replays to the same bytes.
+  const std::string config = "workload=msg\ncount=12\nnodes=4\n";
+  const sim::Config given = sim::Config::from_args({"count=12", "nodes=4"});
+  sys::Machine original(sys::machine_params(given));
+  const auto run = sys::workload("msg").launch(original, given);
+  ckpt::run_to_tick(original, 10 * sim::kMicrosecond, sim::kMillisecond);
+  const ckpt::Snapshot snap = ckpt::capture(original, config);
+
+  const ckpt::RunConfig read = ckpt::snapshot_args(snap);
+  EXPECT_EQ(read.workload, "msg");
+  sys::Machine restored(sys::machine_params(read.cfg));
+  const auto replay = sys::workload(read.workload).launch(restored, read.cfg);
+  ckpt::run_to_tick(restored, snap.tick, sim::kMillisecond);
+  expect_verify_ok(snap, ckpt::capture(restored, snap.config));
+}
+
+TEST(CkptReplayTest, SnapshotArgsRejectsBadConfigs) {
+  // A snapshot's keys are checked against the same tables as svsim's
+  // command line; each rejection is one line naming what is wrong.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"count=12\n", "names no workload"},
+      {"workload=msgg\n", "unknown workload 'msgg'"},
+      {"workload=msg\ncount=65\n", "count: "},
+      {"workload=msg\nmax_drops=1\n", "unknown key 'max_drops'"},
+  };
+  for (const auto& [config, want] : cases) {
+    SCOPED_TRACE(config);
+    ckpt::Snapshot snap;
+    snap.config = config;
+    try {
+      (void)ckpt::snapshot_args(snap);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -20,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/capture.hpp"
 #include "ckpt/explore.hpp"
 #include "ckpt/scenario.hpp"
+#include "sys/workload.hpp"
 
 namespace sv {
 namespace {
@@ -181,23 +183,18 @@ TEST(ExplorerTest, StateHashDedupPrunesEquivalentSubtrees) {
 }
 
 // --- The real reliable-ring scenario. These searches simulate the full
-// machine per candidate pattern, so the specs stay deliberately small.
+// machine per candidate pattern, so the runs stay deliberately small.
 
-ckpt::RingSpec small_ring() {
-  ckpt::RingSpec spec;
-  spec.nodes = 2;
-  spec.count = 4;
-  spec.bytes = 16;
-  spec.window = 4;
-  spec.timeout_us = 20;
-  spec.give_up = 4;
-  spec.deadline_ms = 20;
-  return spec;
+ckpt::RunConfig small_ring() {
+  return {"reliable",
+          sim::Config::from_args({"nodes=2", "net=ideal", "dram_mb=64",
+                                  "scoma_mb=16", "count=4", "bytes=16",
+                                  "window=4", "timeout_us=20", "give_up=4",
+                                  "deadline_ms=20", "fault.seed=1"})};
 }
 
 TEST(ExplorerTest, ReliableRingBaselineIsClean) {
-  const ckpt::ScenarioResult res =
-      ckpt::run_reliable_ring(small_ring(), {});
+  const ckpt::ScenarioResult res = ckpt::drop_scenario(small_ring())({});
   EXPECT_FALSE(res.violation) << res.detail;
   EXPECT_GT(res.opportunities, 0u);
   EXPECT_NE(res.state_hash, 0u);
@@ -213,38 +210,42 @@ TEST(ExplorerTest, ReliableRingSingleDropBoundProven) {
   p.max_drops = 1;
   p.max_runs = 500;
   const ckpt::ExploreResult res =
-      ckpt::explore(ckpt::reliable_ring_scenario(small_ring()), p);
+      ckpt::explore(ckpt::drop_scenario(small_ring()), p);
   EXPECT_FALSE(res.found) << "minimal violating pattern: " << res.detail;
   EXPECT_TRUE(res.exhausted);
   EXPECT_GT(res.runs, 1u);
 }
 
 TEST(ExplorerTest, CheckpointResumeExploresOnlyTheSuffix) {
-  ckpt::RingSpec spec = small_ring();
-  spec.count = 6;
+  // The snapshot is written as svsim writes one; fault.drop_script= runs
+  // the injector in scripted mode with no drops.
+  ckpt::RunConfig ring = small_ring();
+  ring.cfg.set("count", "6");
+  ring.cfg.set("fault.drop_script", "");
+  sys::Machine machine(sys::machine_params(ring.cfg));
+  const auto run = sys::workload(ring.workload).launch(machine, ring.cfg);
+  ckpt::run_to_tick(machine, 2 * sim::kMicrosecond, 20 * sim::kMillisecond);
   const ckpt::Snapshot snap =
-      ckpt::checkpoint_reliable_ring(spec, 2 * sim::kMicrosecond);
+      ckpt::capture(machine, ckpt::snapshot_config(ring));
   EXPECT_GE(snap.tick, 2 * sim::kMicrosecond);
-  EXPECT_NE(snap.config.find("base_opp="), std::string::npos)
-      << "checkpoint must record the opportunity base";
+  EXPECT_NE(snap.find("fault"), nullptr) << "no fault injector captured";
 
   // A resumed run replays to the capture tick and byte-verifies against
-  // the snapshot before continuing (run_reliable_ring throws on any
-  // divergence), with drop indices interpreted relative to the base.
-  const ckpt::ScenarioResult baseline =
-      ckpt::run_reliable_ring(spec, {}, &snap);
+  // the snapshot before continuing (it throws on any divergence), with
+  // drop indices counted from the opportunities seen by the tick.
+  const ckpt::ScenarioFn resumed = ckpt::drop_scenario(snap);
+  const ckpt::ScenarioResult baseline = resumed({});
   EXPECT_FALSE(baseline.violation) << baseline.detail;
 
   ckpt::ExploreParams p;
   p.max_drops = 1;
   p.max_runs = 500;
-  const ckpt::ExploreResult res = ckpt::explore(
-      ckpt::reliable_ring_scenario(spec, &snap), p);
+  const ckpt::ExploreResult res = ckpt::explore(resumed, p);
   EXPECT_FALSE(res.found) << "minimal violating pattern: " << res.detail;
   EXPECT_TRUE(res.exhausted);
   // The suffix horizon is strictly smaller than the whole run's.
   EXPECT_LT(baseline.opportunities,
-            ckpt::run_reliable_ring(spec, {}).opportunities);
+            ckpt::drop_scenario(ring)({}).opportunities);
 }
 
 TEST(ExplorerTest, CommittedCorpusExplorationReproduces) {
@@ -256,14 +257,13 @@ TEST(ExplorerTest, CommittedCorpusExplorationReproduces) {
   // yields must reproduce on every machine, every build.
   const ckpt::Snapshot snap = ckpt::Snapshot::load_file(
       std::string(SV_CKPT_DIR) + "/reliable_ring.svck");
-  const ckpt::RingSpec spec = ckpt::RingSpec::from_config(snap.config);
   ckpt::ExploreParams p;
   p.max_drops = 1;
   p.max_runs = 2000;
-  const ckpt::ExploreResult res = ckpt::explore(
-      ckpt::reliable_ring_scenario(spec, &snap), p);
+  const ckpt::ExploreResult res = ckpt::explore(ckpt::drop_scenario(snap), p);
   EXPECT_FALSE(res.found) << "minimal violating pattern: " << res.detail;
   EXPECT_TRUE(res.exhausted);
+  EXPECT_EQ(res.runs, 131u);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 #!/bin/sh
-# svsim and svexplore must reject bad input with exactly one stderr line
-# naming the offending key and exit status 2: no abort, no signal, no
-# hang, and no run.
+# svsim, svexplore and a bench binary's own flags must reject bad input
+# with exactly one stderr line naming the offending key or flag and exit
+# status 2: no abort, no signal, no hang, and no run.
 #
-#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore
+#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore PATH/TO/bench
 svsim=$1
 svexplore=$2
+bench=$3
+corpus=$(dirname "$0")/ckpt/reliable_ring.svck
 status=0
-errfile=$(mktemp)
-trap 'rm -f "$errfile"' EXIT
+dir=$(mktemp -d)
+errfile=$dir/stderr
+trap 'rm -rf "$dir"' EXIT
 
 # check PATTERN TOOL ARGS...: TOOL ARGS must fail as above, with a stderr
 # line matching PATTERN.
@@ -49,5 +52,27 @@ check threads "$svsim" xfer threads=2
 check fault.drop_script "$svsim" msg fault.drop_script=abc
 check fault.drop_script "$svsim" msg fault.drop_script=-1
 check fault.drop_script "$svsim" reliable threads=2 fault.drop_script=3,9
+check fault.drop_script "$svsim" reliable threads=2 fault.drop_script=
 check "'max_drop'.*'max_drops'" "$svexplore" max_drop=1
+check "'fault_seed'.*'fault.seed'" "$svexplore" fault_seed=1
+check "'at'" "$svexplore" at=10499999
+check "'trace'" "$svexplore" trace=t.json
+check fault.drop_script "$svexplore" fault.drop_script=3
+check threads "$svexplore" threads=2
+
+# With --snapshot the snapshot is the whole configuration, and it must
+# have been written with an empty fault.drop_script=.
+check "'nodes'" "$svexplore" --snapshot="$corpus" nodes=4
+check "'count'" "$svexplore" --snapshot="$corpus" count=3 max_drops=0
+"$svsim" reliable count=4 ckpt.at=2000000 ckpt.out="$dir/plain.svck" \
+  >/dev/null
+"$svsim" reliable count=4 fault.drop_script=100000 ckpt.at=2000000 \
+  ckpt.out="$dir/scripted.svck" >/dev/null
+check fault.drop_script "$svexplore" --snapshot="$dir/plain.svck"
+check fault.drop_script "$svexplore" --snapshot="$dir/scripted.svck"
+
+check fault_drop "$bench" --fault_drop=abc
+check fault_drop "$bench" --fault_drop=7
+check fault_corrupt "$bench" --fault_corrupt=-0.5
+check fault_seed "$bench" --fault_seed=1.5
 exit $status

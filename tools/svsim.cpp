@@ -5,47 +5,26 @@
 // stats=1, every component's counters. `svsim --help` prints the key
 // tables that also validate the arguments: an unknown key or a malformed
 // or out-of-range value is one line on stderr and exit 2. Checkpoints and
-// --restore follow DESIGN.md §14.
+// --restore follow DESIGN.md §14; the snapshot config format is
+// ckpt/scenario.hpp's.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ckpt/capture.hpp"
+#include "ckpt/scenario.hpp"
 #include "sys/workload.hpp"
 #include "trace/chrome_sink.hpp"
 
 using namespace sv;
 
 namespace {
-
-/// The keys svsim itself reads, beside the machine's and the workload's.
-const sys::KeyTable& run_keys() {
-  static const sys::KeyTable keys = {
-      sys::bool_key("stats", "0", "dump every component's counters"),
-      sys::choice_key("stats_format", "text", "text|json", "stats format"),
-      sys::uint_key("deadline_ms", 2000, 1, 1'000'000,
-                    "simulated time limit, ms"),
-      sys::text_key("trace", "write a Chrome trace JSON file"),
-      sys::uint_key("trace_buf", trace::Tracer::kDefaultCapacity, 1,
-                    std::size_t{1} << 28, "trace ring capacity, events"),
-      sys::text_key("trace_stream",
-                    "stream Chrome JSON to a file (threads=0 only)"),
-      sys::uint_key("ckpt.at", 0, 0, sys::kNoLimit,
-                    "snapshot at the first epoch boundary >= this ps"),
-      sys::uint_key("ckpt.every", 0, 0, sys::kNoLimit,
-                    "snapshot every this many ps to <ckpt.out>.<tick>.svck"),
-      sys::text_key("ckpt.out", "snapshot file (prefix with ckpt.every)",
-                    "svsim.svck"),
-  };
-  return keys;
-}
 
 void print_help() {
   std::cout
@@ -55,7 +34,7 @@ void print_help() {
          "ckpt.at=, ckpt.every= and ckpt.out=.\n\nmachine keys:\n";
   sys::print_keys(std::cout, sys::machine_keys());
   std::cout << "run keys:\n";
-  sys::print_keys(std::cout, run_keys());
+  sys::print_keys(std::cout, sys::run_keys());
   std::cout << "workloads:\n";
   for (const auto& w : sys::workloads()) {
     std::cout << "  " << w.name << ": " << w.doc << '\n';
@@ -83,65 +62,50 @@ std::string take_flags(std::vector<std::string>& args) {
 }
 
 /// Drive a launched run to completion, pausing at epoch boundaries to
-/// write the requested snapshots and, for a restored run, to byte-verify
-/// the replay at the snapshot's tick. The pause points are the same for
-/// every threads= value, and so are the snapshots. Returns 0 when the
-/// node programs finished.
-int drive(sys::Machine& machine, const sim::Config& cfg, const sys::Args& opts,
-          const sys::Run& run, const std::string& workload,
+/// byte-verify a restored run's replay at its snapshot's tick and to write
+/// the requested snapshots. The pause points are the same for every
+/// threads= value, and so are the snapshots. Returns 0 when the node
+/// programs finished.
+int drive(sys::Machine& machine, const ckpt::RunConfig& rc,
+          const sys::Args& opts, const sys::Run& run,
           const ckpt::Snapshot* restore) {
-  // The snapshot embeds the workload and every key but the ckpt.* ones:
-  // a restored run must not checkpoint again.
-  const auto capture = [&] {
-    std::string config = "workload=" + workload + "\n";
-    for (const auto& [key, value] : cfg.all()) {
-      if (key.rfind("ckpt.", 0) != 0) {
-        config += key + "=" + value + "\n";
-      }
-    }
-    return ckpt::capture(machine, config, run.world.get());
-  };
   const sim::Tick deadline =
       machine.now() + opts.u64("deadline_ms") * sim::kMillisecond;
   const auto ready = [&run] { return run.finished(); };
-  const auto every = opts.u64("ckpt.every");
-  sim::Tick next_save = opts.u64("ckpt.at") != 0 ? opts.u64("ckpt.at") : every;
-  sim::Tick verify_at = restore != nullptr ? restore->tick : 0;
-  while (next_save != 0 || verify_at != 0) {
-    const sim::Tick stop =
-        next_save == 0 || (verify_at != 0 && verify_at < next_save)
-            ? verify_at
-            : next_save;
-    machine.run_epochs_until([&] { return ready() || machine.now() >= stop; },
+  // False when the run finished (or ran out of time) before `tick`.
+  const auto pause_at = [&](sim::Tick tick) {
+    machine.run_epochs_until([&] { return ready() || machine.now() >= tick; },
                              deadline);
-    if (machine.now() < stop) {
-      break;  // finished (or out of time) before the pause
+    return machine.now() >= tick;
+  };
+  if (restore != nullptr && pause_at(restore->tick)) {
+    // Compared under the snapshot's own config text, which built this run:
+    // one written before every key was embedded holds fewer lines.
+    try {
+      ckpt::Snapshot::verify(
+          *restore, ckpt::capture(machine, restore->config, run.world.get()));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "svsim: restore verify FAILED: %s\n", e.what());
+      return 1;
     }
-    if (verify_at != 0 && machine.now() >= verify_at) {
-      try {
-        ckpt::Snapshot::verify(*restore, capture());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "svsim: restore verify FAILED: %s\n", e.what());
-        return 1;
-      }
-      std::printf("restore: replayed to tick %llu, %zu chunks verified "
-                  "byte-identical\n",
-                  static_cast<unsigned long long>(restore->tick),
-                  restore->chunks().size());
-      verify_at = 0;
+    std::printf("restore: replayed to tick %llu, %zu chunks verified "
+                "byte-identical\n",
+                static_cast<unsigned long long>(restore->tick),
+                restore->chunks().size());
+  }
+  const std::string config = ckpt::snapshot_config(rc);
+  const auto every = opts.u64("ckpt.every");
+  for (sim::Tick at = opts.u64("ckpt.at") != 0 ? opts.u64("ckpt.at") : every;
+       at != 0 && pause_at(at); at = every != 0 ? machine.now() + every : 0) {
+    std::string path = opts.text("ckpt.out");
+    if (every != 0) {
+      path += "." + std::to_string(machine.now()) + ".svck";
     }
-    if (next_save != 0 && machine.now() >= next_save) {
-      std::string path = opts.text("ckpt.out");
-      if (every != 0) {
-        path += "." + std::to_string(machine.now()) + ".svck";
-      }
-      const ckpt::Snapshot snap = capture();
-      snap.save_file(path);
-      std::printf("checkpoint: tick %llu, %zu chunks -> %s\n",
-                  static_cast<unsigned long long>(snap.tick),
-                  snap.chunks().size(), path.c_str());
-      next_save = every != 0 ? machine.now() + every : 0;
-    }
+    const ckpt::Snapshot snap = ckpt::capture(machine, config, run.world.get());
+    snap.save_file(path);
+    std::printf("checkpoint: tick %llu, %zu chunks -> %s\n",
+                static_cast<unsigned long long>(snap.tick),
+                snap.chunks().size(), path.c_str());
   }
   if (!machine.run_epochs_until(ready, deadline)) {
     std::fprintf(stderr, "svsim: timed out%s\n",
@@ -149,24 +113,6 @@ int drive(sys::Machine& machine, const sim::Config& cfg, const sys::Args& opts,
     return 1;
   }
   return 0;
-}
-
-/// The workload name and key=value lines a snapshot embeds.
-std::string snapshot_args(const ckpt::Snapshot& snap,
-                          std::vector<std::string>& args) {
-  std::string workload;
-  std::istringstream in(snap.config);
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("workload=", 0) == 0) {
-      workload = line.substr(std::strlen("workload="));
-    } else if (!line.empty()) {
-      args.push_back(line);
-    }
-  }
-  if (workload.empty()) {
-    throw std::runtime_error("snapshot config names no workload");
-  }
-  return workload;
 }
 
 int write_traces(sys::Machine& machine, const sys::Args& run,
@@ -223,7 +169,7 @@ int main(int argc, char** argv) {
   }
   const std::string restore_path = take_flags(args);
 
-  sim::Config cfg;
+  ckpt::RunConfig config;
   ckpt::Snapshot restored;
   std::optional<sys::Args> opts;
   std::unique_ptr<sys::Machine> machine;
@@ -238,15 +184,15 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("--restore takes no other arguments");
       }
       restored = ckpt::Snapshot::load_file(restore_path);
-      name = snapshot_args(restored, args);
+      config = ckpt::snapshot_args(restored);
     } else if (name.empty()) {
       throw std::invalid_argument(
           "no workload given (svsim --help lists them)");
+    } else {
+      config = ckpt::run_config(name, args);
     }
-    cfg = sim::Config::from_args(args);
-    const sys::Workload& workload = sys::workload(name);
-    sys::check_keys(cfg, {&sys::machine_keys(), &run_keys(), &workload.keys});
-    opts.emplace(cfg, run_keys());
+    const sim::Config& cfg = config.cfg;
+    opts.emplace(cfg, sys::run_keys());
     machine = std::make_unique<sys::Machine>(sys::machine_params(cfg));
     if (!opts->text("trace").empty() || !opts->text("trace_stream").empty()) {
       machine->enable_tracing(opts->u64("trace_buf"));
@@ -265,13 +211,13 @@ int main(int argc, char** argv) {
       sink = std::make_unique<trace::ChromeStreamSink>(stream_os);
       machine->tracer()->set_sink(sink.get());
     }
-    run = workload.launch(*machine, cfg);
+    run = sys::workload(config.workload).launch(*machine, cfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "svsim: %s\n", e.what());
     return 2;
   }
 
-  int rc = drive(*machine, cfg, *opts, *run, name,
+  int rc = drive(*machine, config, *opts, *run,
                  restore_path.empty() ? nullptr : &restored);
   if (rc == 0) {
     std::printf("%s\n", run->report().c_str());
