@@ -1,7 +1,7 @@
 // Ext-M: self-relative speedup of the partitioned machine
 // (sim::ParallelKernel) over the sequential kernel.
 //
-// Unlike every other bench, the number reported here is *wall-clock* time:
+// The number reported here is *wall-clock* time, not simulated time:
 // the simulated result is bit-identical at every thread count (the
 // ParallelKernel contract, enforced by parallel_equivalence_test), so the
 // only interesting question is how much faster the host finishes the same

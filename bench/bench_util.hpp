@@ -1,10 +1,7 @@
-// Shared benchmark plumbing.
-//
-// All benches report *simulated* time: each measurement runs the cycle-level
-// machine and feeds the simulated duration to google-benchmark through
-// SetIterationTime (UseManualTime), so the "Time" column of every row is
-// simulated latency, and bytes_per_second is simulated bandwidth. Runs are
-// deterministic; one iteration per row is meaningful.
+// Shared plumbing of the host-performance benches (bench_kernel,
+// bench_parallel, bench_scale): their flags and the flat JSON results
+// they record and check against a baseline. Simulated results are
+// svsim's and svexp's (EXPERIMENTS.md), not these binaries'.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -19,32 +16,17 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "sim/config.hpp"
-#include "sys/experiment.hpp"
-#include "trace/chrome_sink.hpp"
-#include "xfer/approaches.hpp"
+#include "sys/machine.hpp"
 
 namespace sv::bench {
 
-inline constexpr double kPsToSec = 1e-12;
-
-/// Trace output path from --trace=FILE; empty = tracing off (the default,
-/// which costs nothing on the simulation's instrumented paths).
-inline std::string g_trace_file;  // NOLINT(misc-definitions-in-headers)
-
-/// Fault plan from --fault_* flags; all-zero rates (the default) mean no
-/// injector is created and the run is bit-identical to a fault-free build.
-inline fault::Plan g_fault_plan;  // NOLINT(misc-definitions-in-headers)
-
-/// Worker threads from --threads=N; 0 (the default) keeps the classic
-/// sequential machine. Honored by benches that build partition-safe
-/// machines via parallel_machine_params (bench_parallel); benches that
-/// drive machine.kernel() directly stay sequential regardless.
+/// Worker threads from bench_parallel's --threads=N; 0 (the default)
+/// keeps the classic sequential machine.
 inline unsigned g_threads = 0;  // NOLINT(misc-definitions-in-headers)
 
-/// --quick from argv: benches that honor it (fig4) register a reduced
-/// sweep, sized for the CI perf-smoke job rather than a full figure.
+/// --quick from argv: bench_scale then runs only the rows the CI
+/// scale-smoke job checks.
 inline bool g_quick = false;  // NOLINT(misc-definitions-in-headers)
 
 /// Strip a leading --quick from argv. Call before benchmark::Initialize,
@@ -115,53 +97,6 @@ inline void parse_threads_flag(int& argc, char** argv) {
   });
 }
 
-/// Strip --trace=FILE from argv.
-inline void parse_trace_flag(int& argc, char** argv) {
-  strip_flag(argc, argv, "--trace=",
-             [](const std::string& v) { g_trace_file = v; });
-}
-
-/// Strip --fault_drop=P, --fault_corrupt=P (P in [0,1]) and --fault_seed=N
-/// from argv into g_fault_plan.
-inline void parse_fault_flags(int& argc, char** argv) {
-  strip_flag(argc, argv, "--fault_drop=", [](const std::string& v) {
-    g_fault_plan.drop_rate = flag_value("--fault_drop", v, 0.0, 1.0);
-  });
-  strip_flag(argc, argv, "--fault_corrupt=", [](const std::string& v) {
-    g_fault_plan.corrupt_rate = flag_value("--fault_corrupt", v, 0.0, 1.0);
-  });
-  strip_flag(argc, argv, "--fault_seed=", [](const std::string& v) {
-    g_fault_plan.seed =
-        flag_value<std::uint64_t>("--fault_seed", v, 0, ~std::uint64_t{0});
-  });
-}
-
-inline void maybe_enable_tracing(sys::Machine& machine) {
-  if (!g_trace_file.empty()) {
-    machine.enable_tracing();
-  }
-}
-
-/// Write the machine's trace to the --trace file. Benches build a fresh
-/// machine per benchmark case, so the last case's trace wins.
-inline void maybe_write_trace(sys::Machine& machine) {
-  if (!g_trace_file.empty() && machine.tracer() != nullptr) {
-    trace::write_chrome_trace_file(
-        *machine.tracer(), g_trace_file,
-        trace::ChromeWriteOptions{machine.kernel().now()});
-  }
-}
-
-inline sys::Machine::Params default_machine_params(std::size_t nodes = 2) {
-  sys::Machine::Params p;
-  p.nodes = nodes;
-  p.node.dram_size = 16ull * 1024 * 1024;
-  p.node.scoma_size = 2ull * 1024 * 1024;
-  p.node.numa_backing_size = 16ull * 1024 * 1024;
-  p.fault = g_fault_plan;
-  return p;
-}
-
 /// Machine for partition-safe multi-node benches: ideal network (the only
 /// partitionable fabric) with `threads` worker domains — pass
 /// bench::g_threads to honor the --threads flag. The link latency is the
@@ -171,34 +106,15 @@ inline sys::Machine::Params default_machine_params(std::size_t nodes = 2) {
 /// self-relative comparison is apples-to-apples.
 inline sys::Machine::Params parallel_machine_params(std::size_t nodes,
                                                     unsigned threads) {
-  auto p = default_machine_params(nodes);
+  sys::Machine::Params p;
+  p.nodes = nodes;
+  p.node.dram_size = 16ull * 1024 * 1024;
+  p.node.scoma_size = 2ull * 1024 * 1024;
+  p.node.numa_backing_size = 16ull * 1024 * 1024;
   p.net = sys::Machine::NetKind::kIdeal;
   p.ideal_latency = 16 * sim::kMicrosecond;
   p.threads = threads;
   return p;
-}
-
-/// Machine configured for the block-transfer experiments (approaches 4/5
-/// manage cls state themselves, so the S-COMA protocol engine is off).
-inline sys::Machine::Params xfer_machine_params() {
-  auto p = default_machine_params(2);
-  p.node.enable_scoma = false;
-  return p;
-}
-
-inline xfer::TransferSpec xfer_spec(std::uint32_t len, bool scoma_dst) {
-  xfer::TransferSpec s;
-  s.sender = 0;
-  s.receiver = 1;
-  s.src = 0x0010'0000;
-  s.dst = scoma_dst ? niu::kScomaBase + 0x8000 : 0x0040'0000;
-  s.len = len;
-  return s;
-}
-
-/// Report a simulated duration for this benchmark iteration.
-inline void report_sim_time(benchmark::State& state, sim::Tick ps) {
-  state.SetIterationTime(static_cast<double>(ps) * kPsToSec);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 //   $ ./update_shm [dirty_lines_per_round]
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <map>
 #include <span>
 
@@ -133,7 +132,8 @@ int main(int argc, char** argv) {
               "%u per round\n\n",
               kRounds, dirty, kPageLen / 32);
 
-  sys::Table table({"strategy", "total_us", "per_round_us", "packets"});
+  std::printf("%-28s %10s %14s %8s\n", "strategy", "total_us",
+              "per_round_us", "packets");
   bool all_ok = true;
   for (const auto& [name, mode] :
        std::initializer_list<std::pair<const char*, int>>{
@@ -156,11 +156,11 @@ int main(int argc, char** argv) {
       std::printf("%s: timed out or left a written line stale\n", name);
       all_ok = false;
     }
-    table.add_row({name, sys::Table::fmt_us(r.total),
-                   sys::Table::fmt_us(r.total / kRounds),
-                   std::to_string(r.packets)});
+    std::printf("%-28s %10.2f %14.2f %8llu\n", name,
+                static_cast<double>(r.total) / 1e6,
+                static_cast<double>(r.total / kRounds) / 1e6,
+                static_cast<unsigned long long>(r.packets));
   }
-  table.print(std::cout);
 
   std::printf("\nThe tracked strategy ships only what changed, without\n"
               "reading the whole page to find out what that was.\n");

@@ -344,6 +344,7 @@ sim::Co<void> World::run_rank(RankState& rs, Program program) {
   // it issued has completed.
   co_await rs.wg.wait();
   rs.finished = 1;
+  rs.finished_at = rs.comm.kernel().now();
 }
 
 bool World::done() const {
@@ -356,6 +357,14 @@ bool World::done() const {
     }
   }
   return true;
+}
+
+sim::Tick World::finished_at() const {
+  sim::Tick last = 0;
+  for (const auto& rs : ranks_) {
+    last = std::max(last, rs.finished_at);
+  }
+  return last;
 }
 
 void World::add_stats(sim::StatRegistry& reg) const {

@@ -164,6 +164,8 @@ class World {
   /// True once every rank's program (and all its nonblocking requests)
   /// has completed. Valid at epoch boundaries under any threads= value.
   [[nodiscard]] bool done() const;
+  /// The tick at which the last rank to finish did so (once done()).
+  [[nodiscard]] sim::Tick finished_at() const;
 
   [[nodiscard]] std::size_t nranks() const { return params_.nranks; }
   [[nodiscard]] sim::NodeId node_of(std::uint16_t rank) const {
@@ -192,6 +194,7 @@ class World {
     Comm comm;
     sim::WaitGroup wg;
     std::uint8_t finished = 0;  // written only by the owner domain
+    sim::Tick finished_at = 0;  // likewise
   };
 
   sim::Co<void> run_rank(RankState& rs, Program program);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "msg/dma.hpp"
+#include "msg/dram_queue.hpp"
 #include "shm/numa_region.hpp"
 #include "shm/scoma_region.hpp"
 #include "sim/random.hpp"
@@ -207,6 +208,37 @@ Machine::Params machine_params(const sim::Config& cfg) {
 
 // --- Run -------------------------------------------------------------------
 
+void Run::finish(sim::NodeId n) {
+  done[n] = 1;
+  ended[n] = machine.domain(n).now();
+}
+
+sim::Tick Run::end() const {
+  if (world) {
+    return world->finished_at();
+  }
+  return std::max(start, *std::max_element(ended.begin(), ended.end()));
+}
+
+Run::Values Run::values() const {
+  Values v = measure ? measure(*this) : Values{};
+  v["elapsed_us"] = elapsed_us();
+  return v;
+}
+
+std::string Run::report() const {
+  if (describe) {
+    return describe(*this);
+  }
+  std::string line;
+  for (const auto& [name, v] : values()) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    line += (line.empty() ? "" : " ") + name + "=" + buf;
+  }
+  return line;
+}
+
 bool Run::finished() const {
   return world ? world->done()
                : std::count(done.begin(), done.end(), 0) == 0;
@@ -292,7 +324,7 @@ sim::Co<void> msg_program(Run* run, sim::NodeId self, std::uint64_t count,
       (void)co_await ep->recv();
     }
   }
-  run->done[self] = 1;
+  run->finish(self);
 }
 
 std::unique_ptr<Run> start_msg(Machine& machine, const Args& a,
@@ -338,7 +370,7 @@ std::unique_ptr<Run> start_dma(Machine& machine, const Args& a) {
   run->done[1] = 0;
   machine.node(1).ap().run([](Run* r) -> sim::Co<void> {
     (void)co_await r->endpoints[1]->recv();
-    r->done[1] = 1;
+    r->finish(1);
   }(run.get()));
   run->describe = [bytes](const Run& r) {
     const double us = r.elapsed_us();
@@ -346,6 +378,21 @@ std::unique_ptr<Run> start_dma(Machine& machine, const Args& a) {
                   static_cast<double>(bytes) / us);
   };
   return run;
+}
+
+/// One load, or store of `v`, at `off` in the S-COMA or NUMA window.
+sim::Co<void> shm_access(shm::ScomaRegion& sc, shm::NumaRegion& nm,
+                         bool scoma, bool store, mem::Addr off,
+                         std::uint32_t v) {
+  if (scoma && store) {
+    co_await sc.store<std::uint32_t>(off, v);
+  } else if (scoma) {
+    (void)co_await sc.load<std::uint32_t>(off);
+  } else if (store) {
+    co_await nm.store<std::uint32_t>(off, v);
+  } else {
+    (void)co_await nm.load<std::uint32_t>(off);
+  }
 }
 
 /// `ops` seeded random loads/stores over `words` shared lines. Every node
@@ -360,18 +407,10 @@ sim::Co<void> shm_program(Run* run, sim::NodeId self, std::uint64_t ops,
   for (std::uint64_t i = 0; i < ops; ++i) {
     const mem::Addr off = 0x1000 + rng.below(words) * 64;
     const bool store = rng.chance(0.5);
-    const auto v = static_cast<std::uint32_t>(i);
-    if (scoma && store) {
-      co_await sc.store<std::uint32_t>(off, v);
-    } else if (scoma) {
-      (void)co_await sc.load<std::uint32_t>(off);
-    } else if (store) {
-      co_await nm.store<std::uint32_t>(off, v);
-    } else {
-      (void)co_await nm.load<std::uint32_t>(off);
-    }
+    co_await shm_access(sc, nm, scoma, store, off,
+                        static_cast<std::uint32_t>(i));
   }
-  run->done[self] = 1;
+  run->finish(self);
 }
 
 std::unique_ptr<Run> start_shm(Machine& machine, const Args& a, bool scoma) {
@@ -431,7 +470,7 @@ sim::Co<void> ring_program(Run* run, sim::NodeId self, std::uint64_t count,
           self, static_cast<ull>(i), left, got.size());
     }
   }
-  run->done[self] = 1;
+  run->finish(self);
 }
 
 /// The ring; a channel that gives up is recorded, not acted on.
@@ -454,23 +493,31 @@ std::unique_ptr<Run> start_reliable(Machine& machine, const Args& a) {
     run->done[n] = 0;
     machine.node(n).ap().run(ring_program(run.get(), n, count, bytes));
   }
-  run->describe = [count, bytes](const Run& r) {
+  run->measure = [count, bytes](const Run& r) {
     std::uint64_t retx = 0;
-    std::uint64_t corrupt = 0;
     for (const auto& ch : r.channels) {
       retx += ch->stats().retransmitted.value();
+    }
+    return Run::Values{
+        {"mb_s", static_cast<double>(r.machine.size() * count * bytes) /
+                     r.elapsed_us()},
+        {"retransmits", static_cast<double>(retx)}};
+  };
+  run->describe = [count, bytes](const Run& r) {
+    std::uint64_t corrupt = 0;
+    for (const auto& ch : r.channels) {
       corrupt += ch->stats().corrupt_rejected.value();
     }
     const auto audit = r.machine.network().audit();
-    const double us = r.elapsed_us();
+    Run::Values v = r.values();
     return format(
         "reliable ring: %zu nodes x %llu msgs x %llu B in %.1f us "
         "(%.1f MB/s payload), %llu retransmits, %llu crc rejects, "
         "%llu/%llu packets dropped%s",
         r.machine.size(), static_cast<ull>(count), static_cast<ull>(bytes),
-        us, static_cast<double>(r.machine.size() * count * bytes) / us,
-        static_cast<ull>(retx), static_cast<ull>(corrupt),
-        static_cast<ull>(audit.dropped), static_cast<ull>(audit.injected),
+        v["elapsed_us"], v["mb_s"], static_cast<ull>(v["retransmits"]),
+        static_cast<ull>(corrupt), static_cast<ull>(audit.dropped),
+        static_cast<ull>(audit.injected),
         r.any_gave_up() ? ", a channel gave up" : "");
   };
   return run;
@@ -494,22 +541,467 @@ std::unique_ptr<Run> start_xfer(Machine& machine, const Args& a) {
   }
   xfer::RunOptions opt;
   opt.consume = a.has("consume") ? a.flag("consume") : approach >= 4;
+  opt.consume_delay = a.u64("consume_us") * sim::kMicrosecond;
   const auto res =
       xfer::BlockTransferHarness(machine).run(approach, spec, opt);
   const auto us = [](sim::Tick t) { return static_cast<double>(t) / 1e6; };
+  Run::Values v = {{"notify_us", us(res.latency())},
+                   {"mb_s", res.bandwidth_mbps(bytes)},
+                   {"tx_ap_us", us(res.sender_ap_busy)},
+                   {"tx_sp_us", us(res.sender_sp_busy)},
+                   {"rx_sp_us", us(res.receiver_sp_busy)}};
+  if (opt.consume) {
+    v["consumed_us"] = us(res.consume_time - res.start);
+  }
   const std::string consumed =
-      opt.consume
-          ? format(", consumed %f us", us(res.consume_time - res.start))
-          : "";
+      opt.consume ? format(", consumed %f us", v["consumed_us"]) : "";
   const std::string line = format(
       "approach %d, %u bytes: notify %.2f us (%.1f MB/s)%s, "
       "tx aP %.2f us / tx sP %.2f us / rx sP %.2f us, %s",
-      approach, bytes, us(res.latency()), res.bandwidth_mbps(bytes),
-      consumed.c_str(), us(res.sender_ap_busy), us(res.sender_sp_busy),
-      us(res.receiver_sp_busy), res.ok ? "verified" : "VERIFY FAILED");
+      approach, bytes, v["notify_us"], v["mb_s"], consumed.c_str(),
+      v["tx_ap_us"], v["tx_sp_us"], v["rx_sp_us"],
+      res.ok ? "verified" : "VERIFY FAILED");
   auto run = std::make_unique<Run>(machine);
+  run->start = res.start;
+  run->ended[1] = res.notify_time;
   run->verified = res.ok;
+  run->measure = [v](const Run&) { return v; };
   run->describe = [line](const Run&) { return line; };
+  return run;
+}
+
+// --- Mechanism drivers (EXPERIMENTS.md Ext-B to Ext-K) ----------------------
+
+/// pair: what node 0 sends and node 1 receives, owned by the Run.
+struct PairSpec {
+  std::string kind;
+  std::vector<std::byte> data;  ///< Basic payload or TagOn staged bytes
+  std::uint64_t count;
+  bool reply;
+  bool interrupt;
+  bool loaded;  ///< background load shares the NIUs
+};
+
+/// With background load the pair starts once the load is steady.
+constexpr sim::Tick kPairWarmup = 200 * sim::kMicrosecond;
+
+/// Background DMA: node 0 pushes 8 KB to node 1 back to back over its
+/// second user queue pair, forever.
+sim::Co<void> dma_background(Run* run, msg::Endpoint* ep) {
+  for (std::uint32_t tag = 0x1000;; ++tag) {
+    co_await msg::dma_write(*ep, run->machine.addr_map(), 0, 1, 0x100000,
+                            0x200000, 8192, niu::kNoNotify, tag,
+                            msg::AddressMap::kUser1L);
+    (void)co_await ep->recv();
+  }
+}
+
+/// Background S-COMA churn: node 1 stores to lines homed on node 0,
+/// forever.
+sim::Co<void> scoma_background(Run* run) {
+  shm::ScomaRegion sc(run->machine.node(1).ap());
+  for (std::uint32_t i = 0;; ++i) {
+    co_await sc.store<std::uint32_t>(0x40 * (1 + i % 16), i);
+  }
+}
+
+sim::Co<void> pair_send(msg::Endpoint* ep, msg::AddressMap map,
+                        sim::NodeId to, const PairSpec* s) {
+  if (s->kind == "express") {
+    co_await ep->send_express(static_cast<std::uint8_t>(map.express(to)), 1,
+                              0x12345678);
+  } else if (s->kind == "tagon") {
+    const std::byte inline_data[8] = {};
+    co_await ep->stage(ep->staging_base(), s->data);
+    co_await ep->send_tagon(map.user0(to), inline_data, ep->staging_base(),
+                            s->data.size() == niu::kTagOnLargeBytes);
+  } else {
+    co_await ep->send(map.user0(to), s->data);
+  }
+}
+
+sim::Co<void> pair_recv(msg::Endpoint* ep, const PairSpec* s) {
+  if (s->kind == "express") {
+    (void)co_await ep->recv_express();
+  } else if (s->interrupt) {
+    (void)co_await ep->recv_interrupt();
+  } else {
+    (void)co_await ep->recv();
+  }
+}
+
+/// Node 0 sends `count` messages to node 1 back to back or, with reply,
+/// each answered before the next (ping-pong); under background load,
+/// after the warm-up.
+sim::Co<void> pair_program(Run* run, sim::NodeId self, const PairSpec* s) {
+  if (s->loaded) {
+    sim::Kernel& k = run->machine.domain(self);
+    co_await sim::delay(k, kPairWarmup);
+    if (self == 0) {
+      run->start = k.now();
+    }
+  }
+  msg::Endpoint* ep = run->endpoints[self].get();
+  const msg::AddressMap map = run->machine.addr_map();
+  for (std::uint64_t i = 0; i < s->count; ++i) {
+    if (self == 0) {
+      co_await pair_send(ep, map, 1, s);
+      if (s->reply) {
+        co_await pair_recv(ep, s);
+      }
+    } else {
+      co_await pair_recv(ep, s);
+      if (s->reply) {
+        co_await pair_send(ep, map, 0, s);
+      }
+    }
+  }
+  run->finish(self);
+}
+
+std::unique_ptr<Run> start_pair(Machine& machine, const Args& a) {
+  require_two_nodes(machine, "pair");
+  const std::string bg = a.text("background");
+  const bool dma = bg == "dma" || bg == "both";
+  const bool scoma = bg == "scoma" || bg == "both";
+  require(!scoma || machine.node(1).scoma() != nullptr, "scoma",
+          "background=" + bg + " needs scoma=1");
+  auto s = std::make_shared<PairSpec>(
+      PairSpec{a.text("kind"), std::vector<std::byte>(a.u64("bytes")),
+               a.u64("count"), a.flag("reply"), a.flag("interrupt"),
+               dma || scoma});
+  require(s->kind != "tagon" || s->data.size() == niu::kTagOnSmallBytes ||
+              s->data.size() == niu::kTagOnLargeBytes,
+          "bytes", "kind=tagon stages 48 or 80 bytes, got " +
+                       std::to_string(s->data.size()));
+  auto run = std::make_unique<Run>(machine);
+  run->state = s;
+  add_endpoint(*run, 0);
+  add_endpoint(*run, 1);
+  if (dma) {
+    run->endpoints.push_back(std::make_unique<msg::Endpoint>(
+        machine.node(0).ap(), machine.node(0).endpoint1_config()));
+    machine.node(0).ap().run(
+        dma_background(run.get(), run->endpoints[2].get()));
+  }
+  if (scoma) {
+    machine.node(1).ap().run(scoma_background(run.get()));
+  }
+  for (const sim::NodeId n : {0, 1}) {
+    run->done[n] = 0;
+    machine.node(n).ap().run(pair_program(run.get(), n, s.get()));
+  }
+  run->measure = [s](const Run& r) {
+    const double us = r.elapsed_us();
+    const auto n = static_cast<double>(s->count);
+    return Run::Values{
+        {"per_msg_us", us / n},
+        {"mb_s", n * static_cast<double>(s->data.size()) / us}};
+  };
+  return run;
+}
+
+/// rxq: logical ids of the DRAM-resident queues, one per queue.
+constexpr net::QueueId kRxqFirst = 0x0800;
+
+/// Node 0 sends `count` 16-byte messages round-robin to each of node 1's
+/// DRAM-resident queues, or to its hardware user queue when there are
+/// none; node 1 drains them in the same order.
+sim::Co<void> rxq_program(Run* run, sim::NodeId self,
+                          std::vector<msg::DramQueue>* queues,
+                          std::uint64_t count) {
+  msg::Endpoint* ep = run->endpoints[self].get();
+  const std::byte b[16] = {};
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (queues->empty() && self == 0) {
+      co_await ep->send(run->machine.addr_map().user0(1), b);
+    } else if (queues->empty()) {
+      (void)co_await ep->recv();
+    }
+    for (std::size_t q = 0; q < queues->size(); ++q) {
+      if (self == 0) {
+        co_await ep->send_raw(1, static_cast<net::QueueId>(kRxqFirst + q), b);
+      } else {
+        (void)co_await (*queues)[q].recv();
+      }
+    }
+  }
+  run->finish(self);
+}
+
+std::unique_ptr<Run> start_rxq(Machine& machine, const Args& a) {
+  require_two_nodes(machine, "rxq");
+  Node& rx = machine.node(1);
+  // Lossless spill: the miss queue holds arrivals when full.
+  rx.niu().ctrl().rxq(niu::kMissRxQueue).full_policy =
+      niu::RxFullPolicy::kHold;
+  auto queues = std::make_shared<std::vector<msg::DramQueue>>();
+  for (std::uint64_t q = 0; q < a.u64("queues"); ++q) {
+    fw::DramQueueDesc desc;
+    desc.base = 0x400000 + q * 0x4000;
+    desc.slots = 64;
+    rx.miss_service()->register_queue(
+        static_cast<net::QueueId>(kRxqFirst + q), desc);
+    queues->emplace_back(rx.ap(), desc);
+  }
+  auto run = std::make_unique<Run>(machine);
+  run->state = queues;
+  const auto count = a.u64("count");
+  for (const sim::NodeId n : {0, 1}) {
+    add_endpoint(*run, n);
+    run->done[n] = 0;
+    machine.node(n).ap().run(rxq_program(run.get(), n, queues.get(), count));
+  }
+  const auto msgs = static_cast<double>(
+      count * std::max<std::size_t>(queues->size(), 1));
+  run->measure = [msgs](const Run& r) {
+    return Run::Values{{"per_msg_us", r.elapsed_us() / msgs}};
+  };
+  return run;
+}
+
+/// txarb: node 0's NIU holds 32 88-byte messages on user queue 0 and one
+/// 8-byte probe on user queue 1, composed through the SRAM backdoor so
+/// only arbitration shapes the probe's latency to node 1.
+std::unique_ptr<Run> start_txarb(Machine& machine, const Args& a) {
+  require_two_nodes(machine, "txarb");
+  const msg::AddressMap map = machine.addr_map();
+  niu::Ctrl& ctrl = machine.node(0).niu().ctrl();
+  ctrl.write_reg(niu::SysReg::kTxPriority,
+                 a.u64("bulk_class") << (2 * Node::kTxUser0) |
+                     a.u64("probe_class") << (2 * Node::kTxUser1));
+  const auto post = [&](unsigned q, std::uint16_t vdest,
+                        std::uint16_t length, std::uint16_t n) {
+    niu::TxQueueState& tq = ctrl.txq(q);
+    for (std::uint16_t i = 0; i < n; ++i) {
+      niu::MsgDescriptor d;
+      d.vdest = vdest;
+      d.length = length;
+      std::byte hdr[8];
+      d.encode(hdr);
+      machine.node(0).niu().asram().write(
+          tq.slot_addr(static_cast<std::uint16_t>(tq.producer + i)), hdr);
+    }
+    ctrl.tx_producer_update(q, static_cast<std::uint16_t>(tq.producer + n));
+  };
+  post(Node::kTxUser0, map.user0(1), 88, 32);
+  auto run = std::make_unique<Run>(machine);
+  run->done[1] = 0;
+  machine.node(1).ap().run(
+      [](Run* r, std::uint16_t before) -> sim::Co<void> {
+        niu::Ctrl& rx = r->machine.node(1).niu().ctrl();
+        co_await rx.rx_arrival().until(
+            [&] { return rx.rxq(Node::kRxUser1).producer != before; });
+        r->finish(1);
+      }(run.get(), machine.node(1).niu().ctrl().rxq(Node::kRxUser1).producer));
+  post(Node::kTxUser1, map.user1(1), 8, 1);
+  return run;
+}
+
+/// access: node 1's one timed load or store of a shared line, after a
+/// load and an aP-cache purge when `warm` (so an S-COMA load hits DRAM).
+sim::Co<void> access_program(Run* run, bool scoma, bool store, mem::Addr off,
+                             bool warm) {
+  Node& node = run->machine.node(1);
+  shm::ScomaRegion sc(node.ap());
+  shm::NumaRegion nm(node.ap());
+  if (warm) {
+    co_await shm_access(sc, nm, scoma, false, off, 1);
+    node.cache().purge_range((scoma ? niu::kScomaBase : niu::kNumaBase) + off,
+                             4);
+    run->start = run->machine.domain(1).now();
+  }
+  co_await shm_access(sc, nm, scoma, store, off, 1);
+  run->finish(1);
+}
+
+std::unique_ptr<Run> start_access(Machine& machine, const Args& a) {
+  require_two_nodes(machine, "access");
+  const bool scoma = a.text("region") == "scoma";
+  require(!scoma || machine.node(0).scoma() != nullptr, "scoma",
+          "region=scoma needs scoma=1");
+  require(!a.flag("hw_miss") || scoma, "hw_miss", "needs region=scoma");
+  if (a.flag("hw_miss")) {
+    for (sim::NodeId n = 0; n < machine.size(); ++n) {
+      machine.node(n).scoma()->enable_hw_miss_send();
+    }
+  }
+  // Pages are interleaved across homes: page 0 homes on node 0, page 1 on
+  // node 1.
+  const mem::Addr off = (a.text("home") == "local" ? 0x1000 : 0) + 0x40;
+  auto run = std::make_unique<Run>(machine);
+  run->done[1] = 0;
+  machine.node(1).ap().run(access_program(run.get(), scoma,
+                                          a.text("op") == "store", off,
+                                          a.flag("warm")));
+  return run;
+}
+
+/// packets: arrivals per node the bare network owes each endpoint, and
+/// the high-priority probe's send and arrival ticks.
+struct PacketsState {
+  std::vector<std::uint64_t> want;
+  std::vector<std::uint64_t> got;
+  sim::Tick probe_sent = 0;
+  sim::Tick probe_at = 0;
+};
+
+net::Packet raw_packet(sim::NodeId src, sim::NodeId dst, std::size_t bytes,
+                       std::uint8_t priority) {
+  net::Packet p;
+  p.src = src;
+  p.dest = dst;
+  p.dest_queue = 1;
+  p.priority = priority;
+  p.payload.resize(bytes);
+  return p;
+}
+
+/// `count` rounds of one 88-byte low-priority packet from `src` to each
+/// node in `dsts`.
+sim::Co<void> packet_stream(net::Network* net, sim::NodeId src,
+                            std::vector<sim::NodeId> dsts,
+                            std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    for (const sim::NodeId d : dsts) {
+      co_await net->inject(raw_packet(src, d, 88, net::kPriorityLow));
+    }
+  }
+}
+
+/// The bare fabric: the driver takes over every endpoint's delivery
+/// callback, so packets go from injection port to ejection port with no
+/// NIU in the path. Node 0 streams `count` packets to the last node (or,
+/// with alltoall, every node streams `count` to every other), and with
+/// probe a high-priority 8-byte packet follows 20 us after the start.
+std::unique_ptr<Run> start_packets(Machine& machine, const Args& a) {
+  require_two_nodes(machine, "packets");
+  const auto count = a.u64("count");
+  const bool probe = a.flag("probe");
+  const bool all = a.flag("alltoall");
+  require(count > 0 || probe, "count", "nothing to send without probe=1");
+  const std::size_t nodes = machine.size();
+  const auto last = static_cast<sim::NodeId>(nodes - 1);
+  auto st = std::make_shared<PacketsState>();
+  st->want.assign(nodes, all ? (nodes - 1) * count : 0);
+  st->want[last] += (all ? 0 : count) + (probe ? 1 : 0);
+  st->got.assign(nodes, 0);
+  auto run = std::make_unique<Run>(machine);
+  run->state = st;
+  net::Network* net = &machine.network();
+  for (sim::NodeId n = 0; n < nodes; ++n) {
+    run->done[n] = st->want[n] == 0 ? 1 : 0;
+    net->set_endpoint(n, [r = run.get(), st = st.get(), n](net::Packet&& p) {
+      if (p.priority == net::kPriorityHigh) {
+        st->probe_at = r->machine.domain(n).now();
+      }
+      r->machine.network().consume_done(n, p.priority);
+      if (++st->got[n] == st->want[n]) {
+        r->finish(n);
+      }
+    });
+  }
+  for (sim::NodeId s = 0; s < (all ? nodes : 1); ++s) {
+    std::vector<sim::NodeId> dsts;
+    for (sim::NodeId d = 0; d < nodes; ++d) {
+      if (d != s && (all || d == last)) {
+        dsts.push_back(d);
+      }
+    }
+    sim::spawn(packet_stream(net, s, std::move(dsts), count));
+  }
+  if (probe) {
+    sim::spawn([](Run* r, PacketsState* ps, sim::NodeId dst) -> sim::Co<void> {
+      sim::Kernel& k = r->machine.domain(0);
+      co_await sim::delay(k, 20 * sim::kMicrosecond);
+      ps->probe_sent = k.now();
+      co_await r->machine.network().inject(
+          raw_packet(0, dst, 8, net::kPriorityHigh));
+    }(run.get(), st.get(), last));
+  }
+  const auto low = static_cast<double>(all ? nodes * (nodes - 1) * count
+                                           : count);
+  run->measure = [st, low](const Run& r) {
+    const double us = r.elapsed_us();
+    return Run::Values{
+        {"probe_us", static_cast<double>(st->probe_at - st->probe_sent) / 1e6},
+        {"payload_mb_s", low * 88 / us},
+        {"wire_mb_s", low * static_cast<double>(88 + net::kHeaderBytes) / us}};
+  };
+  return run;
+}
+
+/// diff: node 0's 4 KB page in the S-COMA window (tracked by the aBIU),
+/// the sSRAM copy value diffs compare against, and node 1's destination.
+constexpr mem::Addr kDiffPage = niu::kScomaBase + 0x10000;
+constexpr std::uint32_t kDiffBytes = 4096;
+constexpr std::uint32_t kDiffOldCopy = 0x18000;
+constexpr mem::Addr kDiffDest = 0x0060'0000;
+
+/// Node 0 dirties `dirty` evenly spread lines of the page, then ships the
+/// page to node 1 with one NIU command, which notifies node 0 when done.
+sim::Co<void> diff_program(Run* run, niu::Command cmd, unsigned dirty) {
+  Node& node = run->machine.node(0);
+  const unsigned lines = kDiffBytes / mem::kLineBytes;
+  const unsigned stride = dirty == 0 ? lines : lines / dirty;
+  for (unsigned i = 0; i < dirty; ++i) {
+    co_await node.ap().store_scalar<std::uint32_t>(
+        kDiffPage + static_cast<mem::Addr>(i) * stride * mem::kLineBytes,
+        1 + i);
+  }
+  co_await node.ap().flush_range(kDiffPage, kDiffBytes);
+  niu::Ctrl& ctrl = node.niu().ctrl();
+  const std::uint16_t before = ctrl.rxq(Node::kRxUser0).producer;
+  run->start = run->machine.domain(0).now();
+  ctrl.post_command(0, std::move(cmd));
+  co_await ctrl.rx_arrival().until(
+      [&] { return ctrl.rxq(Node::kRxUser0).producer != before; });
+  co_await ctrl.commands_drained().until([&] { return ctrl.commands_idle(); });
+  run->finish(0);
+}
+
+/// Node 1's NIU executes the `writes` remote writes that carry the page.
+sim::Co<void> diff_sink(Run* run, std::uint64_t writes) {
+  niu::Ctrl& ctrl = run->machine.node(1).niu().ctrl();
+  co_await ctrl.command_progress().until([&] {
+    return ctrl.stats().cmds_remote.value() >= writes && ctrl.commands_idle();
+  });
+  run->finish(1);
+}
+
+std::unique_ptr<Run> start_diff(Machine& machine, const Args& a) {
+  require_two_nodes(machine, "diff");
+  Node& node = machine.node(0);
+  node.niu().abiu().enable_write_tracking(kDiffPage, kDiffBytes);
+  const std::string mode = a.text("mode");
+  niu::Command cmd;
+  cmd.op = mode == "full" ? niu::CmdOp::kBlockXfer : niu::CmdOp::kBlockDiffTx;
+  cmd.diff_mode = mode == "value" ? 1 : 0;
+  cmd.addr = kDiffPage;
+  cmd.len = kDiffBytes;
+  cmd.dest_node = 1;
+  cmd.dest_addr = kDiffDest;
+  cmd.notify_queue = msg::AddressMap::kUser0L;
+  cmd.notify_tag = 2;
+  if (mode != "tracked") {
+    cmd.bank = niu::SramBank::kSSram;
+    cmd.sram_offset = mode == "full" ? Node::kDmaStagingBase : kDiffOldCopy;
+  }
+  if (mode == "value") {
+    // The old copy equals the page, so only the dirtied lines differ.
+    std::vector<std::byte> page(kDiffBytes);
+    node.dram().store().read(kDiffPage, page);
+    node.niu().ssram().write(kDiffOldCopy, page);
+  }
+  auto run = std::make_unique<Run>(machine);
+  const auto dirty = a.u64("dirty");
+  for (const sim::NodeId n : {0, 1}) {
+    run->done[n] = 0;
+  }
+  node.ap().run(diff_program(run.get(), std::move(cmd),
+                             static_cast<unsigned>(dirty)));
+  machine.node(1).ap().run(
+      diff_sink(run.get(), mode == "full" ? kDiffBytes / 64 : dirty));
   return run;
 }
 
@@ -608,7 +1100,9 @@ std::vector<Workload> make_registry() {
       {"xfer", "one Figure-3/4 block transfer (threads=0 only)",
        {uint_key("approach", 3, 1, 5, "transfer approach (paper Sec. 5)"),
         uint_key("bytes", 16384, 32, 1 << 20, "bytes, a multiple of 32"),
-        bool_key("consume", "", "receiver reads the data (default: a4, a5)")},
+        bool_key("consume", "", "receiver reads the data (default: a4, a5)"),
+        uint_key("consume_us", 0, 0, 1'000'000,
+                 "receiver waits this long after notify to read, us")},
        start_xfer},
       app_entry("app.stencil", "Jacobi halo exchange",
                 {uint_key("nx", st.nx, 1, 1 << 16, "grid columns"),
@@ -658,6 +1152,44 @@ std::vector<Workload> make_registry() {
                                        a.u64("seed"), a.u64("op_cycles")},
                                       out);
                 }),
+      {"pair", "messages from node 0 to node 1: one-way, streamed or "
+               "ping-pong",
+       {choice_key("kind", "basic", "basic|express|tagon", "message type"),
+        uint_key("bytes", 8, 0, niu::kBasicMaxData,
+                 "Basic payload, or TagOn staged bytes (48 or 80)"),
+        uint_key("count", 1, 1, kNoLimit, "messages node 0 sends"),
+        bool_key("reply", "0", "node 1 answers each one (ping-pong)"),
+        bool_key("interrupt", "0", "receive on the rx interrupt, not polled"),
+        choice_key("background", "idle", "idle|dma|scoma|both",
+                   "load sharing the NIUs; the pair starts 200 us in")},
+       start_pair},
+      {"rxq", "messages into node 1's hardware or DRAM-resident rx queues",
+       {uint_key("queues", 1, 0, 64,
+                 "DRAM-resident queues on node 1; 0 = its hardware queue"),
+        uint_key("count", 10, 1, 64, "messages per queue")},
+       start_rxq},
+      {"txarb", "an 8-byte probe behind a 32-message bulk stream",
+       {uint_key("bulk_class", 1, 0, 3, "bulk queue's priority class"),
+        uint_key("probe_class", 1, 0, 3, "probe queue's priority class")},
+       start_txarb},
+      {"access", "node 1's one timed shared-memory load or store",
+       {choice_key("region", "scoma", "scoma|numa", "shared-memory window"),
+        choice_key("op", "load", "load|store", "the access"),
+        choice_key("home", "remote", "local|remote",
+                   "the line's home: node 1 itself or node 0"),
+        bool_key("warm", "0", "load it and purge the aP cache first"),
+        bool_key("hw_miss", "0", "the aBIU sends S-COMA miss requests")},
+       start_access},
+      {"packets", "raw packets on the bare network, no NIUs",
+       {uint_key("count", 1, 0, kNoLimit, "88-byte packets per stream"),
+        bool_key("probe", "0", "a high-priority packet 20 us in"),
+        bool_key("alltoall", "0", "every node streams to every other")},
+       start_packets},
+      {"diff", "propagate a 4 KB page: block transfer or diff",
+       {choice_key("mode", "tracked", "full|value|tracked",
+                   "whole page, value diff or clsSRAM-tracked diff"),
+        uint_key("dirty", 16, 0, 128, "modified lines")},
+       start_diff},
   };
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -92,14 +93,21 @@ const KeyTable& run_keys();
 /// caller, who reads it only at epoch boundaries. The programs hold its
 /// address, so it never moves.
 struct Run {
-  explicit Run(Machine& m) : machine(m), done(m.size(), 1), start(m.now()) {}
+  using Values = std::map<std::string, double>;
+
+  explicit Run(Machine& m)
+      : machine(m), done(m.size(), 1), ended(m.size(), 0), start(m.now()) {}
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;
 
   Machine& machine;
-  /// Per-node completion flag, written only by that node's program (so by
-  /// the domain that owns the node): valid under threads=N.
+  /// Per-node completion flag and finishing tick, written only by that
+  /// node's program (so by the domain that owns the node) through
+  /// finish(): valid under threads=N.
   std::vector<std::uint8_t> done;
+  std::vector<sim::Tick> ended;
+  /// Where the measured interval begins: the launch tick, unless one
+  /// node's program restarts it after a warm-up.
   sim::Tick start;
   std::vector<std::unique_ptr<msg::Endpoint>> endpoints;
   std::vector<std::unique_ptr<msg::ReliableChannel>> channels;  ///< reliable
@@ -108,8 +116,14 @@ struct Run {
   std::unique_ptr<app::World> world;  ///< app.*
   app::AppResult app;                 ///< app.*, written by rank 0's node
   bool verified = true;               ///< xfer: the data arrived intact
+  std::shared_ptr<void> state;  ///< objects the programs use, kept alive
   std::function<std::string(const Run&)> describe;
+  /// A driver's named results, derived after the run from what its
+  /// programs recorded; svexp reads them (with the stat keys) as fields.
+  std::function<Values(const Run&)> measure;
 
+  /// Node `n`'s program is done: set done[n] and record the tick.
+  void finish(sim::NodeId n);
   /// Every node program (or app rank) has returned.
   [[nodiscard]] bool finished() const;
   /// The first correctness failure, or "": a reliable payload mismatch,
@@ -118,11 +132,16 @@ struct Run {
   [[nodiscard]] bool any_gave_up() const;
   /// The machine's counters plus, for app.*, the World's app.* ones.
   [[nodiscard]] sim::StatRegistry stats() const;
-  /// One line: what ran and how long it took in simulated time.
-  [[nodiscard]] std::string report() const { return describe(*this); }
+  /// One line: what ran and how long it took in simulated time; without
+  /// describe, the values as name=value.
+  [[nodiscard]] std::string report() const;
+  /// The tick at which the last node program (or app rank) finished.
+  [[nodiscard]] sim::Tick end() const;
   [[nodiscard]] double elapsed_us() const {
-    return static_cast<double>(machine.now() - start) / 1e6;
+    return static_cast<double>(end() - start) / 1e6;
   }
+  /// elapsed_us and the driver's measure().
+  [[nodiscard]] Values values() const;
 };
 
 struct Workload {

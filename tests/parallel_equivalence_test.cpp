@@ -110,6 +110,30 @@ TEST(ParallelEquivalence, FaultFreeMachineMatchesToo) {
       test::RunSpec("msg", {"count=12", "bytes=32"}));
 }
 
+TEST(ParallelEquivalence, MechanismDriversMatchSequential) {
+  // The EXPERIMENTS.md drivers time arrivals with signals inside each
+  // node's domain, so partitioning must not move a tick of theirs either.
+  const std::vector<std::vector<std::string>> runs = {
+      {"pair", "count=20", "reply=1"},
+      {"pair", "kind=tagon", "bytes=80", "interrupt=1"},
+      {"rxq", "queues=4"},
+      {"txarb", "bulk_class=3"},
+      {"access", "warm=1"},
+      {"access", "region=numa", "op=store"},
+      {"packets", "count=50", "probe=1"},
+      {"packets", "count=4", "alltoall=1"},
+      {"diff", "mode=value", "dirty=64"},
+      {"pair", "count=30", "reply=1", "background=both"},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run[0] + " " + run[1]);
+    test::RunSpec spec(run[0], {run.begin() + 1, run.end()});
+    // Background load never stops, so its network never drains.
+    spec.check_conservation = run.back().rfind("background=", 0) != 0;
+    expect_bit_identical_across_threads(spec);
+  }
+}
+
 TEST(ParallelEquivalence, OversubscribedThreadsStillIdentical) {
   // More nodes than workers: each worker runs several domains; results
   // must not change (ParallelKernel clamps and stripes deterministically,

@@ -1,12 +1,14 @@
 #!/bin/sh
-# svsim, svexplore and a bench binary's own flags must reject bad input
-# with exactly one stderr line naming the offending key or flag and exit
-# status 2: no abort, no signal, no hang, and no run.
+# svsim, svexplore and the bench binaries' own flags must reject bad
+# input with exactly one stderr line naming the offending key or flag and
+# exit status 2: no abort, no signal, no hang, and no run.
 #
-#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore PATH/TO/bench
+#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore
+#          PATH/TO/bench_parallel PATH/TO/bench_kernel
 svsim=$1
 svexplore=$2
-bench=$3
+bench_parallel=$3
+bench_kernel=$4
 corpus=$(dirname "$0")/ckpt/reliable_ring.svck
 status=0
 dir=$(mktemp -d)
@@ -71,8 +73,7 @@ check "'count'" "$svexplore" --snapshot="$corpus" count=3 max_drops=0
 check fault.drop_script "$svexplore" --snapshot="$dir/plain.svck"
 check fault.drop_script "$svexplore" --snapshot="$dir/scripted.svck"
 
-check fault_drop "$bench" --fault_drop=abc
-check fault_drop "$bench" --fault_drop=7
-check fault_corrupt "$bench" --fault_corrupt=-0.5
-check fault_seed "$bench" --fault_seed=1.5
+check threads "$bench_parallel" --threads=abc
+check threads "$bench_parallel" --threads=65
+check tolerance "$bench_kernel" --tolerance=2
 exit $status

@@ -1,5 +1,5 @@
-// System-harness tests: the experiment helpers (run_until, Table
-// formatting) and machine-wide statistics collection.
+// System-harness tests: the experiment helper run_until, a run's
+// finishing tick and machine-wide statistics collection.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -24,24 +24,26 @@ TEST(ExperimentTest, RunUntilReturnsFalseOnIdleKernel) {
   EXPECT_FALSE(run_until(kernel, [&] { return never; }, 1000));
 }
 
-TEST(TableTest, FormatsAlignedColumns) {
-  Table t({"name", "value"});
-  t.add_row({"short", "1"});
-  t.add_row({"a-much-longer-name", "22222"});
-  std::ostringstream oss;
-  t.print(oss);
-  const std::string out = oss.str();
-  EXPECT_NE(out.find("name"), std::string::npos);
-  EXPECT_NE(out.find("a-much-longer-name"), std::string::npos);
-  EXPECT_NE(out.find("-----"), std::string::npos);
+/// Simulated ticks `name` takes with `args`, run as svsim runs it: the
+/// machine from machine_params, launch, then whole epochs until every node
+/// program has finished.
+sim::Tick elapsed_ticks(const std::string& name,
+                        const std::vector<std::string>& args) {
+  const sim::Config cfg = sim::Config::from_args(args);
+  Machine machine(machine_params(cfg));
+  const auto run = workload(name).launch(machine, cfg);
+  EXPECT_TRUE(machine.run_epochs_until([&] { return run->finished(); },
+                                       1000 * sim::kMillisecond));
+  return run->end() - run->start;
 }
 
-TEST(TableTest, Formatters) {
-  EXPECT_EQ(Table::fmt_us(1'500'000), "1.50");
-  EXPECT_EQ(Table::fmt_pct(0.375), "37.5%");
-  // 1000 bytes in 10 us = 100 MB/s.
-  EXPECT_EQ(Table::fmt_mbps(1000.0, 10 * sim::kMicrosecond), "100.0");
-  EXPECT_EQ(Table::fmt_mbps(1000.0, 0), "inf");
+/// A run's interval ends at the tick its last node program finished,
+/// inside the simulation, not at the epoch boundary the caller stops at.
+TEST(RunTest, ElapsedEndsAtTheLastProgramsFinishingTick) {
+  // 59.07 us, where the fat tree's 1 us epochs end at 60 us.
+  EXPECT_EQ(elapsed_ticks("dma", {"bytes=4096", "threads=0"}), 59'070'000u);
+  EXPECT_EQ(elapsed_ticks("msg", {"nodes=4", "net=ideal", "threads=0"}),
+            elapsed_ticks("msg", {"nodes=4", "net=ideal", "threads=2"}));
 }
 
 TEST(StatsDumpTest, CollectsPerNodeAndMachineCounters) {
