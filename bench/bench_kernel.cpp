@@ -7,13 +7,17 @@
 // sim::Kernel, so this number is what "as fast as the hardware allows"
 // means for the simulator itself.
 //
-// Cases:
-//   ChainNear     self-rescheduling tickers with small deltas (timing-wheel
-//                 territory: the steady-state shape of coroutine wakeups)
-//   ChainFar      deltas beyond the wheel horizon (binary-heap territory)
-//   ChainMixed    half near / half far
-//   Burst         bulk schedule of N events, then drain (push/pop bound)
-//   MailboxPosts  cross-domain post() + injection + dispatch
+// Cases, by delta (ticks from a dispatch to the push it makes) and pending
+// depth (events queued at once):
+//   ChainNear     64 self-rescheduling tickers, deltas 1-999, depth 64
+//                 (the steady-state shape of coroutine wakeups)
+//   ChainFar      64 tickers, deltas 8 192-65 535, depth 64
+//   ChainMixed    32 tickers at deltas 1-999 and 32 at 16 385-17 383,
+//                 depth 64
+//   Burst         16 Ki pushes at deltas 1-2 048, then drain: depth up to
+//                 16 Ki (push/pop bound)
+//   MailboxPosts  64 Ki cross-domain post()s over 32 Ki ticks, injected and
+//                 dispatched: mailbox depth up to 64 Ki, queue depth 1-2
 //
 // Results are recorded into BENCH_kernel.json (override with
 // --json_out=FILE) so the perf trajectory is tracked across PRs, and
@@ -74,7 +78,7 @@ double run_chains(sim::Tick lo, sim::Tick hi, sim::Tick far_every) {
   for (int c = 0; c < kChains; ++c) {
     sim::Tick delta = lo + static_cast<sim::Tick>(rng.next() % (hi - lo));
     if (far_every != 0 && c % 2 == 1) {
-      delta += far_every;  // alternate chains live beyond the wheel horizon
+      delta += far_every;  // odd chains step far_every ticks further
     }
     k.schedule(delta, Ticker{&k, per_chain, delta});
   }

@@ -1,270 +1,127 @@
 #include "sim/event.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "ckpt/io.hpp"
 
 namespace sv::sim {
 
-EventQueue::EventQueue() : buckets_(kBuckets) {
-  // Pre-size every bucket for the common case (queue depth ~10, spread
-  // thin). Without this, each first touch of a bucket costs one heap
-  // allocation, which would show up as a steady malloc trickle in sparse
-  // workloads (tests/alloc_hook_test.cpp pins this at zero).
-  for (Bucket& b : buckets_) {
-    b.items.reserve(2);
-  }
-}
+constexpr std::size_t kArity = 4;  // four 16-byte keys: one cache line
 
 void EventQueue::push(Tick when, Callback fn) {
   push_at_seq(when, next_seq_++, std::move(fn));
 }
 
 void EventQueue::push_at_seq(Tick when, std::uint64_t seq, Callback fn) {
-  if (!in_window(when)) {
-    std::uint32_t idx;
-    if (!far_free_.empty()) {
-      idx = far_free_.back();
-      far_free_.pop_back();
-      far_slab_[idx] = std::move(fn);
+  if (seq >= kSeqLimit) {
+    throw std::overflow_error("EventQueue: sequence number past 2^44");
+  }
+  std::uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
+  } else {
+    if (slab_.size() == kMaxPending) {
+      throw std::overflow_error("EventQueue: more than 2^20 pending events");
+    }
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
+  }
+  const Key k = Key{when} << 64 | seq << kSlotBits | slot;
+  if (hole_) {
+    hole_ = false;
+    sift_down(0, k);
+  } else {
+    heap_.push_back(k);
+    sift_up(heap_.size() - 1, k);
+  }
+}
+
+void EventQueue::sift_up(std::size_t i, Key k) {
+  while (i > 0 && k < heap_[(i - 1) / kArity]) {
+    heap_[i] = heap_[(i - 1) / kArity];
+    i = (i - 1) / kArity;
+  }
+  heap_[i] = k;
+}
+
+void EventQueue::sift_down(std::size_t i, Key k) {
+  const std::size_t n = heap_.size();
+  Key* h = heap_.data();
+  for (std::size_t c = kArity * i + 1; c < n; c = kArity * i + 1) {
+    std::size_t least = c;
+    if (c + kArity <= n) {
+      // A full family: a two-round tournament the compiler turns into
+      // conditional moves, so picking the least child costs no branch.
+      const std::size_t a = c + (h[c + 1] < h[c] ? 1 : 0);
+      const std::size_t b = c + 2 + (h[c + 3] < h[c + 2] ? 1 : 0);
+      least = h[b] < h[a] ? b : a;
     } else {
-      idx = static_cast<std::uint32_t>(far_slab_.size());
-      far_slab_.push_back(std::move(fn));
-    }
-    heap_.push(HeapRec{when, seq, idx});
-    // A far event can still be the earliest overall; pop() compares the
-    // heap top against the wheel front, so no cache to invalidate.
-    return;
-  }
-  const std::size_t bi = bucket_index(when);
-  Bucket& b = buckets_[bi];
-  // Push is always an O(1) append. Chained workloads schedule in monotone
-  // time order, so the append usually keeps the bucket sorted by
-  // (when, seq) and the bucket never needs a sort at all. The comparison
-  // is on the full key: events carrying a reserved (older) sequence
-  // number may arrive after a same-tick event with a fresher one.
-  const bool in_order =
-      b.items.empty() || b.items.back().when < when ||
-      (b.items.back().when == when && b.items.back().seq <= seq);
-  b.items.push_back(Rec{when, seq, std::move(fn)});
-  set_bit(bi);
-  ++wheel_count_;
-  if (!in_order) {
-    // Out-of-order arrival. Reserved-key pushes (fast-path completions,
-    // DESIGN.md §12) usually land only a handful of slots behind the tail,
-    // so first try a bounded backward scan and rotate into place — the
-    // bucket stays sorted and front_bucket() never pays a tail sort for
-    // it. Arrivals further than kNearShift slots out of order (bursts with
-    // random deltas) fall back to flagging the bucket; front_bucket()
-    // sorts the pending tail once when the bucket becomes the earliest.
-    // Unconditionally sorting on activation profiled at ~17% of chained
-    // dispatch; unbounded sorted-insert is O(n) per event for bursty
-    // buckets. The bound gives each workload its cheap path.
-    constexpr std::size_t kNearShift = 8;
-    bool placed = false;
-    if (!b.unsorted) {
-      const std::size_t i = b.items.size() - 1;
-      const std::size_t stop =
-          (i - b.head > kNearShift) ? i - kNearShift : b.head;
-      std::size_t j = i;
-      while (j > stop) {
-        const Rec& p = b.items[j - 1];
-        if (p.when < when || (p.when == when && p.seq <= seq)) {
-          break;
-        }
-        --j;
-      }
-      if (j == b.head || b.items[j - 1].when < when ||
-          (b.items[j - 1].when == when && b.items[j - 1].seq <= seq)) {
-        std::rotate(b.items.begin() + static_cast<std::ptrdiff_t>(j),
-                    b.items.end() - 1, b.items.end());
-        placed = true;  // bucket still sorted; front cache stays valid
+      for (std::size_t j = c + 1; j < n; ++j) {
+        least = h[j] < h[least] ? j : least;
       }
     }
-    if (!placed) {
-      b.unsorted = true;
-      if (bi == cur_bucket_) {
-        cur_bucket_ = kNoBucket;  // front cache requires a sorted bucket
-      }
+    if (!(h[least] < k)) {
+      break;
     }
+    h[i] = h[least];
+    i = least;
   }
-  if (cur_bucket_ != kNoBucket && bi != cur_bucket_) {
-    const Bucket& cur = buckets_[cur_bucket_];
-    const Rec& front = cur.items[cur.head];
-    if (when < front.when || (when == front.when && seq < front.seq)) {
-      cur_bucket_ = kNoBucket;  // the new event outruns the cached front
-    }
-  }
-}
-
-std::size_t EventQueue::scan_from_floor() const {
-  // Circular scan for the first occupied bucket at or after the floor's
-  // bucket. The window spans exactly one wheel revolution, so circular
-  // index order is time order. Two levels: summary_ bit g marks group
-  // occ_[g] non-empty, so the scan is at most three bit-scans.
-  const std::size_t from = bucket_index(floor_);
-  const std::size_t g0 = from >> 6;
-
-  // (1) The floor's own group, bits at or after the floor bucket.
-  if (const std::uint64_t w = occ_[g0] & (~std::uint64_t{0} << (from & 63))) {
-    return (g0 << 6) + static_cast<std::size_t>(std::countr_zero(w));
-  }
-  // (2) Later groups this revolution. The double shift sidesteps the
-  // undefined full-width shift when g0 == 63.
-  if (const std::uint64_t s = summary_ & ((~std::uint64_t{0} << g0) << 1)) {
-    const auto g = static_cast<std::size_t>(std::countr_zero(s));
-    return (g << 6) + static_cast<std::size_t>(std::countr_zero(occ_[g]));
-  }
-  // (3) Wrapped groups (bucket index below the floor's: later in time).
-  if (const std::uint64_t s = summary_ & ((std::uint64_t{1} << g0) - 1)) {
-    const auto g = static_cast<std::size_t>(std::countr_zero(s));
-    return (g << 6) + static_cast<std::size_t>(std::countr_zero(occ_[g]));
-  }
-  // (4) The floor's group again, wrapped bits below the floor bucket.
-  if (const std::uint64_t w =
-          occ_[g0] & ((std::uint64_t{1} << (from & 63)) - 1)) {
-    return (g0 << 6) + static_cast<std::size_t>(std::countr_zero(w));
-  }
-  assert(false && "scan_from_floor: wheel_count_ > 0 but no bit set");
-  return 0;
-}
-
-EventQueue::Bucket& EventQueue::front_bucket() const {
-  if (cur_bucket_ == kNoBucket) {
-    cur_bucket_ = static_cast<std::uint32_t>(scan_from_floor());
-    Bucket& b = buckets_[cur_bucket_];
-    if (b.unsorted) {
-      sort_pending(b);
-      b.unsorted = false;
-    }
-  }
-  return buckets_[cur_bucket_];
-}
-
-void EventQueue::sort_pending(Bucket& b) const {
-  // Only the pending tail: items[0..head) are already dispatched (their
-  // callbacks moved out) and must keep their positions.
-  const auto first = b.items.begin() + b.head;
-  const auto cmp = [](const Rec& a, const Rec& c) {
-    return a.when != c.when ? a.when < c.when : a.seq < c.seq;
-  };
-  const std::size_t n = b.items.size() - b.head;
-  if (n <= 16) {
-    std::sort(first, b.items.end(), cmp);
-    return;
-  }
-  // Bulk bursts: a Rec is 80 bytes, so letting std::sort shuffle records
-  // directly moves ~80 * n log n bytes. Sort 24-byte (when, seq, index)
-  // keys instead and apply the permutation with 2n record moves.
-  keys_.clear();
-  keys_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys_.push_back(SortKey{first[i].when, first[i].seq,
-                            static_cast<std::uint32_t>(i)});
-  }
-  std::sort(keys_.begin(), keys_.end(),
-            [](const SortKey& a, const SortKey& c) {
-              return a.when != c.when ? a.when < c.when : a.seq < c.seq;
-            });
-  scratch_.clear();
-  scratch_.reserve(n);
-  for (const SortKey& k : keys_) {
-    scratch_.push_back(std::move(first[k.idx]));
-  }
-  std::move(scratch_.begin(), scratch_.end(), first);
+  h[i] = k;
 }
 
 Tick EventQueue::next_time() const {
-  Tick t = heap_.empty() ? kTickInvalid : heap_.top().when;
-  if (wheel_count_ != 0) {
-    const Bucket& b = front_bucket();
-    const Tick wt = b.items[b.head].when;
-    if (wt < t) {
-      t = wt;
-    }
+  if (!hole_) {
+    return static_cast<Tick>(heap_.front() >> 64);
   }
-  return t;
+  // The root is stale, so the earliest event is one of its children.
+  Key least = ~Key{0};
+  for (std::size_t c = 1; c <= kArity && c < heap_.size(); ++c) {
+    least = std::min(least, heap_[c]);
+  }
+  return static_cast<Tick>(least >> 64);
 }
 
-EventQueue::Popped EventQueue::pop() { return try_pop(kTickInvalid); }
-
 EventQueue::Popped EventQueue::try_pop(Tick bound) {
-  if (wheel_count_ != 0) {
-    Bucket& b = front_bucket();
-    Rec& r = b.items[b.head];
-    if (heap_.empty() || r.when < heap_.top().when ||
-        (r.when == heap_.top().when && r.seq < heap_.top().seq)) {
-      if (r.when > bound) {
-        return Popped{kTickInvalid, 0, {}};
-      }
-      Popped p{r.when, r.seq, std::move(r.fn)};
-      floor_ = r.when;
-      ++b.head;
-      --wheel_count_;
-      if (b.head == b.items.size()) {
-        b.items.clear();
-        b.head = 0;
-        b.unsorted = false;
-        clear_bit(cur_bucket_);
-        cur_bucket_ = kNoBucket;
-      }
-      return p;
+  if (hole_) {
+    hole_ = false;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      sift_down(0, last);
     }
   }
-  if (heap_.empty() || heap_.top().when > bound) {
+  if (heap_.empty() || static_cast<Tick>(heap_.front() >> 64) > bound) {
     return Popped{kTickInvalid, 0, {}};
   }
-  const HeapRec h = heap_.top();
-  Popped p{h.when, h.seq, std::move(far_slab_[h.idx])};
-  far_free_.push_back(h.idx);
+  const Key k = heap_.front();
+  const auto low = static_cast<std::uint64_t>(k);
+  const auto slot = static_cast<std::uint32_t>(low & (kMaxPending - 1));
+  Popped p{static_cast<Tick>(k >> 64), low >> kSlotBits,
+           std::move(slab_[slot])};
+  free_.push_back(slot);
+  hole_ = true;
   floor_ = p.when;
-  heap_.pop();
   return p;
 }
 
 void EventQueue::ckpt_save(ckpt::Writer& w) const {
   w.tick(floor_);
   w.u64(next_seq_);
-  // Collect every pending key: wheel bucket tails plus the far heap. The
-  // heap's internal layout is an implementation detail, so keys are
-  // emitted in (when, seq) dispatch order — the canonical form a replayed
-  // queue must reproduce exactly.
-  struct Key {
-    Tick when;
-    std::uint64_t seq;
-    bool operator<(const Key& o) const {
-      return when != o.when ? when < o.when : seq < o.seq;
-    }
-  };
-  std::vector<Key> keys;
-  keys.reserve(size());
-  for (const Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.items.size(); ++i) {
-      keys.push_back(Key{b.items[i].when, b.items[i].seq});
-    }
-  }
-  // priority_queue hides its container; a derived type can still name the
-  // protected member `c` to read it without popping (and without copying
-  // the move-only callbacks a real pop would disturb).
-  struct Expose : std::priority_queue<HeapRec, std::vector<HeapRec>,
-                                      std::greater<>> {
-    static const std::vector<HeapRec>& container(
-        const std::priority_queue<HeapRec, std::vector<HeapRec>,
-                                  std::greater<>>& q) {
-      return q.*&Expose::c;
-    }
-  };
-  for (const HeapRec& h : Expose::container(heap_)) {
-    keys.push_back(Key{h.when, h.seq});
+  // Pending (when, seq) keys in dispatch order: the heap layout and the
+  // slot bits are internal, so keys are stripped of slots and sorted.
+  std::vector<Key> keys(heap_.begin() + (hole_ ? 1 : 0), heap_.end());
+  for (Key& k : keys) {
+    k &= ~Key{kMaxPending - 1};
   }
   std::sort(keys.begin(), keys.end());
   w.u64(keys.size());
-  for (const Key& k : keys) {
-    w.tick(k.when);
-    w.u64(k.seq);
+  for (const Key k : keys) {
+    w.tick(static_cast<Tick>(k >> 64));
+    w.u64(static_cast<std::uint64_t>(k) >> kSlotBits);
   }
 }
 

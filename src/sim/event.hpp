@@ -1,25 +1,15 @@
-// Event queue for the discrete-event kernel.
+// Event queue for the discrete-event kernel: callables scheduled at an
+// absolute Tick, ties broken by sequence number, so every run is fully
+// deterministic for a given program.
 //
-// Events are arbitrary callables scheduled at an absolute Tick. Ties are
-// broken by insertion sequence number, which makes every simulation run
-// fully deterministic for a given program.
-//
-// Two-level structure (see DESIGN.md §11). The near future — the next
-// kBuckets * kBucketTicks ticks — lives in a calendar wheel: kBuckets
-// power-of-two-sized buckets, each covering kBucketTicks ticks. Buckets
-// stay sorted by (tick, seq): pushes in monotone time order (the common
-// case) append, everything else splices in by binary search over a
-// handful of entries. Everything beyond the horizon goes
-// to a binary heap. pop() compares the wheel front against the heap top
-// under the same (tick, seq) key, so events that entered the heap while
-// far away and events that entered the wheel interleave in exactly the
-// order a single heap would have produced — dispatch order, and therefore
-// every stat, trace span and fault draw, is bit-identical to the old
-// single-heap queue.
+// One 4-ary min-heap of 16-byte keys (DESIGN.md §11.2). A key packs the
+// tick, the sequence number and the slab slot holding the callback, so
+// comparing keys compares (tick, seq) and sifting moves 16 bytes, never a
+// 64-byte callable. Most workloads keep a handful of events pending per
+// domain, so the heap usually sits in one or two cache lines.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/inline_func.hpp"
@@ -35,24 +25,12 @@ class EventQueue {
  public:
   using Callback = InlineFunc;
 
-  /// Wheel geometry. kBucketTicks is a compromise forced by Tick = 1 ps:
-  /// the machine's clock periods are 6000-15000 ticks, so a one-tick
-  /// bucket wheel covering "the next 4K ticks" would hold almost nothing.
-  /// 16-tick buckets with 4096 of them put the horizon at 64K ticks
-  /// (~65 ns), which empirically captures ~85-90% of scheduled events; the
-  /// rest ride the far heap, which pop() consults anyway (DESIGN.md §11).
-  /// Narrow buckets keep per-bucket occupancy near one event, so the lazy
-  /// tail sort in front_bucket() almost never runs — with 64-tick buckets
-  /// it fired once per ~6 events and profiled at a quarter of dispatch.
-  /// 4096 buckets make the occupancy bitmap exactly 64 words under one
-  /// 64-bit summary word: finding the next non-empty bucket is two bit
-  /// scans.
-  static constexpr std::size_t kBuckets = 4096;  // power of two
-  static constexpr unsigned kBucketShift = 4;    // 16 ticks per bucket
-  static constexpr Tick kBucketTicks = Tick{1} << kBucketShift;
-  static constexpr Tick kHorizonTicks = kBuckets * kBucketTicks;
-
-  EventQueue();
+  /// Key packing limits: sequence numbers below 2^44, at most 2^20 events
+  /// pending. push() throws std::overflow_error past either, in any build.
+  static constexpr unsigned kSlotBits = 20;
+  static constexpr std::uint64_t kMaxPending = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
+                                             << (64 - kSlotBits);
 
   /// Schedule `fn` to run at absolute time `when`. `when` must be >= the
   /// current floor (the last popped/advanced time) — the kernel's
@@ -76,38 +54,27 @@ class EventQueue {
   /// live events (a dead — revoked — event may share it; see MemBus).
   void push_at_seq(Tick when, std::uint64_t seq, Callback fn);
 
-  /// True when no events remain.
-  [[nodiscard]] bool empty() const { return wheel_count_ == 0 && heap_.empty(); }
-
-  [[nodiscard]] std::size_t size() const {
-    return wheel_count_ + heap_.size();
-  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::size_t size() const { return heap_.size() - hole_; }
 
   /// Time of the earliest pending event. Precondition: !empty().
   [[nodiscard]] Tick next_time() const;
 
-  /// Remove and return the earliest event. Precondition: !empty().
-  /// Returning {when, seq, fn} together spares the caller a second
-  /// traversal (the old next_time() + pop() pair walked the heap top
-  /// twice); seq is the dispatch tie-break key the fast-path revocation
-  /// protocol compares phase keys against.
+  /// Remove and return the earliest event. Precondition: !empty(). seq is
+  /// the tie-break key the fast-path revocation protocol compares against.
   struct Popped {
     Tick when;
     std::uint64_t seq;
     Callback fn;
   };
-  Popped pop();
+  Popped pop() { return try_pop(kTickInvalid); }
 
   /// pop(), but only if the earliest event is at or before `bound`;
   /// otherwise returns {kTickInvalid, empty} and leaves the queue intact.
-  /// One traversal where the kernel's next_time()-compare-then-pop() pair
-  /// would locate the front twice per dispatched event.
   Popped try_pop(Tick bound);
 
-  /// Raise the queue's notion of "no event can be scheduled before this".
-  /// Called by the kernel whenever simulated time advances, so the wheel
-  /// window tracks now() even across idle jumps (run_until past the last
-  /// event). Never un-advances.
+  /// Raise the floor ("no event can be scheduled before this") when the
+  /// kernel's time advances, idle jumps included. Never un-advances.
   void advance(Tick now) {
     if (now > floor_) {
       floor_ = now;
@@ -122,97 +89,32 @@ class EventQueue {
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_; }
 
   /// Append the queue's snapshot state to `w`: floor, next sequence number
-  /// (which encodes reserved-sequence holes — a reserved-but-unused key
-  /// advances next_seq_ with no matching pending event), and every pending
-  /// (when, seq) key in dispatch order. The callbacks themselves are
-  /// closures and are not serialized; restore re-creates them by replaying
-  /// the run, then byte-compares this chunk (DESIGN.md §14).
+  /// (reserved-but-unused keys included) and every pending (when, seq) in
+  /// dispatch order. Callbacks are closures and are not serialized: restore
+  /// replays the run, then byte-compares this chunk (DESIGN.md §14).
   void ckpt_save(ckpt::Writer& w) const;
 
  private:
-  struct Rec {
-    Tick when;
-    std::uint64_t seq;
-    Callback fn;
-  };
+  /// when << 64 | seq << kSlotBits | slab slot, compared as one 128-bit
+  /// integer: (when, seq) order without a branch per field. Equal (when,
+  /// seq) pairs occur only while a revoked MemBus::fast_complete is still
+  /// queued beside the live event that took its key; the dead one returns
+  /// at its generation check, so the order the slot bits give the pair
+  /// changes nothing.
+  using Key = unsigned __int128;
 
-  /// Far-heap entry: 24 bytes of ordering key plus a slot index into
-  /// far_slab_. The heap's sift operations move these instead of 80-byte
-  /// Recs — the callback itself moves exactly twice (in at push, out at
-  /// pop) however deep the heap gets.
-  struct HeapRec {
-    Tick when;
-    std::uint64_t seq;
-    std::uint32_t idx;
+  void sift_up(std::size_t i, Key k);
+  void sift_down(std::size_t i, Key k);
 
-    bool operator>(const HeapRec& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
-
-  struct Bucket {
-    std::vector<Rec> items;
-    std::uint32_t head = 0;   // items[0..head) already dispatched
-    bool unsorted = false;    // pending tail [head..) needs a sort pass
-  };
-
-  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
-
-  [[nodiscard]] static std::size_t bucket_index(Tick when) {
-    return (when >> kBucketShift) & (kBuckets - 1);
-  }
-  [[nodiscard]] bool in_window(Tick when) const {
-    return ((when >> kBucketShift) - (floor_ >> kBucketShift)) < kBuckets;
-  }
-
-  void set_bit(std::size_t b) {
-    occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    summary_ |= std::uint64_t{1} << (b >> 6);
-  }
-  void clear_bit(std::size_t b) {
-    occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    if (occ_[b >> 6] == 0) {
-      summary_ &= ~(std::uint64_t{1} << (b >> 6));
-    }
-  }
-
-  /// Index of the earliest non-empty bucket (circular scan from the
-  /// floor's bucket). Precondition: wheel_count_ > 0.
-  [[nodiscard]] std::size_t scan_from_floor() const;
-
-  /// The wheel's earliest bucket, sorted and cached. Precondition:
-  /// wheel_count_ > 0.
-  Bucket& front_bucket() const;
-
-  /// Sort a bucket's pending tail by (when, seq). Large tails sort
-  /// lightweight keys and permute, so 80-byte records move only twice.
-  void sort_pending(Bucket& b) const;
-
-  struct SortKey {
-    Tick when;
-    std::uint64_t seq;
-    std::uint32_t idx;
-  };
-
-  // Wheel state. Mutable because locating/sorting the front bucket is a
-  // cache fill, not an observable mutation (next_time() stays const).
-  mutable std::vector<Bucket> buckets_;
-  mutable std::uint32_t cur_bucket_ = kNoBucket;
-  // Scratch for sort_pending (reused, so steady-state sorts don't allocate
-  // once warm).
-  mutable std::vector<SortKey> keys_;
-  mutable std::vector<Rec> scratch_;
-  // Two-level occupancy bitmap: bit g of summary_ set iff occ_[g] != 0.
-  std::uint64_t occ_[kBuckets / 64] = {};
-  std::uint64_t summary_ = 0;
-  std::size_t wheel_count_ = 0;
+  // heap_[0] is stale while hole_ is set: try_pop() leaves the root empty,
+  // and the next push() sifts down from it (one sift for a chained event's
+  // pop-then-push) or the next pop refills it from the back.
+  std::vector<Key> heap_;
+  bool hole_ = false;
+  // Callbacks by slot, recycled through free_: no steady-state allocation.
+  std::vector<Callback> slab_;
+  std::vector<std::uint32_t> free_;
   Tick floor_ = 0;
-
-  std::priority_queue<HeapRec, std::vector<HeapRec>, std::greater<>> heap_;
-  /// Callback storage for heap entries, recycled through far_free_ so the
-  /// steady state allocates nothing (alloc_hook_test).
-  std::vector<Callback> far_slab_;
-  std::vector<std::uint32_t> far_free_;
   std::uint64_t next_seq_ = 0;
 };
 

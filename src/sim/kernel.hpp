@@ -171,8 +171,8 @@ class Kernel {
     Tick when;
     std::uint32_t src;
     std::uint64_t seq;
-    // Mutable for the same reason as EventQueue::Entry: moved out of the
-    // priority queue's const top(); ordering never inspects it.
+    // Mutable so the callback can be moved out of the priority queue's
+    // const top(); ordering never inspects it.
     mutable EventQueue::Callback fn;
 
     bool operator>(const CrossMsg& o) const {

@@ -100,8 +100,8 @@ class ParallelKernel {
   /// Advance every parked domain's local clock to now(). Call at a
   /// barrier before inspecting per-domain state that depends on the
   /// clock (checkpoint capture does, via run_epochs_until): parked
-  /// domains are idle, so this is a pure clock/wheel catch-up with no
-  /// events to run. Idempotent.
+  /// domains are idle, so this only advances each clock and event-queue
+  /// floor, with no events to run. Idempotent.
   void quiesce();
 
   /// Time up to which every domain has finished executing (the last epoch

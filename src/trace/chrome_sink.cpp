@@ -29,6 +29,14 @@ std::string fmt_value(double v) {
   return buf;
 }
 
+/// A flow id as a JSON string. NIU flow ids set bit 62, and Perfetto and
+/// Chrome read numbers as doubles, which are 1024 apart at that size:
+/// unquoted, up to 1024 successive flows of one node would merge into one
+/// arrow. svtrace reads either form exactly.
+std::string flow_id(std::uint64_t id) {
+  return "\"" + std::to_string(id) + "\"";
+}
+
 struct TrackAddr {
   int pid = 0;
   int tid = 0;
@@ -45,7 +53,7 @@ void emit_record(std::ostream& os, const TrackInfo& t, int pid, int tid,
          << ",\"tid\":" << tid << ",\"ts\":" << us(e.ts)
          << ",\"dur\":" << us(e.dur);
       if (e.flow != 0) {
-        os << ",\"args\":{\"flow\":" << e.flow << "}";
+        os << ",\"args\":{\"flow\":" << flow_id(e.flow) << "}";
       }
       os << "}";
       break;
@@ -77,7 +85,7 @@ void emit_flow_chain(Sep&& sep, std::ostream& os, std::uint64_t id,
   for (std::size_t i = 0; i < hops.size(); ++i) {
     const char* ph = i == 0 ? "s" : (i + 1 == hops.size() ? "f" : "t");
     sep() << "{\"ph\":\"" << ph << "\",\"cat\":\"flow\",\"name\":\"msg\""
-          << ",\"id\":" << id << ",\"pid\":" << hops[i].pid
+          << ",\"id\":" << flow_id(id) << ",\"pid\":" << hops[i].pid
           << ",\"tid\":" << hops[i].tid << ",\"ts\":" << us(hops[i].ts);
     if (*ph == 'f') {
       os << ",\"bp\":\"e\"";

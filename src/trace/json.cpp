@@ -241,6 +241,12 @@ double Json::number_or(const std::string& key, double dflt) const {
 
 std::uint64_t Json::u64_or(const std::string& key, std::uint64_t dflt) const {
   const Json& v = (*this)[key];
+  if (v.type() == Type::kString) {
+    std::uint64_t n = 0;
+    const char* end = v.str_.data() + v.str_.size();
+    const auto [ptr, ec] = std::from_chars(v.str_.data(), end, n);
+    return ec == std::errc() && ptr == end ? n : dflt;
+  }
   if (v.type() != Type::kNumber) {
     return dflt;
   }

@@ -2,7 +2,8 @@
 // back the Chrome trace files the sink writes (and the StatRegistry JSON
 // dump). No external dependencies; throws std::runtime_error on malformed
 // input. A non-negative integer literal also keeps its exact 64-bit value,
-// so ids above 2^53 (trace flow ids) survive the round trip.
+// and u64_or() reads a quoted one exactly, so ids above 2^53 (trace flow
+// ids) survive the round trip in either form.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,9 @@ class Json {
   /// Convenience accessors with defaults for optional members.
   [[nodiscard]] double number_or(const std::string& key, double dflt) const;
   /// A number member as an integer: exact for a non-negative integer
-  /// literal that fits 64 bits, else converted from its double.
+  /// literal that fits 64 bits, else converted from its double. A string
+  /// of decimal digits (how the trace writers quote flow ids) reads
+  /// exactly too; any other string gives `dflt`.
   [[nodiscard]] std::uint64_t u64_or(const std::string& key,
                                      std::uint64_t dflt) const;
   [[nodiscard]] std::string string_or(const std::string& key,

@@ -3,12 +3,12 @@
 // This binary replaces the global operator new/delete with counting
 // versions (DESIGN.md §11). Each test warms the relevant path up — letting
 // coroutine frames seed the FramePool freelists, PacketPool slots get
-// created, event-queue buckets reach steady occupancy — then snapshots the
-// allocation counter across a steady-state window and requires it not to
-// move. Any regression that reintroduces a heap allocation per event
-// dispatch or per packet hop (an oversized lambda falling back to
-// std::function, a payload growing a vector again, a coroutine frame
-// missing the pool) fails here with an exact count.
+// created, the event heap and its callback slab reach their high-water
+// depth — then snapshots the allocation counter across a steady-state
+// window and requires it not to move. Any regression that reintroduces a
+// heap allocation per event dispatch or per packet hop (an oversized
+// lambda falling back to std::function, a payload growing a vector again,
+// a coroutine frame missing the pool) fails here with an exact count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,9 +73,21 @@ struct Ticker {
   }
 };
 
+TEST(AllocHook, KernelConstructionAllocatesNothing) {
+  // An empty event queue owns no storage: a Kernel (one per node domain
+  // in a partitioned machine) costs nothing on the heap until its first
+  // event.
+  const std::uint64_t before = allocs();
+  {
+    sim::Kernel k;
+    EXPECT_TRUE(k.idle());
+  }
+  EXPECT_EQ(allocs() - before, 0u);
+}
+
 TEST(AllocHook, EventDispatchIsAllocationFree) {
   sim::Kernel k;
-  // Warmup: grows the wheel's bucket vectors to steady occupancy.
+  // Warmup: grows the heap and the callback slab to the chain's depth.
   k.schedule(1, Ticker{&k, 10'000, 100});
   k.run();
 
@@ -88,8 +100,8 @@ TEST(AllocHook, EventDispatchIsAllocationFree) {
 
 TEST(AllocHook, FarEventsUseOnlyTheWarmHeap) {
   sim::Kernel k;
-  // Far-future deltas (beyond the wheel horizon) go through the binary
-  // heap; after warmup its backing vector no longer grows.
+  // Deltas of 1 µs, far beyond the machine's clock periods; after warmup
+  // the heap's backing vector no longer grows.
   k.schedule(1, Ticker{&k, 10'000, 1'000'000});
   k.run();
 
@@ -172,15 +184,14 @@ TEST(AllocHook, IdealNetworkSteadyStateIsAllocationFree) {
 // state the fast-path layer (DESIGN.md §12) optimizes. Unlike the bare
 // kernel paths above, the functional model is not yet allocation-FREE:
 // after warmup, the known remaining allocators are (a) one payload-vector
-// allocation per received basic message (msg::Message::data), (b) a
+// allocation per received basic message (msg::Message::data) and (b) a
 // std::deque<net::Packet> block node every handful of packets in the NIU
-// tx and router output queues, and (c) a slowly decaying trickle of
-// event-wheel buckets reaching new occupancy maxima. All are per-MESSAGE
-// or rarer — measured ~500 per 16 KiB transfer (~190 basic messages), and
-// this workload dispatches ~30k events per transfer. The bound below
-// therefore still fails loudly on any per-event or per-packet-hop
-// regression (which would add >= 30k allocations per transfer) while
-// pinning the per-message costs so they cannot silently multiply.
+// tx and router output queues. Both are per-MESSAGE or rarer — measured
+// ~390 per 16 KiB transfer (~190 basic messages), and this workload
+// dispatches ~30k events per transfer. The bound below therefore still
+// fails loudly on any per-event or per-packet-hop regression (which would
+// add >= 30k allocations per transfer) while pinning the per-message costs
+// so they cannot silently multiply.
 TEST(AllocHook, Fig4MsgWorkloadSteadyStateAllocationsBounded) {
   auto mp = test::small_machine_params(2);
   sys::Machine machine(mp);
@@ -188,8 +199,8 @@ TEST(AllocHook, Fig4MsgWorkloadSteadyStateAllocationsBounded) {
   xfer::TransferSpec spec;
   spec.len = 16384;
 
-  // Warmup: reach steady pool/bucket occupancy (the bucket-growth trickle
-  // decays over the first several transfers).
+  // Warmup: reach steady pool occupancy and the event heap's high-water
+  // depth.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(harness.run(1, spec).ok);
   }
@@ -198,9 +209,9 @@ TEST(AllocHook, Fig4MsgWorkloadSteadyStateAllocationsBounded) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(harness.run(1, spec).ok);
   }
-  // Measured: ~1550 over the 3-transfer window (~515 per transfer, ~2.7
-  // per delivered message). The ceiling leaves ~35% noise headroom.
-  EXPECT_LT(allocs() - before, 2100u)
+  // Measured: 1158 over the 3-transfer window (~386 per transfer, ~2 per
+  // delivered message). The ceiling leaves ~38% noise headroom.
+  EXPECT_LT(allocs() - before, 1600u)
       << "a warm fig4-style messaging transfer allocated far beyond the "
          "known per-message sources (payload vectors, packet-deque nodes)";
 }

@@ -1,9 +1,14 @@
 // Unit tests for the simulation kernel: event ordering, coroutines,
-#include <bit>
-#include <sstream>
 // synchronization primitives, statistics, configuration, PRNG.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <iterator>
+#include <set>
+#include <sstream>
+#include <stdexcept>
+
+#include "ckpt/io.hpp"
 #include "sim/config.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
@@ -25,21 +30,21 @@ TEST(EventQueue, OrdersByTimeThenSequence) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, EqualTickFifoAcrossWheelAndHeap) {
-  // Two events at the same tick, one scheduled while the tick was beyond
-  // the wheel horizon (heap) and one after it came inside (wheel), must
-  // still pop in insertion order — the (tick, seq) key spans both levels.
+TEST(EventQueue, EqualTickFifoAcrossFloorAdvance) {
+  // Events at one tick, some pushed while it lay far ahead of the floor
+  // and some after the floor came close, must still pop in insertion
+  // order: the (tick, seq) key alone decides.
   EventQueue q;
   std::vector<int> order;
-  const Tick t = EventQueue::kHorizonTicks + 100;
-  q.push(t, [&] { order.push_back(0); });      // beyond horizon: heap
+  const Tick t = 65'636;
+  q.push(t, [&] { order.push_back(0); });
   q.push(1, [&] { order.push_back(-1); });
   EXPECT_EQ(q.pop().when, 1u);                 // floor advances past 1
   order.clear();
-  q.push(t, [&] { order.push_back(1); });      // still beyond: heap
-  q.advance(200);                              // t now inside the window
-  q.push(t, [&] { order.push_back(2); });      // wheel
-  q.push(t, [&] { order.push_back(3); });      // wheel
+  q.push(t, [&] { order.push_back(1); });
+  q.advance(200);                              // t now close to the floor
+  q.push(t, [&] { order.push_back(2); });
+  q.push(t, [&] { order.push_back(3); });
   while (!q.empty()) {
     EXPECT_EQ(q.next_time(), t);
     q.pop().fn();
@@ -47,11 +52,11 @@ TEST(EventQueue, EqualTickFifoAcrossWheelAndHeap) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(EventQueue, WheelRolloverPastHorizon) {
-  // March a self-rescheduling chain far enough that every wheel bucket is
-  // reused several times; ordering must hold across every wrap.
+TEST(EventQueue, LongSelfReschedulingChainStaysOrdered) {
+  // March a self-rescheduling chain with a step of about a third of
+  // 64 Ki ticks for 64 hops; ordering must hold all the way.
   EventQueue q;
-  constexpr Tick kStep = EventQueue::kHorizonTicks / 3 + 7;
+  constexpr Tick kStep = 21'852;
   Tick last = 0;
   std::uint64_t fired = 0;
   struct Chain {
@@ -75,17 +80,16 @@ TEST(EventQueue, WheelRolloverPastHorizon) {
     p.fn();
   }
   EXPECT_EQ(fired, 64u);
-  EXPECT_EQ(last, 64 * kStep);  // > 20 horizons: many full revolutions
+  EXPECT_EQ(last, 64 * kStep);
 }
 
 TEST(EventQueue, FarFutureEventsStayOrdered) {
-  // Events far beyond the horizon (heap residents) interleaved with near
-  // ones; pops must come out in global (tick, seq) order.
+  // Events up to five 64 Ki-tick spans ahead interleaved with near ones;
+  // pops must come out in global (tick, seq) order.
   EventQueue q;
   std::vector<Tick> pops;
-  for (Tick t : {EventQueue::kHorizonTicks * 5, Tick{3},
-                 EventQueue::kHorizonTicks * 2, Tick{50},
-                 EventQueue::kHorizonTicks + 1}) {
+  for (Tick t : {Tick{327'680}, Tick{3}, Tick{131'072}, Tick{50},
+                 Tick{65'537}}) {
     q.push(t, [] {});
     pops.push_back(t);
   }
@@ -100,10 +104,9 @@ TEST(EventQueue, FarFutureEventsStayOrdered) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, OutOfOrderBurstIntoOneBucketPopsSorted) {
-  // 64 events pushed in scrambled time order into one 16-tick bucket:
-  // exercises the lazy tail sort, including the large-bucket key-sort
-  // path, and same-tick FIFO within the sorted bucket.
+TEST(EventQueue, OutOfOrderBurstPopsSorted) {
+  // 64 events pushed in scrambled time order over 13 ticks: pops come
+  // out in time order, and same-tick events in push order.
   EventQueue q;
   constexpr int kN = 64;
   std::vector<int> order;
@@ -138,6 +141,133 @@ TEST(EventQueue, TryPopRespectsBound) {
   EXPECT_EQ(got.when, 100u);
   EXPECT_TRUE(static_cast<bool>(got.fn));
   EXPECT_TRUE(q.empty());
+}
+
+// Drives random push / reserve_seqs + push_at_seq / try_pop / advance
+// sequences against a sorted (tick, seq) reference, at pending depths from
+// 1 to 8 Ki, and checks every popped key, which callback came with it, and
+// that ckpt_save writes the reference's key list.
+TEST(EventQueue, MatchesReferenceOrder) {
+  struct Ref {
+    Tick when;
+    std::uint64_t seq;
+    int id;
+    bool operator<(const Ref& o) const {
+      return when != o.when ? when < o.when : seq < o.seq;
+    }
+  };
+  auto ckpt_bytes = [](const EventQueue& q) {
+    ckpt::Writer w;
+    q.ckpt_save(w);
+    return w.data();
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::size_t depth : {1u, 2u, 5u, 64u, 1024u, 8192u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " depth " << depth);
+      Rng rng(seed * 100 + depth);
+      EventQueue q;
+      std::set<Ref> ref;
+      std::vector<std::uint64_t> reserved;
+      Tick floor = 0;
+      int next_id = 0;
+      int ran = -1;
+      auto push = [&](Tick when, bool at_reserved) {
+        const int id = next_id++;
+        std::uint64_t seq;
+        if (at_reserved) {
+          const std::size_t i = rng.below(reserved.size());
+          seq = reserved[i];
+          reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+          q.push_at_seq(when, seq, [&ran, id] { ran = id; });
+        } else {
+          seq = q.total_scheduled();
+          q.push(when, [&ran, id] { ran = id; });
+        }
+        ref.insert(Ref{when, seq, id});
+      };
+      auto expect_pop = [&](Tick bound) {
+        EventQueue::Popped p = q.try_pop(bound);
+        if (ref.empty() || ref.begin()->when > bound) {
+          ASSERT_EQ(p.when, kTickInvalid);
+          ASSERT_FALSE(static_cast<bool>(p.fn));
+          return;
+        }
+        const Ref front = *ref.begin();
+        ref.erase(ref.begin());
+        ASSERT_EQ(p.when, front.when);
+        ASSERT_EQ(p.seq, front.seq);
+        p.fn();
+        ASSERT_EQ(ran, front.id);
+        floor = front.when;
+      };
+      while (ref.size() < depth) {
+        push(floor + rng.below(2000), false);
+      }
+      const std::size_t ops = depth + 4000;
+      for (std::size_t op = 0; op < ops; ++op) {
+        // Hover around the target depth: fill below it, mostly pop above.
+        const bool fill = ref.size() < depth;
+        const std::uint64_t r = rng.below(16);
+        if (r < 2) {
+          const std::uint64_t base = q.reserve_seqs(1 + rng.below(4));
+          for (std::uint64_t s = base; s < q.total_scheduled(); ++s) {
+            reserved.push_back(s);
+          }
+        } else if (r < 4 && !reserved.empty() && (fill || r == 2)) {
+          // Often at the tick of a pending event, behind fresher keys.
+          const Tick when = !ref.empty() && rng.chance(0.5)
+                                ? std::prev(ref.end())->when
+                                : floor + rng.below(2000);
+          push(when, true);
+        } else if (r < 10 && (fill || r < 6)) {
+          push(floor + rng.below(rng.chance(0.1) ? 1'000'000 : 2000), false);
+        } else if (r < 15) {
+          expect_pop(floor + rng.below(3000));
+        } else {
+          const Tick to = floor + rng.below(500);
+          const Tick limit = ref.empty() ? to : ref.begin()->when;
+          floor = std::min(to, limit);
+          q.advance(floor);
+        }
+        if (HasFatalFailure()) {
+          return;
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        if (!ref.empty()) {
+          ASSERT_EQ(q.next_time(), ref.begin()->when);
+        }
+        if (op % 997 == 0 || op + 1 == ops) {
+          ckpt::Writer w;
+          w.tick(floor);
+          w.u64(q.total_scheduled());
+          w.u64(ref.size());
+          for (const Ref& k : ref) {
+            w.tick(k.when);
+            w.u64(k.seq);
+          }
+          ASSERT_EQ(ckpt_bytes(q), w.data()) << "at op " << op;
+        }
+      }
+      while (!ref.empty()) {
+        expect_pop(kTickInvalid);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+      EXPECT_TRUE(q.empty());
+    }
+  }
+}
+
+TEST(EventQueue, SequencePastTheKeyLimitThrows) {
+  EventQueue q;
+  q.reserve_seqs(EventQueue::kSeqLimit - 1);
+  q.push(5, [] {});  // the last sequence number the key can carry
+  EXPECT_THROW(q.push(5, [] {}), std::overflow_error);
+  EXPECT_THROW(q.push_at_seq(6, EventQueue::kSeqLimit, [] {}),
+               std::overflow_error);
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().seq, EventQueue::kSeqLimit - 1);
 }
 
 TEST(Kernel, AdvancesTimeMonotonically) {

@@ -98,6 +98,47 @@ TEST(ChromeSink, RoundTripsThroughAnalysis) {
   EXPECT_EQ(flows[0].by_category_ps.at("link"), 2'000'000u);
 }
 
+TEST(ChromeSink, FlowIdsAbove2To53StayDistinctStrings) {
+  // NIU flow ids set bit 62. As JSON numbers, these two would parse to one
+  // double in Perfetto and Chrome; as strings they stay two flows.
+  constexpr std::uint64_t kA = (std::uint64_t{1} << 62) | (3ull << 40) | 1;
+  constexpr std::uint64_t kB = kA + 1;
+  Tracer tr;
+  const TrackId tx = tr.track("n3", "NIU.TxU", "niu");
+  const TrackId link = tr.track("net", "inj3", "link");
+  for (const std::uint64_t id : {kA, kB}) {
+    const sim::Tick t0 = id == kA ? 1'000'000 : 2'000'000;
+    tr.span(tx, "msg", t0, t0 + 100'000, id);
+    tr.span(link, "pkt", t0 + 200'000, t0 + 300'000, id);
+  }
+  std::ostringstream batch;
+  write_chrome_trace(tr, batch, ChromeWriteOptions{10'000'000});
+  const std::string out = batch.str();
+  for (const std::uint64_t id : {kA, kB}) {
+    const std::string quoted = "\"" + std::to_string(id) + "\"";
+    EXPECT_NE(out.find("\"flow\":" + quoted), std::string::npos) << id;
+    EXPECT_NE(out.find("\"id\":" + quoted), std::string::npos) << id;
+  }
+  EXPECT_EQ(out.find("\"flow\":4"), std::string::npos) << "unquoted flow id";
+  EXPECT_EQ(out.find("\"id\":4"), std::string::npos) << "unquoted arrow id";
+
+  const auto flows = TraceAnalysis::parse_text(out).flows();
+  ASSERT_EQ(flows.size(), 2u);
+  EXPECT_EQ(std::min(flows[0].id, flows[1].id), kA);
+  EXPECT_EQ(std::max(flows[0].id, flows[1].id), kB);
+
+  // The analyzer still reads the unquoted form of older traces exactly.
+  const std::string legacy =
+      "{\"traceEvents\":[{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1,"
+      "\"dur\":1,\"args\":{\"flow\":" + std::to_string(kA) + "}},"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":3,\"dur\":1,"
+      "\"args\":{\"flow\":\"" + std::to_string(kB) + "\"}}]}";
+  const auto mixed = TraceAnalysis::parse_text(legacy).flows();
+  ASSERT_EQ(mixed.size(), 2u);
+  EXPECT_EQ(std::min(mixed[0].id, mixed[1].id), kA);
+  EXPECT_EQ(std::max(mixed[0].id, mixed[1].id), kB);
+}
+
 // Split a Chrome JSON document into the individual record lines, with
 // metadata ("M") records separated out: the streaming sink emits those
 // lazily (at a lane's first event) where the batch writer front-loads
