@@ -40,81 +40,31 @@ std::uint64_t Histogram::percentile(double p) const {
   return max();
 }
 
-void StatRegistry::materialize() const {
-  if (shards_.empty()) {
-    return;
-  }
-  // Fold shards first (last write wins), then let the overlay map absorb
-  // only the names it doesn't already have — merge() keeps the target's
-  // entry on conflict, which is exactly the overlay-wins rule.
-  std::map<std::string, double> merged;
-  for (Shard& s : shards_) {
-    for (auto& [name, value] : s.entries_) {
-      merged.insert_or_assign(std::move(name), value);
-    }
-  }
-  values_.merge(merged);
-  shards_.clear();
-}
-
-std::vector<StatRegistry::MergedRef> StatRegistry::merged_sorted() const {
-  std::vector<MergedRef> refs;
-  std::size_t total = values_.size();
-  for (const Shard& s : shards_) {
-    total += s.entries_.size();
-  }
-  refs.reserve(total);
-  std::uint64_t rank = 0;
-  for (const Shard& s : shards_) {
-    for (const auto& [name, value] : s.entries_) {
-      refs.push_back(MergedRef{name, value, rank++});
-    }
-  }
-  for (const auto& [name, value] : values_) {
-    // The overlay outranks every shard entry.
-    refs.push_back(MergedRef{name, value, ~std::uint64_t{0}});
-  }
-  std::sort(refs.begin(), refs.end(), [](const MergedRef& a,
-                                         const MergedRef& b) {
-    return a.name != b.name ? a.name < b.name : a.rank < b.rank;
-  });
-  // Equal names are now adjacent, highest rank last: keep only that one.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    if (i + 1 < refs.size() && refs[i + 1].name == refs[i].name) {
-      continue;
-    }
-    refs[out++] = refs[i];
-  }
-  refs.resize(out);
-  return refs;
-}
-
 void StatRegistry::dump(std::ostream& os) const {
-  for (const MergedRef& r : merged_sorted()) {
-    os << r.name << " = " << r.value << '\n';
+  for (const auto& [name, value] : values_) {
+    os << name << " = " << value << '\n';
   }
 }
 
 void StatRegistry::dump_json(std::ostream& os) const {
   os << "{\n";
   bool first = true;
-  for (const MergedRef& r : merged_sorted()) {
+  for (const auto& [name, value] : values_) {
     if (!first) {
       os << ",\n";
     }
     first = false;
     os << "  \"";
-    for (const char c : r.name) {
+    for (const char c : name) {
       if (c == '"' || c == '\\') {
         os << '\\';
       }
       os << c;
     }
     os << "\": ";
-    if (std::isfinite(r.value)) {
+    if (std::isfinite(value)) {
       char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", r.value);
+      std::snprintf(buf, sizeof(buf), "%.17g", value);
       os << buf;
     } else {
       os << "null";  // JSON has no inf/nan literals

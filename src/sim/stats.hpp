@@ -4,12 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -126,89 +124,30 @@ class BusyTracker {
 };
 
 /// A named bag of metrics; components register values by dotted path.
-///
-/// Scalability: a 1024-node machine publishes ~40k per-node stats, and
-/// inserting each into the sorted map costs a string-compare walk. Bulk
-/// writers (one per node, say) instead append to a *shard* — an unsorted
-/// vector the registry merges lazily. Appends are O(1); the sort is paid
-/// once, at dump (or first lookup), over a flat array rather than per
-/// insert. Dump output is canonical (sorted, deduplicated) regardless of
-/// how values were split between shards and direct set() calls, so
-/// sharding is invisible in the bytes a harness sees.
-///
-/// Duplicate-name resolution, everywhere the views must agree: a direct
-/// set() overlay beats any shard entry, and among shard entries the last
-/// write (shard order, then append order) wins.
+/// Dumps list them in name order.
 class StatRegistry {
  public:
-  /// Append-only slice of the registry, meant for one bulk writer. Fill is
-  /// unsynchronized-single-writer: distinct shards may be filled from
-  /// distinct threads, but open_shard() itself and everything else on the
-  /// registry is coordinator-only.
-  class Shard {
-   public:
-    void set(std::string name, double value) {
-      entries_.emplace_back(std::move(name), value);
-    }
-
-   private:
-    friend class StatRegistry;
-    std::vector<std::pair<std::string, double>> entries_;
-  };
-
-  /// Open a new shard. The reference stays valid for the registry's
-  /// lifetime (shards live in a deque); the shard's entries are absorbed
-  /// by the next lookup/dump merge.
-  Shard& open_shard() { return shards_.emplace_back(); }
-
-  void set(const std::string& name, double value) { values_[name] = value; }
-  void add(const std::string& name, double delta) {
-    materialize();
-    values_[name] += delta;
+  void set(std::string name, double value) {
+    values_.insert_or_assign(std::move(name), value);
   }
 
   [[nodiscard]] double get(const std::string& name) const {
-    materialize();
     auto it = values_.find(name);
     return it != values_.end() ? it->second : 0.0;
   }
   [[nodiscard]] bool contains(const std::string& name) const {
-    materialize();
     return values_.count(name) != 0;
   }
   [[nodiscard]] const std::map<std::string, double>& all() const {
-    materialize();
     return values_;
   }
 
   void dump(std::ostream& os) const;
-  /// Dump as a flat JSON object {"dotted.name": value, ...}. Never
-  /// materializes: merges shards and the overlay map by sorting
-  /// string_views, so a dump-only consumer skips map construction.
+  /// Dump as a flat JSON object {"dotted.name": value, ...}.
   void dump_json(std::ostream& os) const;
-  void clear() {
-    values_.clear();
-    shards_.clear();
-  }
 
  private:
-  /// One merged (name, value) entry during a canonical dump.
-  struct MergedRef {
-    std::string_view name;
-    double value;
-    std::uint64_t rank;  // duplicate resolution: highest rank wins
-  };
-
-  /// Gather map + shards, sorted by name, duplicates resolved.
-  [[nodiscard]] std::vector<MergedRef> merged_sorted() const;
-
-  /// Drain every shard into the overlay map (overlay wins on conflict).
-  void materialize() const;
-
-  // Lookups are const but may fold shards in: both stores are mutable and
-  // the fold is idempotent, so const views stay consistent.
-  mutable std::map<std::string, double> values_;
-  mutable std::deque<Shard> shards_;
+  std::map<std::string, double> values_;
 };
 
 }  // namespace sv::sim

@@ -143,8 +143,8 @@ trace::Tracer& Machine::enable_tracing(std::size_t capacity) {
   return *tracers_.front();
 }
 
-std::vector<const trace::Tracer*> Machine::tracers() const {
-  std::vector<const trace::Tracer*> out;
+std::vector<trace::Tracer*> Machine::tracers() {
+  std::vector<trace::Tracer*> out;
   out.reserve(tracers_.size());
   for (const auto& t : tracers_) {
     out.push_back(t.get());

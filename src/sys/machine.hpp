@@ -95,7 +95,7 @@ class Machine {
   /// Attach one tracer per event domain and enable them. All instrumented
   /// units start recording from the current simulation time. Idempotent.
   /// Returns the first domain's tracer; use tracers() for the full set
-  /// (trace::merge_traces recombines them deterministically).
+  /// (trace::merge_traces orders their events canonically).
   trace::Tracer& enable_tracing(
       std::size_t capacity = trace::Tracer::kDefaultCapacity);
 
@@ -105,7 +105,7 @@ class Machine {
     return tracers_.empty() ? nullptr : tracers_.front().get();
   }
   /// All per-domain tracers, in domain order (empty before enable_tracing).
-  [[nodiscard]] std::vector<const trace::Tracer*> tracers() const;
+  [[nodiscard]] std::vector<trace::Tracer*> tracers();
 
   /// The fault injector, or nullptr when Params::fault injects nothing.
   [[nodiscard]] fault::Injector* fault_injector() { return fault_.get(); }

@@ -37,104 +37,100 @@ sim::StatRegistry collect_stats(Machine& machine) {
   for (sim::NodeId i = 0; i < machine.size(); ++i) {
     Node& node = machine.node(i);
     const std::string p = "n" + std::to_string(i) + ".";
-    // Per-node stats go through a shard: append-only, merged canonically
-    // at dump. At 1024 nodes this is ~40k names that skip the sorted-map
-    // insert walk (see StatRegistry).
-    sim::StatRegistry::Shard& sh = reg.open_shard();
 
     const auto& bus = node.bus().stats();
-    sh.set(p + "bus.transactions",
+    reg.set(p + "bus.transactions",
             static_cast<double>(bus.transactions.value()));
-    sh.set(p + "bus.retries", static_cast<double>(bus.retries.value()));
-    sh.set(p + "bus.interventions",
+    reg.set(p + "bus.retries", static_cast<double>(bus.retries.value()));
+    reg.set(p + "bus.interventions",
             static_cast<double>(bus.interventions.value()));
-    sh.set(p + "bus.data_occupancy",
+    reg.set(p + "bus.data_occupancy",
             bus.data_busy.occupancy(machine.now()));
 
     const auto& cache = node.cache().stats();
-    sh.set(p + "cache.read_hits",
+    reg.set(p + "cache.read_hits",
             static_cast<double>(cache.read_hits.value()));
-    sh.set(p + "cache.read_misses",
+    reg.set(p + "cache.read_misses",
             static_cast<double>(cache.read_misses.value()));
-    sh.set(p + "cache.write_hits",
+    reg.set(p + "cache.write_hits",
             static_cast<double>(cache.write_hits.value()));
-    sh.set(p + "cache.write_misses",
+    reg.set(p + "cache.write_misses",
             static_cast<double>(cache.write_misses.value()));
-    sh.set(p + "cache.writebacks",
+    reg.set(p + "cache.writebacks",
             static_cast<double>(cache.writebacks.value()));
-    sh.set(p + "cache.snoop_invalidates",
+    reg.set(p + "cache.snoop_invalidates",
             static_cast<double>(cache.snoop_invalidates.value()));
 
     const auto& ctrl = node.niu().ctrl().stats();
-    sh.set(p + "ctrl.msgs_launched",
+    reg.set(p + "ctrl.msgs_launched",
             static_cast<double>(ctrl.msgs_launched.value()));
-    sh.set(p + "ctrl.msgs_received",
+    reg.set(p + "ctrl.msgs_received",
             static_cast<double>(ctrl.msgs_received.value()));
-    sh.set(p + "ctrl.express_pushed",
+    reg.set(p + "ctrl.express_pushed",
             static_cast<double>(ctrl.express_pushed.value()));
-    sh.set(p + "ctrl.rx_hits", static_cast<double>(ctrl.rx_hits.value()));
-    sh.set(p + "ctrl.rx_misses",
+    reg.set(p + "ctrl.rx_hits", static_cast<double>(ctrl.rx_hits.value()));
+    reg.set(p + "ctrl.rx_misses",
             static_cast<double>(ctrl.rx_misses.value()));
-    sh.set(p + "ctrl.rx_dropped",
+    reg.set(p + "ctrl.rx_dropped",
             static_cast<double>(ctrl.rx_dropped.value()));
-    sh.set(p + "ctrl.cmds_local",
+    reg.set(p + "ctrl.cmds_local",
             static_cast<double>(ctrl.cmds_local.value()));
-    sh.set(p + "ctrl.cmds_remote",
+    reg.set(p + "ctrl.cmds_remote",
             static_cast<double>(ctrl.cmds_remote.value()));
-    sh.set(p + "ctrl.cmds_immediate",
+    reg.set(p + "ctrl.cmds_immediate",
             static_cast<double>(ctrl.cmds_immediate.value()));
-    sh.set(p + "ctrl.protection_violations",
+    reg.set(p + "ctrl.protection_violations",
             static_cast<double>(ctrl.protection_violations.value()));
-    sh.set(p + "ctrl.block_ops",
+    reg.set(p + "ctrl.block_ops",
             static_cast<double>(ctrl.block_reads.value() +
                                 ctrl.block_txs.value() +
                                 ctrl.block_xfers.value()));
-    sh.set(p + "ctrl.ibus_occupancy",
+    reg.set(p + "ctrl.ibus_occupancy",
             ctrl.ibus_busy.occupancy(machine.now()));
 
     const auto& abiu = node.niu().abiu().stats();
-    sh.set(p + "abiu.express_stores",
+    reg.set(p + "abiu.express_stores",
             static_cast<double>(abiu.express_stores.value()));
-    sh.set(p + "abiu.pointer_updates",
+    reg.set(p + "abiu.pointer_updates",
             static_cast<double>(abiu.pointer_updates.value()));
-    sh.set(p + "abiu.numa_forwards",
+    reg.set(p + "abiu.numa_forwards",
             static_cast<double>(abiu.numa_forwards.value()));
-    sh.set(p + "abiu.scoma_checks",
+    reg.set(p + "abiu.scoma_checks",
             static_cast<double>(abiu.scoma_checks.value()));
-    sh.set(p + "abiu.scoma_retries",
+    reg.set(p + "abiu.scoma_retries",
             static_cast<double>(abiu.scoma_retries.value()));
-    sh.set(p + "abiu.master_reads",
+    reg.set(p + "abiu.master_reads",
             static_cast<double>(abiu.master_reads.value()));
-    sh.set(p + "abiu.master_writes",
+    reg.set(p + "abiu.master_writes",
             static_cast<double>(abiu.master_writes.value()));
 
-    sh.set(p + "aP.busy_us", static_cast<double>(node.ap().busy()) / 1e6);
-    sh.set(p + "aP.occupancy",
+    reg.set(p + "aP.busy_us", static_cast<double>(node.ap().busy()) / 1e6);
+    reg.set(p + "aP.occupancy",
             now > 0 ? static_cast<double>(node.ap().busy()) / now : 0.0);
-    sh.set(p + "sP.busy_us", static_cast<double>(node.sp().busy()) / 1e6);
-    sh.set(p + "sP.occupancy",
+    reg.set(p + "sP.busy_us", static_cast<double>(node.sp().busy()) / 1e6);
+    reg.set(p + "sP.occupancy",
             now > 0 ? static_cast<double>(node.sp().busy()) / now : 0.0);
 
     if (auto* scoma = node.scoma()) {
-      sh.set(p + "scoma.read_misses",
+      reg.set(p + "scoma.read_misses",
               static_cast<double>(scoma->stats().read_misses.value()));
-      sh.set(p + "scoma.write_misses",
+      reg.set(p + "scoma.write_misses",
               static_cast<double>(scoma->stats().write_misses.value()));
-      sh.set(p + "scoma.recalls",
+      reg.set(p + "scoma.recalls",
               static_cast<double>(scoma->stats().recalls.value()));
-      sh.set(p + "scoma.invalidations",
+      reg.set(p + "scoma.invalidations",
               static_cast<double>(scoma->stats().invalidations.value()));
-      sh.set(p + "scoma.grants",
+      reg.set(p + "scoma.grants",
               static_cast<double>(scoma->stats().grants.value()));
     }
     if (auto* numa = node.numa()) {
-      sh.set(p + "numa.remote_loads",
+      reg.set(p + "numa.remote_loads",
               static_cast<double>(numa->remote_loads().value()));
-      sh.set(p + "numa.remote_stores",
+      reg.set(p + "numa.remote_stores",
               static_cast<double>(numa->remote_stores().value()));
     }
     if (auto* miss = node.miss_service()) {
-      sh.set(p + "miss_service.serviced",
+      reg.set(p + "miss_service.serviced",
               static_cast<double>(miss->serviced().value()));
     }
   }

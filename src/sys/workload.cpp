@@ -178,9 +178,6 @@ const KeyTable& run_keys() {
       choice_key("stats_format", "text", "text|json", "stats format"),
       uint_key("deadline_ms", 2000, 1, 1'000'000, "simulated time limit, ms"),
       text_key("trace", "write a Chrome trace JSON file"),
-      uint_key("trace_buf", trace::Tracer::kDefaultCapacity, 1,
-               std::size_t{1} << 28, "trace ring capacity, events"),
-      text_key("trace_stream", "stream Chrome JSON to a file (threads=0 only)"),
       uint_key("ckpt.at", 0, 0, kNoLimit,
                "snapshot at the first epoch boundary >= this ps"),
       uint_key("ckpt.every", 0, 0, kNoLimit,

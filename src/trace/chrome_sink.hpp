@@ -1,5 +1,5 @@
-// Serializes a Tracer's ring buffer into Chrome trace-event JSON, the
-// format Perfetto and chrome://tracing load directly.
+// Writes Tracer rings as Chrome trace-event JSON, the format Perfetto and
+// chrome://tracing load directly.
 //
 // Mapping: each track process ("n0", "n1", "net") becomes a pid and each
 // lane within it a tid, so the viewer groups hardware units under their
@@ -20,46 +20,39 @@
 
 namespace sv::trace {
 
-struct ChromeWriteOptions {
-  /// Simulation end time, recorded in otherData.sim_now_ps so analyzers
-  /// use the same occupancy denominator as the StatRegistry dump.
-  sim::Tick sim_now = 0;
-};
-
-/// Streaming Chrome JSON emitter: a TraceSink that writes each event the
-/// moment it is recorded, so a trace of any length costs bounded memory —
-/// the ring only needs to cover whatever other consumers (golden dumps)
-/// still want, and nothing is lost to overwrites in the streamed file.
+/// The Chrome JSON writer, fed in batches: each drain() writes every event
+/// the tracers hold, in merge_traces' canonical order, and empties their
+/// rings. Drained at every epoch barrier, as svsim does, a run of any
+/// length costs one epoch of ring memory, loses nothing to overwrites, and
+/// writes the same file at every thread count.
 ///
-/// Differences from the batch writer, both invisible to viewers: process
-/// and lane metadata is emitted when a lane first carries an event (the
-/// batch writer names every registered lane up front), and otherData
-/// moves to the end of the file, after the counts it reports are known.
-/// Flow arrows still need every hop of a flow before the s/t/f phases can
-/// be assigned, so pending flows are the one retained state; the table is
-/// bounded — past `max_pending_flows`, the oldest flow's chain is flushed
-/// as-is and further hops for it start a new chain.
-struct ChromeStreamOptions {
-  std::size_t max_pending_flows = std::size_t{1} << 16;
-};
-
-class ChromeStreamSink : public TraceSink {
+/// A lane's process and thread names are written when it first carries an
+/// event, and otherData comes last, once its counts are known. Flow arrows
+/// need every hop of a flow before the s/t/f phases can be assigned, so
+/// pending flows are the one retained state; past kMaxPendingFlows the
+/// oldest flow's chain is written as-is, and later hops of that flow start
+/// a new chain.
+class ChromeWriter {
  public:
-  using Options = ChromeStreamOptions;
+  static constexpr std::size_t kMaxPendingFlows = std::size_t{1} << 16;
 
-  /// `os` must outlive the sink. The JSON header is written immediately.
-  explicit ChromeStreamSink(std::ostream& os, Options options = {});
+  /// `os` must outlive the writer. The JSON header is written immediately.
+  explicit ChromeWriter(std::ostream& os);
 
-  void on_event(const Tracer& tracer, const Event& e) override;
+  /// Write every event `tracers` hold and clear them. Pass the same
+  /// tracers, in the same order, to every drain.
+  void drain(const std::vector<Tracer*>& tracers);
 
-  /// Flush pending flow arrows and close the JSON document. Call exactly
-  /// once, after the last event; further on_event calls are an error.
+  /// Write the pending flow arrows and close the document. Call once,
+  /// after the last drain.
   void finish(sim::Tick sim_now);
 
   [[nodiscard]] std::uint64_t events_written() const {
     return events_written_;
   }
-  /// Flows flushed early because the pending table hit its bound.
+  /// Events a ring overwrote before a drain reached them.
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  /// Flows written early because the pending table hit its bound.
   [[nodiscard]] std::uint64_t flows_evicted() const { return flows_evicted_; }
 
  private:
@@ -73,38 +66,20 @@ class ChromeStreamSink : public TraceSink {
     int tid;
   };
 
-  /// Lazily assign (pid, tid) and emit naming metadata for a track.
-  const TrackAddr& ensure_track(const Tracer& tracer, TrackId id);
+  /// The lane's (pid, tid), naming it on first use.
+  const TrackAddr& lane(const EventRef& r);
   std::ostream& sep();
-  void flush_flow(std::uint64_t id, const std::vector<FlowHop>& hops);
+  void write_flow(std::uint64_t id, std::vector<FlowHop>& hops);
 
   std::ostream& os_;
-  Options options_;
   bool first_ = true;
-  bool finished_ = false;
   std::map<std::string, int> pids_;
   std::map<int, int> next_tid_;
-  std::vector<TrackAddr> addr_;  // indexed by TrackId; pid 0 = unseen
+  std::vector<std::vector<TrackAddr>> lanes_;  // [source][track]; pid 0: unnamed
   std::map<std::uint64_t, std::vector<FlowHop>> flows_;
   std::uint64_t events_written_ = 0;
+  std::uint64_t dropped_ = 0;
   std::uint64_t flows_evicted_ = 0;
 };
-
-void write_chrome_trace(const Tracer& tracer, std::ostream& os,
-                        const ChromeWriteOptions& options = {});
-
-/// Multi-domain variant: merges per-domain tracers (trace::merge_traces)
-/// into one canonical timeline before writing, so a partitioned run
-/// exports the identical file a sequential run would.
-void write_chrome_trace(const std::vector<const Tracer*>& tracers,
-                        std::ostream& os,
-                        const ChromeWriteOptions& options = {});
-
-/// Convenience: write to a file; throws std::runtime_error on I/O failure.
-void write_chrome_trace_file(const Tracer& tracer, const std::string& path,
-                             const ChromeWriteOptions& options = {});
-void write_chrome_trace_file(const std::vector<const Tracer*>& tracers,
-                             const std::string& path,
-                             const ChromeWriteOptions& options = {});
 
 }  // namespace sv::trace

@@ -80,83 +80,46 @@ void Tracer::push(Event e) {
   head_ = (head_ + 1) % capacity_;
 }
 
-MergedTrace merge_traces(const std::vector<const Tracer*>& tracers) {
-  MergedTrace out;
-
-  // Canonical track table: every (process, name) across all tracers,
-  // sorted. The sort key is what partitioning cannot change; registration
-  // order (which tracer saw a track first) is what it can.
-  struct Key {
-    std::string_view process;
-    std::string_view name;
-    bool operator<(const Key& o) const {
-      return std::tie(process, name) < std::tie(o.process, o.name);
-    }
-  };
-  std::vector<std::pair<Key, const TrackInfo*>> keyed;
+std::vector<EventRef> merge_traces(const std::vector<Tracer*>& tracers) {
+  std::size_t held = 0;
   for (const Tracer* tr : tracers) {
-    for (const TrackInfo& t : tr->tracks()) {
-      keyed.push_back({Key{t.process, t.name}, &t});
-    }
+    held += tr->size();
   }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  keyed.erase(std::unique(keyed.begin(), keyed.end(),
-                          [](const auto& a, const auto& b) {
-                            return !(a.first < b.first) &&
-                                   !(b.first < a.first);
-                          }),
-              keyed.end());
-  out.tracks.reserve(keyed.size());
-  for (const auto& [key, info] : keyed) {
-    out.tracks.push_back(*info);
-  }
-
-  auto canonical_id = [&](const TrackInfo& t) {
-    const Key k{t.process, t.name};
-    const auto it = std::lower_bound(
-        keyed.begin(), keyed.end(), k,
-        [](const auto& a, const Key& b) { return a.first < b; });
-    return static_cast<TrackId>(it - keyed.begin());
-  };
-
-  // Gather events with remapped track ids. Concatenation order across
-  // tracers does not matter for the final order because every track is
-  // recorded by exactly one domain: the stable sort below orders events by
-  // (ts, track) and keeps each single track's emission order intact.
-  for (const Tracer* tr : tracers) {
-    out.recorded += tr->recorded();
-    out.dropped += tr->dropped();
-    std::vector<TrackId> remap(tr->tracks().size());
-    for (std::size_t i = 0; i < tr->tracks().size(); ++i) {
-      remap[i] = canonical_id(tr->tracks()[i]);
-    }
-    tr->for_each([&](const Event& e) {
-      Event copy = e;
-      copy.track = remap[e.track];
-      out.events.push_back(std::move(copy));
+  std::vector<EventRef> out;
+  out.reserve(held);
+  // Gathered tracer by tracer, each oldest first: as every lane is recorded
+  // by one domain, the stable sort keeps each lane's record order.
+  for (std::size_t i = 0; i < tracers.size(); ++i) {
+    const std::vector<TrackInfo>& tracks = tracers[i]->tracks();
+    const auto source = static_cast<std::uint32_t>(i);
+    tracers[i]->for_each([&](const Event& e) {
+      out.push_back(EventRef{&e, &tracks[e.track], source});
     });
   }
-  std::stable_sort(out.events.begin(), out.events.end(),
-                   [](const Event& a, const Event& b) {
-                     return std::tie(a.ts, a.track) <
-                            std::tie(b.ts, b.track);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const EventRef& a, const EventRef& b) {
+                     if (a.event->ts != b.event->ts) {
+                       return a.event->ts < b.event->ts;
+                     }
+                     return a.track != b.track &&
+                            std::tie(a.track->process, a.track->name) <
+                                std::tie(b.track->process, b.track->name);
                    });
   return out;
 }
 
-std::string canonical_span_dump(const std::vector<const Tracer*>& tracers) {
-  const MergedTrace merged = merge_traces(tracers);
+std::string canonical_span_dump(const std::vector<Tracer*>& tracers) {
+  const std::vector<EventRef> merged = merge_traces(tracers);
   std::string out;
-  out.reserve(merged.events.size() * 64);
+  out.reserve(merged.size() * 64);
   char buf[64];
-  for (const Event& e : merged.events) {
-    const TrackInfo& t = merged.tracks[e.track];
+  for (const EventRef& r : merged) {
+    const Event& e = *r.event;
     std::snprintf(buf, sizeof(buf), "%" PRIu64 " ", e.ts);
     out += buf;
-    out += t.process;
+    out += r.track->process;
     out += '/';
-    out += t.name;
+    out += r.track->name;
     switch (e.kind) {
       case EventKind::kSpan:
         std::snprintf(buf, sizeof(buf),

@@ -10,8 +10,9 @@
 //
 // Cost model: when no Tracer is attached to the Kernel the instrumentation
 // sites are a single pointer null-check — no string formatting, no
-// allocation. When the ring is full the oldest events are overwritten, so
-// a trace always holds the newest window of activity.
+// allocation. When the ring is full the oldest events are overwritten. A
+// ChromeWriter that drains the rings at every epoch barrier needs them to
+// hold one epoch of events only, so the written timeline is complete.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +53,10 @@ struct Event {
 
 class Tracer;
 
-/// Receives every event a Tracer records, at record time. A sink makes
-/// long traces bounded-memory: events stream out (to disk, typically) as
-/// they happen instead of accumulating in the ring, so the ring can stay
-/// small without losing history to overwrites. The tracer reference gives
-/// the sink access to the track table for the event's lane names.
+/// Receives every event a Tracer records, at record time, before it enters
+/// the ring: for consumers that tally events as they happen. The tracer
+/// reference gives the sink access to the track table for the event's
+/// lane names.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -134,23 +134,24 @@ class Tracer {
   std::map<std::string, TrackId, std::less<>> by_key_;
 };
 
-/// Several per-domain Tracers recombined into one canonical timeline.
-/// Canonical means independent of how the machine was partitioned: tracks
-/// are sorted by (process, name), events by (ts, track) with each track's
-/// own emission order preserved. Two runs that record the same per-track
-/// event sequences merge to byte-identical MergedTraces, however many
-/// tracers the events were spread across.
-struct MergedTrace {
-  std::vector<TrackInfo> tracks;
-  std::vector<Event> events;  // Event::track reindexed into `tracks`
-  std::uint64_t recorded = 0;
-  std::uint64_t dropped = 0;
+/// One held event and the lane it was recorded on.
+struct EventRef {
+  const Event* event;
+  const TrackInfo* track;
+  std::uint32_t source;  // index of the event's tracer in the merged list
 };
 
-MergedTrace merge_traces(const std::vector<const Tracer*>& tracers);
+/// The events several per-domain Tracers hold, as one canonical timeline:
+/// ordered by (ts, process, lane), each lane's events in record order.
+/// Canonical means independent of how the machine was partitioned: every
+/// lane is recorded by one domain, so two runs that record the same
+/// per-lane event sequences merge to the same order, however many tracers
+/// the events were spread across. The references are valid until a
+/// tracer records, registers a track or is cleared.
+std::vector<EventRef> merge_traces(const std::vector<Tracer*>& tracers);
 
 /// Plain-text rendering of the merged timeline, one line per event — the
 /// artifact the parallel-equivalence tests compare across thread counts.
-std::string canonical_span_dump(const std::vector<const Tracer*>& tracers);
+std::string canonical_span_dump(const std::vector<Tracer*>& tracers);
 
 }  // namespace sv::trace

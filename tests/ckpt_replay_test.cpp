@@ -133,8 +133,8 @@ TEST(CkptReplayTest, PartitionedCaptureIsThreadCountInvariant) {
 }
 
 TEST(CkptReplayTest, LargeMachineReplays256) {
-  // The scaling work (O(active-domain) barrier, sharded stats, lazy node
-  // state) must not perturb capture/replay: a 256-node machine restores
+  // The scaling work (O(active-domain) barrier, lazy node state) must
+  // not perturb capture/replay: a 256-node machine restores
   // and replays byte-identically under the same oracle as the 4-node
   // sweeps, sequential and partitioned.
   for (const unsigned threads : {0u, 4u}) {

@@ -59,7 +59,7 @@ struct SteppableRun {
   }
 
   /// Canonical trace-span dump (tracing-enabled specs only).
-  [[nodiscard]] std::string span_dump() const {
+  [[nodiscard]] std::string span_dump() {
     return trace::canonical_span_dump(machine.tracers());
   }
 };

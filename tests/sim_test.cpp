@@ -633,70 +633,6 @@ TEST(Stats, RegistryDumpJson) {
   EXPECT_EQ(os.str(), "{\n  \"a.b\": 1.5,\n  \"c\": 3\n}\n");
 }
 
-TEST(Stats, RegistryShardedDumpMatchesUnsharded) {
-  // Whatever the split between shards and direct set() calls, and whatever
-  // the append order, dump_json must emit the same canonical bytes as an
-  // unsharded registry holding the same final values.
-  StatRegistry plain;
-  plain.set("a", 1);
-  plain.set("m.x", 2);
-  plain.set("n0.z", 3);
-  plain.set("n1.q", 4);
-  std::ostringstream want;
-  plain.dump_json(want);
-
-  StatRegistry sharded;
-  StatRegistry::Shard& s0 = sharded.open_shard();
-  StatRegistry::Shard& s1 = sharded.open_shard();
-  s1.set("n1.q", 4);  // out of name order, across shards
-  s0.set("n0.z", 3);
-  sharded.set("m.x", 2);
-  s0.set("a", 1);
-  std::ostringstream got;
-  sharded.dump_json(got);
-  EXPECT_EQ(got.str(), want.str());
-
-  // dump() agrees on ordering too.
-  std::ostringstream plain_txt;
-  std::ostringstream sharded_txt;
-  plain.dump(plain_txt);
-  sharded.dump(sharded_txt);
-  EXPECT_EQ(sharded_txt.str(), plain_txt.str());
-}
-
-TEST(Stats, RegistryShardDuplicateResolution) {
-  // Overlay set() beats shards; among shard writes the last wins.
-  StatRegistry reg;
-  StatRegistry::Shard& s0 = reg.open_shard();
-  StatRegistry::Shard& s1 = reg.open_shard();
-  s0.set("dup.shards", 1);
-  s1.set("dup.shards", 2);  // later shard wins
-  s0.set("dup.overlay", 10);
-  reg.set("dup.overlay", 20);  // overlay wins regardless of timing
-  std::ostringstream os;
-  reg.dump_json(os);
-  EXPECT_EQ(os.str(),
-            "{\n  \"dup.overlay\": 20,\n  \"dup.shards\": 2\n}\n");
-  // Lookups materialize to the same resolution as the dump.
-  EXPECT_DOUBLE_EQ(reg.get("dup.shards"), 2);
-  EXPECT_DOUBLE_EQ(reg.get("dup.overlay"), 20);
-}
-
-TEST(Stats, RegistryShardMaterializesForLookups) {
-  StatRegistry reg;
-  StatRegistry::Shard& sh = reg.open_shard();
-  sh.set("lazy", 5);
-  EXPECT_TRUE(reg.contains("lazy"));
-  EXPECT_DOUBLE_EQ(reg.get("lazy"), 5);
-  reg.add("lazy", 1.5);
-  EXPECT_DOUBLE_EQ(reg.get("lazy"), 6.5);
-  EXPECT_EQ(reg.all().count("lazy"), 1u);
-  // Dump after materialization still emits the merged value once.
-  std::ostringstream os;
-  reg.dump_json(os);
-  EXPECT_EQ(os.str(), "{\n  \"lazy\": 6.5\n}\n");
-}
-
 TEST(Stats, BusyTrackerOccupancy) {
   BusyTracker b;
   b.add_busy(25);

@@ -1,7 +1,8 @@
 #!/bin/sh
 # svsim, svexplore and the bench binaries' own flags must reject bad
 # input with exactly one stderr line naming the offending key or flag and
-# exit status 2: no abort, no signal, no hang, and no run.
+# exit status 2: no abort, no signal, no hang, and no run. A trace= file
+# that cannot be opened fails before the run, too.
 #
 #   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore
 #          PATH/TO/bench_parallel PATH/TO/bench_kernel
@@ -51,6 +52,14 @@ check net "$svsim" msg net=idael
 check app.shm "$svsim" app.stencil app.shm=scomaa
 check stats_format "$svsim" msg stats_format=jsno
 check threads "$svsim" xfer threads=2
+check "trace: cannot open" "$svsim" msg trace="$dir/missing/t.json"
+check nodes "$svsim" msg nodes=1 trace="$dir/t.json"
+if [ -e "$dir/t.json" ]; then
+  echo "FAIL: svsim msg nodes=1 trace=... left a trace file behind"
+  status=1
+fi
+check "'trace_stream'" "$svsim" msg trace_stream="$dir/t.json"
+check "'trace_buf'" "$svsim" msg trace_buf=16
 check fault.drop_script "$svsim" msg fault.drop_script=abc
 check fault.drop_script "$svsim" msg fault.drop_script=-1
 check fault.drop_script "$svsim" reliable threads=2 fault.drop_script=3,9

@@ -1,7 +1,8 @@
-// Tracer ring-buffer semantics, Chrome JSON round-trip, and the
-// end-to-end guarantee that trace-derived occupancy agrees with the
+// Tracer ring-buffer semantics, Chrome JSON round-trip, epoch drains, and
+// the end-to-end guarantee that trace-derived occupancy agrees with the
 // StatRegistry occupancy for the same run.
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "sys/stats_dump.hpp"
+#include "sys/workload.hpp"
 #include "trace/analysis.hpp"
 #include "trace/chrome_sink.hpp"
 #include "trace/trace.hpp"
@@ -16,6 +18,17 @@
 
 namespace sv::trace {
 namespace {
+
+/// Everything the tracers hold as one Chrome document: one drain, then
+/// finish.
+std::string chrome_json(const std::vector<Tracer*>& tracers,
+                        sim::Tick sim_now) {
+  std::ostringstream os;
+  ChromeWriter writer(os);
+  writer.drain(tracers);
+  writer.finish(sim_now);
+  return os.str();
+}
 
 TEST(Tracer, RingOverflowKeepsNewest) {
   Tracer tr(4);
@@ -63,9 +76,7 @@ TEST(ChromeSink, RoundTripsThroughAnalysis) {
   tr.span(link, "pkt>n1", 5'000'000, 6'000'000, flow);
   tr.counter(depth, 1'000'000, 3.0);
 
-  std::ostringstream os;
-  write_chrome_trace(tr, os, ChromeWriteOptions{10'000'000});
-  TraceAnalysis a = TraceAnalysis::parse_text(os.str());
+  TraceAnalysis a = TraceAnalysis::parse_text(chrome_json({&tr}, 10'000'000));
 
   EXPECT_EQ(a.sim_now_ps, 10'000'000u);
   EXPECT_EQ(a.duration_ps(), 10'000'000u);
@@ -111,9 +122,7 @@ TEST(ChromeSink, FlowIdsAbove2To53StayDistinctStrings) {
     tr.span(tx, "msg", t0, t0 + 100'000, id);
     tr.span(link, "pkt", t0 + 200'000, t0 + 300'000, id);
   }
-  std::ostringstream batch;
-  write_chrome_trace(tr, batch, ChromeWriteOptions{10'000'000});
-  const std::string out = batch.str();
+  const std::string out = chrome_json({&tr}, 10'000'000);
   for (const std::uint64_t id : {kA, kB}) {
     const std::string quoted = "\"" + std::to_string(id) + "\"";
     EXPECT_NE(out.find("\"flow\":" + quoted), std::string::npos) << id;
@@ -139,118 +148,66 @@ TEST(ChromeSink, FlowIdsAbove2To53StayDistinctStrings) {
   EXPECT_EQ(std::max(mixed[0].id, mixed[1].id), kB);
 }
 
-// Split a Chrome JSON document into the individual record lines, with
-// metadata ("M") records separated out: the streaming sink emits those
-// lazily (at a lane's first event) where the batch writer front-loads
-// them, but every other record must match byte-for-byte and in order.
-struct SplitRecords {
-  std::vector<std::string> meta;
-  std::vector<std::string> records;
-};
-SplitRecords split_records(const std::string& json) {
-  SplitRecords out;
-  std::istringstream is(json);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind("{\"ph\":", 0) != 0) {
-      continue;  // header / footer
+TEST(ChromeWriter, DrainedRingsLoseNothing) {
+  // A 2-event ring drained after every record keeps all 8 events; drained
+  // only at the end, it keeps the newest 2 and reports the other 6.
+  for (const bool drain_each : {true, false}) {
+    Tracer tr(2);
+    std::ostringstream os;
+    ChromeWriter writer(os);
+    const TrackId t = tr.track("p", "lane", "test");
+    for (int i = 0; i < 8; ++i) {
+      tr.span(t, "s" + std::to_string(i), 10'000 * i, 10'000 * i + 5'000);
+      if (drain_each) {
+        writer.drain({&tr});
+      }
     }
-    if (!line.empty() && line.back() == ',') {
-      line.pop_back();
-    }
-    if (line.rfind("{\"ph\":\"M\"", 0) == 0) {
-      out.meta.push_back(line);
-    } else {
-      out.records.push_back(line);
-    }
+    writer.drain({&tr});
+    writer.finish(100'000);
+    EXPECT_EQ(tr.size(), 0u);
+    EXPECT_EQ(writer.events_written(), drain_each ? 8u : 2u);
+    const TraceAnalysis a = TraceAnalysis::parse_text(os.str());
+    EXPECT_EQ(a.spans.size(), drain_each ? 8u : 2u);
+    EXPECT_EQ(a.dropped, drain_each ? 0u : 6u);
   }
-  return out;
 }
 
-TEST(ChromeStreamSink, MatchesBatchWriterRecords) {
-  // One tracer, recorded once, exported both ways. Events are emitted in
-  // track-registration order so both emitters assign identical pids/tids.
+TEST(ChromeWriter, FlowTableBoundEvictsOldestChainIntact) {
+  // Two flows past the bound, each complete (2 hops) before the next
+  // starts: evictions write finished chains, so no arrow is lost.
+  constexpr std::size_t kFlows = ChromeWriter::kMaxPendingFlows + 2;
   Tracer tr;
-  std::ostringstream stream_os;
-  ChromeStreamSink sink(stream_os);
-  tr.set_sink(&sink);
-
-  const TrackId bus = tr.track("n0", "bus", "bus");
-  const TrackId link = tr.track("net", "inj0", "link");
-  const TrackId depth = tr.track("n1", "txq0", "queue", /*counter=*/true);
-  const std::uint64_t flow = tr.next_flow();
-  tr.span(bus, "Read", 1'000'000, 2'000'000);
-  tr.span(link, "pkt>n1", 3'000'000, 4'000'000, flow);
-  tr.instant(bus, "kick", 3'500'000);
-  tr.span(link, "pkt>n1", 5'000'000, 6'000'000, flow);
-  tr.counter(depth, 4'000'000, 2.0);
-  sink.finish(10'000'000);
-  tr.set_sink(nullptr);
-
-  std::ostringstream batch_os;
-  write_chrome_trace(tr, batch_os, ChromeWriteOptions{10'000'000});
-
-  const SplitRecords streamed = split_records(stream_os.str());
-  const SplitRecords batch = split_records(batch_os.str());
-  EXPECT_EQ(streamed.records, batch.records);
-  // Metadata: same set, different placement.
-  auto streamed_meta = streamed.meta;
-  auto batch_meta = batch.meta;
-  std::sort(streamed_meta.begin(), streamed_meta.end());
-  std::sort(batch_meta.begin(), batch_meta.end());
-  EXPECT_EQ(streamed_meta, batch_meta);
-
-  // Both parse to the same analysis.
-  const TraceAnalysis sa = TraceAnalysis::parse_text(stream_os.str());
-  const TraceAnalysis ba = TraceAnalysis::parse_text(batch_os.str());
-  EXPECT_EQ(sa.sim_now_ps, ba.sim_now_ps);
-  EXPECT_EQ(sa.spans.size(), ba.spans.size());
-  EXPECT_EQ(sa.counter_samples, ba.counter_samples);
-  ASSERT_EQ(sa.flows().size(), 1u);
-  EXPECT_EQ(sa.flows()[0].latency_ps(), ba.flows()[0].latency_ps());
-}
-
-TEST(ChromeStreamSink, StreamsPastRingOverwrites) {
-  // A tiny ring drops events from the ring, but the streamed file keeps
-  // every one — that is the point of the sink.
-  Tracer tr(2);
-  std::ostringstream os;
-  ChromeStreamSink sink(os);
-  tr.set_sink(&sink);
-  const TrackId t = tr.track("p", "lane", "test");
-  for (int i = 0; i < 8; ++i) {
-    tr.span(t, "s" + std::to_string(i), 10'000 * i, 10'000 * i + 5'000);
-  }
-  sink.finish(100'000);
-  EXPECT_EQ(tr.dropped(), 6u);
-  EXPECT_EQ(sink.events_written(), 8u);
-  const TraceAnalysis a = TraceAnalysis::parse_text(os.str());
-  EXPECT_EQ(a.spans.size(), 8u);
-}
-
-TEST(ChromeStreamSink, FlowTableBoundEvictsOldestChainIntact) {
-  Tracer tr;
-  std::ostringstream os;
-  ChromeStreamSink::Options opts;
-  opts.max_pending_flows = 2;
-  ChromeStreamSink sink(os, opts);
-  tr.set_sink(&sink);
   const TrackId a = tr.track("n0", "tx", "link");
   const TrackId b = tr.track("n1", "rx", "link");
-  // Four flows, each complete (2 hops) before the next starts: evictions
-  // flush finished chains, so no arrows are lost.
-  for (int f = 0; f < 4; ++f) {
+  for (std::size_t f = 0; f < kFlows; ++f) {
     const std::uint64_t id = tr.next_flow();
     const sim::Tick base = 1'000'000 * (f + 1);
     tr.span(a, "send", base, base + 100'000, id);
     tr.span(b, "recv", base + 200'000, base + 300'000, id);
   }
-  sink.finish(10'000'000);
-  EXPECT_EQ(sink.flows_evicted(), 2u);
-  const auto flows = TraceAnalysis::parse_text(os.str()).flows();
-  ASSERT_EQ(flows.size(), 4u);
-  for (const auto& fl : flows) {
-    EXPECT_EQ(fl.hops, 2u);
+  std::ostringstream os;
+  ChromeWriter writer(os);
+  writer.drain({&tr});
+  writer.finish(1'000'000 * (kFlows + 1));
+  EXPECT_EQ(writer.flows_evicted(), 2u);
+
+  // Every hop is written, and each flow is one chain: its "s" arrow, then
+  // its "f" arrow.
+  std::size_t hops = 0;
+  std::map<std::string, std::string> phases;  // flow id -> arrow phases
+  std::istringstream is(os.str());
+  for (std::string line; std::getline(is, line);) {
+    hops += line.find("\"args\":{\"flow\":") != std::string::npos ? 1 : 0;
+    const std::string::size_type id = line.find("\"id\":\"");
+    if (line.rfind("{\"ph\":\"", 0) == 0 && id != std::string::npos) {
+      const std::string::size_type from = id + 6;
+      phases[line.substr(from, line.find('"', from) - from)] += line[7];
+    }
+  }
+  EXPECT_EQ(hops, 2 * kFlows);
+  ASSERT_EQ(phases.size(), kFlows);
+  for (const auto& [id, chain] : phases) {
+    EXPECT_EQ(chain, "sf") << id;
   }
 }
 
@@ -270,10 +227,8 @@ TEST(TraceIntegration, XferTraceMatchesStatRegistry) {
   const auto res = harness.run(3, spec);
   ASSERT_TRUE(res.ok);
 
-  std::ostringstream os;
-  write_chrome_trace(*machine.tracer(), os,
-                     ChromeWriteOptions{machine.kernel().now()});
-  TraceAnalysis a = TraceAnalysis::parse_text(os.str());
+  TraceAnalysis a = TraceAnalysis::parse_text(
+      chrome_json(machine.tracers(), machine.kernel().now()));
   const sim::StatRegistry reg = sys::collect_stats(machine);
 
   // The trace must show the message path across distinct hardware lanes,
@@ -312,6 +267,47 @@ TEST(TraceIntegration, XferTraceMatchesStatRegistry) {
       }
     }
     EXPECT_TRUE(found) << lane;
+  }
+}
+
+/// A registry workload traced as svsim traces it: every epoch barrier
+/// drains the tracers into one writer, and so does the end of the run.
+std::string drained_trace(const std::vector<std::string>& kv,
+                          std::size_t ring, std::uint64_t* dropped) {
+  const sim::Config cfg = sim::Config::from_args(kv);
+  sys::Machine machine(sys::machine_params(cfg));
+  machine.enable_tracing(ring);
+  const auto run = sys::workload("msg").launch(machine, cfg);
+  std::ostringstream os;
+  ChromeWriter writer(os);
+  const auto tracers = machine.tracers();
+  EXPECT_TRUE(machine.run_epochs_until(
+      [&] {
+        writer.drain(tracers);
+        return run->finished();
+      },
+      machine.now() + 100 * sim::kMillisecond));
+  writer.drain(tracers);
+  writer.finish(machine.now());
+  *dropped = writer.dropped();
+  return os.str();
+}
+
+TEST(TraceIntegration, EpochDrainsFitASmallRing) {
+  // One epoch of events fits a 256-event ring, so draining at every
+  // barrier writes the same file as the default 1 Mi ring, sequential or
+  // partitioned.
+  for (const char* threads : {"threads=0", "threads=2"}) {
+    const std::vector<std::string> kv = {"nodes=4", "net=ideal", threads};
+    std::uint64_t small_dropped = 1;
+    std::uint64_t full_dropped = 1;
+    const std::string small = drained_trace(kv, 256, &small_dropped);
+    const std::string full =
+        drained_trace(kv, Tracer::kDefaultCapacity, &full_dropped);
+    EXPECT_EQ(small_dropped, 0u) << threads;
+    EXPECT_EQ(full_dropped, 0u) << threads;
+    EXPECT_EQ(small, full) << threads;
+    EXPECT_GT(TraceAnalysis::parse_text(small).spans.size(), 256u) << threads;
   }
 }
 

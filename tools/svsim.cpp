@@ -4,9 +4,10 @@
 // built from key=value arguments, prints a one-line report and, with
 // stats=1, every component's counters. `svsim --help` prints the key
 // tables that also validate the arguments: an unknown key or a malformed
-// or out-of-range value is one line on stderr and exit 2. Checkpoints and
-// --restore follow DESIGN.md §14; the snapshot config format is
-// ckpt/scenario.hpp's.
+// or out-of-range value is one line on stderr and exit 2. trace=FILE
+// drains every domain's tracer into one Chrome JSON file at each epoch
+// barrier. Checkpoints and --restore follow DESIGN.md §14; the snapshot
+// config format is ckpt/scenario.hpp's.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -64,14 +65,21 @@ std::string take_flags(std::vector<std::string>& args) {
 /// Drive a launched run to completion, pausing at epoch boundaries to
 /// byte-verify a restored run's replay at its snapshot's tick and to write
 /// the requested snapshots. The pause points are the same for every
-/// threads= value, and so are the snapshots. Returns 0 when the node
+/// threads= value, and so are the snapshots. Every epoch barrier drains
+/// the tracers into `writer`, when there is one. Returns 0 when the node
 /// programs finished.
 int drive(sys::Machine& machine, const ckpt::RunConfig& rc,
           const sys::Args& opts, const sys::Run& run,
-          const ckpt::Snapshot* restore) {
+          const ckpt::Snapshot* restore, trace::ChromeWriter* writer) {
   const sim::Tick deadline =
       machine.now() + opts.u64("deadline_ms") * sim::kMillisecond;
-  const auto ready = [&run] { return run.finished(); };
+  const auto tracers = machine.tracers();
+  const auto ready = [&] {
+    if (writer != nullptr) {
+      writer->drain(tracers);
+    }
+    return run.finished();
+  };
   // False when the run finished (or ran out of time) before `tick`.
   const auto pause_at = [&](sim::Tick tick) {
     machine.run_epochs_until([&] { return ready() || machine.now() >= tick; },
@@ -115,42 +123,18 @@ int drive(sys::Machine& machine, const ckpt::RunConfig& rc,
   return 0;
 }
 
-int write_traces(sys::Machine& machine, const sys::Args& run,
-                 trace::ChromeStreamSink* sink, const std::ofstream& os) {
-  if (sink != nullptr) {
-    sink->finish(machine.now());
-    machine.tracer()->set_sink(nullptr);
-    if (!os) {
-      std::fprintf(stderr, "svsim: write failed for %s\n",
-                   run.text("trace_stream").c_str());
-      return 1;
-    }
-    std::printf("trace: %llu events streamed (%llu flows evicted) -> %s\n",
-                static_cast<unsigned long long>(sink->events_written()),
-                static_cast<unsigned long long>(sink->flows_evicted()),
-                run.text("trace_stream").c_str());
+/// Drain what the run left in the tracers and close the trace file.
+int write_trace(sys::Machine& machine, trace::ChromeWriter& writer,
+                std::ofstream& os, const std::string& file) {
+  writer.drain(machine.tracers());
+  writer.finish(machine.now());
+  if (!os) {
+    std::fprintf(stderr, "svsim: trace: write failed for %s\n", file.c_str());
+    return 1;
   }
-  const std::string file = run.text("trace");
-  if (!file.empty()) {
-    // One canonical timeline from the per-domain tracers: for a
-    // sequential machine a single-tracer merge, so the file is the same.
-    const auto tracers = machine.tracers();
-    std::size_t events = 0;
-    std::uint64_t dropped = 0;
-    for (const auto* tr : tracers) {
-      events += tr->size();
-      dropped += tr->dropped();
-    }
-    try {
-      trace::write_chrome_trace_file(
-          tracers, file, trace::ChromeWriteOptions{machine.now()});
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "svsim: %s\n", e.what());
-      return 1;
-    }
-    std::printf("trace: %zu events (%llu dropped) -> %s\n", events,
-                static_cast<unsigned long long>(dropped), file.c_str());
-  }
+  std::printf("trace: %llu events (%llu dropped) -> %s\n",
+              static_cast<unsigned long long>(writer.events_written()),
+              static_cast<unsigned long long>(writer.dropped()), file.c_str());
   return 0;
 }
 
@@ -174,8 +158,8 @@ int main(int argc, char** argv) {
   std::optional<sys::Args> opts;
   std::unique_ptr<sys::Machine> machine;
   std::unique_ptr<sys::Run> run;
-  std::ofstream stream_os;
-  std::unique_ptr<trace::ChromeStreamSink> sink;
+  std::ofstream trace_os;
+  std::optional<trace::ChromeWriter> writer;
   try {
     if (!restore_path.empty()) {
       // The snapshot is the configuration: anything else on the command
@@ -193,37 +177,37 @@ int main(int argc, char** argv) {
     }
     const sim::Config& cfg = config.cfg;
     opts.emplace(cfg, sys::run_keys());
-    machine = std::make_unique<sys::Machine>(sys::machine_params(cfg));
-    if (!opts->text("trace").empty() || !opts->text("trace_stream").empty()) {
-      machine->enable_tracing(opts->u64("trace_buf"));
+    if (!opts->text("trace").empty()) {
+      trace_os.open(opts->text("trace"));
+      if (!trace_os) {
+        throw std::invalid_argument("trace: cannot open " +
+                                    opts->text("trace"));
+      }
+      writer.emplace(trace_os);
     }
-    if (!opts->text("trace_stream").empty()) {
-      if (machine->tracers().size() != 1) {
-        throw std::invalid_argument(
-            "trace_stream: needs a sequential machine (threads=0); use "
-            "trace= for partitioned runs");
-      }
-      stream_os.open(opts->text("trace_stream"));
-      if (!stream_os) {
-        throw std::invalid_argument("trace_stream: cannot open " +
-                                    opts->text("trace_stream"));
-      }
-      sink = std::make_unique<trace::ChromeStreamSink>(stream_os);
-      machine->tracer()->set_sink(sink.get());
+    machine = std::make_unique<sys::Machine>(sys::machine_params(cfg));
+    if (writer) {
+      machine->enable_tracing();
     }
     run = sys::workload(config.workload).launch(*machine, cfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "svsim: %s\n", e.what());
+    if (writer) {  // no run, so no trace: leave no half-written file
+      trace_os.close();
+      std::remove(opts->text("trace").c_str());
+    }
     return 2;
   }
 
   int rc = drive(*machine, config, *opts, *run,
-                 restore_path.empty() ? nullptr : &restored);
+                 restore_path.empty() ? nullptr : &restored,
+                 writer ? &*writer : nullptr);
   if (rc == 0) {
     std::printf("%s\n", run->report().c_str());
     rc = run->failure().empty() ? 0 : 1;
   }
-  if (write_traces(*machine, *opts, sink.get(), stream_os) != 0) {
+  if (writer && write_trace(*machine, *writer, trace_os,
+                            opts->text("trace")) != 0) {
     return 1;
   }
   if (opts->flag("stats")) {

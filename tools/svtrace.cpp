@@ -1,7 +1,7 @@
 // svtrace: offline analyzer for traces produced by svsim / the benches.
 //
 // Reads a Chrome trace-event JSON file (as written by
-// trace::write_chrome_trace) and prints the summaries that are awkward to
+// trace::ChromeWriter) and prints the summaries that are awkward to
 // eyeball in the Perfetto UI: per-unit occupancy, the longest spans, and
 // per-message latency broken down by where the time went (NIU queues, bus,
 // wire).
