@@ -71,7 +71,7 @@ struct Row {
 };
 
 /// One sweep row: construct, run the neighbor-exchange msg workload
-/// (every node sends `count` express messages to its right neighbor and
+/// (every node sends `count` basic messages to its right neighbor and
 /// awaits the same number from its left), tear down, report.
 Row run_row(std::size_t nodes, std::uint64_t count) {
   using Clock = std::chrono::steady_clock;

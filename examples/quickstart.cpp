@@ -46,8 +46,7 @@ int main() {
       [](msg::Endpoint* ep, msg::AddressMap map) -> sim::Co<void> {
         co_await ep->send(map.user0(1), std::as_bytes(std::span(kText)));
         // Express: 5 bytes in a single uncached store.
-        co_await ep->send_express(static_cast<std::uint8_t>(map.express(1)),
-                                  kExtra, kWord);
+        co_await ep->send_express(map.express(1), kExtra, kWord);
       }(&ep0, map));
 
   // 4. Node 1's program: receive both, report and check them.

@@ -28,7 +28,6 @@ namespace {
 constexpr mem::Addr kPage = niu::kScomaBase + 0x10000;
 constexpr std::uint32_t kPageLen = 4096;
 constexpr mem::Addr kConsumerCopy = 0x0060'0000;
-constexpr std::uint32_t kOldCopy = 0x18000;  // sSRAM staging
 constexpr int kRounds = 8;
 
 struct Run {
@@ -97,7 +96,7 @@ Run run_strategy(sys::Machine& machine, int mode, unsigned dirty_lines) {
       cmd.diff_mode = static_cast<std::uint8_t>(mode);
       if (mode == 1) {
         cmd.bank = niu::SramBank::kSSram;
-        cmd.sram_offset = kOldCopy;
+        cmd.sram_offset = sys::Node::kDiffCopyBase;
       }
     }
     cmd.addr = kPage;
@@ -149,7 +148,7 @@ int main(int argc, char** argv) {
       // Seed the old copy with the page's initial contents.
       std::vector<std::byte> snap(kPageLen);
       machine.node(0).dram().store().read(kPage, snap);
-      machine.node(0).niu().ssram().write(kOldCopy, snap);
+      machine.node(0).niu().ssram().write(sys::Node::kDiffCopyBase, snap);
     }
     const Run r = run_strategy(machine, mode, dirty);
     if (!r.ok) {

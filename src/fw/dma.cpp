@@ -9,7 +9,7 @@ DmaEngine::DmaEngine(sim::Kernel& kernel, std::string name,
                      cpu::Processor& sp, niu::SBiu& sbiu, Params params,
                      Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu, params.queues.dma_req,
-                /*scratch=*/params.staging_offset - 64, costs),
+                scratch_offset(params.staging_offset), costs),
       params_(params),
       done_seen_(kernel) {}
 

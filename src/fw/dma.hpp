@@ -42,6 +42,11 @@ struct DmaRequest {
 
 class DmaEngine final : public FwService {
  public:
+  /// The sSRAM scratch slot (64 bytes) sits just below the staging areas.
+  static constexpr std::uint32_t scratch_offset(std::uint32_t staging_offset) {
+    return staging_offset - 64;
+  }
+
   struct Params {
     std::uint32_t staging_offset = 0x10000;  // sSRAM: 2 areas x 2 buffers
     std::uint32_t chunk = niu::kBlockMaxBytes;

@@ -7,7 +7,7 @@ MissService::MissService(sim::Kernel& kernel, std::string name,
                          cpu::Processor& sp, niu::SBiu& sbiu,
                          FwQueueMap queues, Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu, queues.miss,
-                /*scratch=*/0x0FC0, costs) {}
+                kScratch, costs) {}
 
 void MissService::start() { sim::spawn(loop()); }
 

@@ -29,6 +29,8 @@ struct DramQueueDesc {
 
 class MissService final : public FwService {
  public:
+  static constexpr std::uint32_t kScratch = 0x0FC0;  // sSRAM, 32 bytes
+
   MissService(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
               niu::SBiu& sbiu, FwQueueMap queues, Costs costs = {});
 

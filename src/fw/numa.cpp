@@ -19,7 +19,7 @@ NumaEngine::NumaEngine(sim::Kernel& kernel, std::string name,
                        cpu::Processor& sp, niu::SBiu& sbiu, Params params,
                        Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu, params.queues.numa_req,
-                /*scratch=*/0x0F00, costs),
+                kScratch, costs),
       params_(params) {}
 
 void NumaEngine::start() {

@@ -40,6 +40,8 @@ struct NumaMsg {
 
 class NumaEngine final : public FwService {
  public:
+  static constexpr std::uint32_t kScratch = 0x0F00;  // sSRAM, 64 bytes
+
   struct Params {
     FwQueueMap queues;
     std::size_t num_nodes = 2;

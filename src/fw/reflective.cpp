@@ -6,8 +6,7 @@ ReflectiveEngine::ReflectiveEngine(sim::Kernel& kernel, std::string name,
                                    cpu::Processor& sp, niu::SBiu& sbiu,
                                    Params params, Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu,
-                params.queues.fw_done /*unused queue*/, /*scratch=*/0x0FE0,
-                costs),
+                params.queues.fw_done /*unused queue*/, kScratch, costs),
       params_(std::move(params)) {
   sbiu_.abiu().add_reflect_range(params_.local_base, params_.size,
                                  /*hw_mode=*/false, params_.peers);

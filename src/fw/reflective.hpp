@@ -16,6 +16,8 @@ namespace sv::fw {
 
 class ReflectiveEngine final : public FwService {
  public:
+  static constexpr std::uint32_t kScratch = 0x0FE0;  // sSRAM, 32 bytes
+
   struct Params {
     mem::Addr local_base = 0;
     mem::Addr size = 0;

@@ -23,7 +23,7 @@ ScomaEngine::ScomaEngine(sim::Kernel& kernel, std::string name,
                          cpu::Processor& sp, niu::SBiu& sbiu, Params params,
                          Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu, params.queues.scoma_req,
-                /*scratch=*/0x0F40, costs),
+                kScratch, costs),
       params_(params),
       acks_(kernel) {}
 
@@ -390,7 +390,7 @@ ChunkOpener::ChunkOpener(sim::Kernel& kernel, std::string name,
                          FwQueueMap queues, std::uint8_t open_bits,
                          Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu, queues.chunk_arrival,
-                /*scratch=*/0x0F80, costs),
+                kScratch, costs),
       open_bits_(open_bits) {}
 
 void ChunkOpener::start() { sim::spawn(loop()); }

@@ -51,6 +51,8 @@ struct ScomaMsg {
 
 class ScomaEngine final : public FwService {
  public:
+  static constexpr std::uint32_t kScratch = 0x0F40;  // sSRAM, 64 bytes
+
   struct Params {
     FwQueueMap queues;
     std::size_t num_nodes = 2;
@@ -129,6 +131,8 @@ class ScomaEngine final : public FwService {
 /// remote writes carrying chunk_notify).
 class ChunkOpener final : public FwService {
  public:
+  static constexpr std::uint32_t kScratch = 0x0F80;  // sSRAM, 64 bytes
+
   ChunkOpener(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
               niu::SBiu& sbiu, FwQueueMap queues, std::uint8_t open_bits,
               Costs costs = {});

@@ -53,7 +53,7 @@ std::size_t SnoopingCache::chunk_count(Addr addr, std::size_t size) {
 
 SnoopingCache::Line* SnoopingCache::find_line(Addr addr) {
   const Addr tag = line_base(addr);
-  for (Line& line : sets_[set_index(addr)]) {
+  for (Line& line : ways(set_index(addr))) {
     if (line.state != MesiState::kInvalid && line.tag == tag) {
       return &line;
     }
@@ -63,7 +63,7 @@ SnoopingCache::Line* SnoopingCache::find_line(Addr addr) {
 
 const SnoopingCache::Line* SnoopingCache::find_line(Addr addr) const {
   const Addr tag = line_base(addr);
-  for (const Line& line : sets_[set_index(addr)]) {
+  for (const Line& line : ways(set_index(addr))) {
     if (line.state != MesiState::kInvalid && line.tag == tag) {
       return &line;
     }
@@ -74,7 +74,7 @@ const SnoopingCache::Line* SnoopingCache::find_line(Addr addr) const {
 SnoopingCache::Line& SnoopingCache::choose_victim(std::size_t set) {
   materialize_set(set);
   Line* victim = nullptr;
-  for (Line& line : sets_[set]) {
+  for (Line& line : ways(set)) {
     if (line.state == MesiState::kInvalid) {
       return line;
     }
@@ -406,8 +406,9 @@ void SnoopingCache::ckpt_save(ckpt::Writer& w) const {
   std::uint64_t valid = 0;
   std::uint32_t crc = 0;
   for (std::size_t si = 0; si < sets_.size(); ++si) {
-    for (std::size_t way = 0; way < sets_[si].size(); ++way) {
-      const Line& line = sets_[si][way];
+    const std::span<const Line> set = ways(si);
+    for (std::size_t way = 0; way < set.size(); ++way) {
+      const Line& line = set[way];
       if (line.state == MesiState::kInvalid) {
         continue;
       }

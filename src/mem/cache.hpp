@@ -11,7 +11,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -95,7 +97,7 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   [[nodiscard]] std::size_t sets_materialized() const {
     std::size_t n = 0;
     for (const Set& s : sets_) {
-      n += s.empty() ? 0 : 1;
+      n += s ? 1 : 0;
     }
     return n;
   }
@@ -141,14 +143,21 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
     std::array<std::byte, kLineBytes> data{};
     bool push_pending = false;  // a snoop-push flush has been scheduled
   };
-  using Set = std::vector<Line>;
+  /// One set's ways, or null until the set's first fill: the directory
+  /// holds one pointer per set, 8 bytes where a vector took 24.
+  using Set = std::unique_ptr<Line[]>;
 
   [[nodiscard]] std::size_t set_index(Addr addr) const;
+  /// The ways of `set`; empty while the set does not exist.
+  [[nodiscard]] std::span<Line> ways(std::size_t set) const {
+    Line* s = sets_[set].get();
+    return {s, s == nullptr ? 0 : params_.ways};
+  }
   /// Allocate a set's ways on first line-creating access. All lines start
   /// invalid, which is indistinguishable from the set never existing.
   void materialize_set(std::size_t set) {
-    if (sets_[set].empty()) {
-      sets_[set].resize(params_.ways);
+    if (!sets_[set]) {
+      sets_[set] = std::make_unique<Line[]>(params_.ways);
     }
   }
   [[nodiscard]] Line* find_line(Addr addr);

@@ -10,6 +10,8 @@
 
 #include <bit>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cpu/processor.hpp"
@@ -44,10 +46,16 @@ struct AddressMap {
   [[nodiscard]] std::uint16_t user1(sim::NodeId n) const {
     return static_cast<std::uint16_t>(2 * stride() + n);
   }
-  /// Express messages pass only the node number in the store address; the
-  /// queue's OR mask adds the section base.
-  [[nodiscard]] std::uint16_t express(sim::NodeId n) const {
-    return static_cast<std::uint16_t>(n);
+  /// Express messages pass only the node number in the store address, as
+  /// the 8-bit vdest; the queue's OR mask adds the section base. Nodes
+  /// above 255 have no express vdest: throws std::out_of_range.
+  [[nodiscard]] std::uint8_t express(sim::NodeId n) const {
+    if (n > 0xFF) {
+      throw std::out_of_range("express destination node " +
+                              std::to_string(n) +
+                              " does not fit the 8-bit vdest");
+    }
+    return static_cast<std::uint8_t>(n);
   }
   [[nodiscard]] std::uint16_t express_section() const {
     return static_cast<std::uint16_t>(3 * stride());

@@ -66,8 +66,9 @@ Machine::Machine(Params params) : params_(params) {
                                             *network_, node_params));
   }
   const msg::AddressMap map = addr_map();
+  const std::vector<std::byte> xlat = Node::encode_translation_table(map);
   for (auto& n : nodes_) {
-    n->setup(map);
+    n->setup(map, xlat);
     n->start();
   }
 

@@ -1,6 +1,9 @@
 #include "sys/node.hpp"
 
+#include <cstdio>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 
 namespace sv::sys {
 
@@ -163,16 +166,24 @@ void Node::setup_rx_queues() {
   miss.full_policy = niu::RxFullPolicy::kDrop;
 }
 
-void Node::write_translation_table(const msg::AddressMap& map) {
-  auto& ctrl = niu_->ctrl();
-  ctrl.write_reg(niu::SysReg::kTranslationBase, kXlatBase);
-  ctrl.write_reg(niu::SysReg::kTranslationSize, map.table_entries());
+Node::SsramRegion Node::translation_table_region(const msg::AddressMap& map) {
+  const auto bytes =
+      static_cast<std::uint32_t>(map.table_entries() * niu::XlatEntry::kBytes);
+  const bool fits_low = kXlatBase + bytes <= fw::NumaEngine::kScratch;
+  return {"translation table", fits_low ? kXlatBase : kXlatHighBase, bytes};
+}
 
-  // The express queue's 8-bit vdest indexes the express section via the
-  // queue's OR mask (sections are power-of-two aligned).
-  ctrl.txq(kTxExpress).or_mask = map.express_section();
+std::vector<Node::SsramRegion> Node::ssram_regions(
+    const msg::AddressMap& map) {
+  std::vector<SsramRegion> regions(std::begin(kSsramRegions),
+                                   std::end(kSsramRegions));
+  regions.push_back(translation_table_region(map));
+  return regions;
+}
 
-  auto& ssram = niu_->ssram();
+std::vector<std::byte> Node::encode_translation_table(
+    const msg::AddressMap& map) {
+  std::vector<std::byte> table(map.table_entries() * niu::XlatEntry::kBytes);
   const std::size_t stride = map.stride();
   for (std::size_t v = 0; v < map.table_entries(); ++v) {
     niu::XlatEntry e;
@@ -203,20 +214,67 @@ void Node::write_translation_table(const msg::AddressMap& map) {
         e.valid = false;
         break;
     }
-    std::byte raw[niu::XlatEntry::kBytes];
-    e.encode(raw);
-    ssram.write(kXlatBase + v * niu::XlatEntry::kBytes, raw);
+    e.encode(table.data() + v * niu::XlatEntry::kBytes);
+  }
+  return table;
+}
+
+void Node::check_ssram_layout(std::span<const SsramRegion> regions,
+                              std::uint32_t bank_bytes) {
+  auto describe = [](const SsramRegion& r) {
+    char range[48];
+    std::snprintf(range, sizeof(range), " [0x%05X, 0x%05X)", r.base,
+                  r.base + r.bytes);
+    return std::string(r.name) + range;
+  };
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const SsramRegion& a = regions[i];
+    if (std::uint64_t{a.base} + a.bytes > bank_bytes) {
+      throw std::invalid_argument("sSRAM: " + describe(a) +
+                                  " ends past the bank (" +
+                                  std::to_string(bank_bytes) + " bytes)");
+    }
+    for (std::size_t j = i + 1; j < regions.size(); ++j) {
+      const SsramRegion& b = regions[j];
+      if (a.base < b.base + b.bytes && b.base < a.base + a.bytes) {
+        throw std::invalid_argument("sSRAM: " + describe(a) + " overlaps " +
+                                    describe(b));
+      }
+    }
   }
 }
 
-void Node::setup(const msg::AddressMap& map) {
+void Node::write_translation_table(const msg::AddressMap& map,
+                                   std::span<const std::byte> table) {
+  const SsramRegion region = translation_table_region(map);
+  if (table.size() != region.bytes) {
+    throw std::logic_error("Node::setup: translation table of " +
+                           std::to_string(table.size()) + " bytes, want " +
+                           std::to_string(region.bytes));
+  }
+  check_ssram_layout(ssram_regions(map),
+                     static_cast<std::uint32_t>(niu_->ssram().size()));
+
+  auto& ctrl = niu_->ctrl();
+  ctrl.write_reg(niu::SysReg::kTranslationBase, region.base);
+  ctrl.write_reg(niu::SysReg::kTranslationSize, map.table_entries());
+
+  // The express queue's 8-bit vdest indexes the express section via the
+  // queue's OR mask (sections are power-of-two aligned).
+  ctrl.txq(kTxExpress).or_mask = map.express_section();
+
+  niu_->ssram().write(region.base, table);
+}
+
+void Node::setup(const msg::AddressMap& map,
+                 std::span<const std::byte> xlat_table) {
   if (setup_done_) {
     throw std::logic_error("Node::setup called twice");
   }
   setup_done_ = true;
   setup_tx_queues();
   setup_rx_queues();
-  write_translation_table(map);
+  write_translation_table(map, xlat_table);
   if (scoma_) {
     scoma_->init_cls();
   }

@@ -4,6 +4,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "cpu/processor.hpp"
 #include "fw/dma.hpp"
@@ -69,19 +72,83 @@ class Node {
   static constexpr std::uint16_t kUserSlots = 64;
   static constexpr std::uint16_t kExpressSlots = 128;
 
-  // sSRAM layout.
+  // sSRAM layout (bank-relative offsets). Every region any component uses
+  // is listed in kSsramRegions; setup() rejects a layout in which two
+  // overlap.
+  struct SsramRegion {
+    std::string_view name;
+    std::uint32_t base;
+    std::uint32_t bytes;
+  };
+  // The translation table (4 sections of bit_ceil(nodes) 8-byte entries)
+  // sits at kXlatBase while it ends by the firmware scratch, which covers
+  // up to 64 nodes; a larger table moves to kXlatHighBase.
   static constexpr std::uint32_t kXlatBase = 0x0000;
+  static constexpr std::uint32_t kXlatHighBase = 0x28000;
+  // Firmware receive queues: hw rx queue q at kFwQueueBase + (q - 8) *
+  // kFwQueueStride.
   static constexpr std::uint32_t kFwQueueBase = 0x1000;
   static constexpr std::uint32_t kFwQueueStride = 0x1800;  // 64 x 96
   static constexpr std::uint16_t kFwSlots = 64;
+  // Approach-2 (sP copy) firmware: its two receive queues, scratch slot
+  // and one-chunk staging buffer.
+  static constexpr std::uint32_t kSpCopyQueueBase = 0xD000;
+  static constexpr std::uint32_t kSpCopyScratch = 0x10FC0;
+  static constexpr std::uint32_t kSpCopyStaging = 0x11000;
+  // The old copy a value-diff block transfer compares a 4 KB page against.
+  static constexpr std::uint32_t kDiffCopyBase = 0x18000;
+  // DMA firmware: two areas of two block-xfer buffers, its scratch slot
+  // just below.
   static constexpr std::uint32_t kDmaStagingBase = 0x20000;
+  // Approaches 4/5: one block transfer's two staging buffers.
+  static constexpr std::uint32_t kA45StagingBase = 0x24000;
+
+  /// Every fixed region, that is all but the translation table. The
+  /// firmware scratch slots (the landing area of FwService::read_ap) are
+  /// the engines' own constants.
+  static constexpr SsramRegion kSsramRegions[] = {
+      {"NUMA scratch", fw::NumaEngine::kScratch, 64},
+      {"S-COMA scratch", fw::ScomaEngine::kScratch, 64},
+      {"chunk-opener scratch", fw::ChunkOpener::kScratch, 64},
+      {"miss scratch", fw::MissService::kScratch, 32},
+      {"reflective scratch", fw::ReflectiveEngine::kScratch, 32},
+      {"firmware queues 8-15", kFwQueueBase, 8 * kFwQueueStride},
+      {"sP-copy queues 3-4", kSpCopyQueueBase, 2 * kFwQueueStride},
+      {"sP-copy scratch", kSpCopyScratch, 64},
+      {"sP-copy staging", kSpCopyStaging, 64},
+      {"diff copy", kDiffCopyBase, 0x1000},
+      {"DMA scratch", fw::DmaEngine::scratch_offset(kDmaStagingBase), 64},
+      {"DMA staging", kDmaStagingBase, 0x2000},
+      {"approach 4/5 staging", kA45StagingBase, 0x1000},
+  };
+
+  /// Where `map`'s translation table sits.
+  [[nodiscard]] static SsramRegion translation_table_region(
+      const msg::AddressMap& map);
+  /// Every region of a node laid out by `map`: kSsramRegions and the
+  /// translation table.
+  [[nodiscard]] static std::vector<SsramRegion> ssram_regions(
+      const msg::AddressMap& map);
+
+  /// `map`'s translation table as sSRAM bytes. Every node holds the same
+  /// table, so a machine encodes it once and hands it to each setup().
+  [[nodiscard]] static std::vector<std::byte> encode_translation_table(
+      const msg::AddressMap& map);
+
+  /// Throws std::invalid_argument naming both regions if two of `regions`
+  /// overlap, or naming one that ends past `bank_bytes`.
+  static void check_ssram_layout(std::span<const SsramRegion> regions,
+                                 std::uint32_t bank_bytes);
 
   Node(sim::Kernel& kernel, const std::string& name, sim::NodeId id,
        net::Network& network, Params params);
 
   /// Configure queues, the translation table, firmware bindings ("OS
-  /// boot"). Call once before start().
-  void setup(const msg::AddressMap& map);
+  /// boot"). `xlat_table` is encode_translation_table(map). Throws
+  /// std::invalid_argument if the sSRAM regions overlap. Call once before
+  /// start().
+  void setup(const msg::AddressMap& map,
+             std::span<const std::byte> xlat_table);
 
   /// Spawn NIU and firmware processes.
   void start();
@@ -117,7 +184,8 @@ class Node {
  private:
   void setup_tx_queues();
   void setup_rx_queues();
-  void write_translation_table(const msg::AddressMap& map);
+  void write_translation_table(const msg::AddressMap& map,
+                               std::span<const std::byte> table);
 
   sim::NodeId id_;
   Params params_;

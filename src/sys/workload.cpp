@@ -308,8 +308,8 @@ sim::Co<void> msg_program(Run* run, sim::NodeId self, std::uint64_t count,
     const auto dst =
         static_cast<sim::NodeId>((self + 1 + i % (nodes - 1)) % nodes);
     if (express) {
-      co_await ep->send_express(static_cast<std::uint8_t>(map.express(dst)),
-                                0, static_cast<std::uint32_t>(i));
+      co_await ep->send_express(map.express(dst), 0,
+                                static_cast<std::uint32_t>(i));
     } else {
       co_await ep->send(map.user0(dst), payload);
     }
@@ -327,6 +327,9 @@ sim::Co<void> msg_program(Run* run, sim::NodeId self, std::uint64_t count,
 std::unique_ptr<Run> start_msg(Machine& machine, const Args& a,
                                bool express) {
   require_two_nodes(machine, express ? "express" : "msg");
+  require(!express || machine.size() <= 256, "nodes",
+          "express needs at most 256 nodes (the destination is an 8-bit "
+          "express vdest), got " + std::to_string(machine.size()));
   auto run = std::make_unique<Run>(machine);
   const auto count = a.u64("count");
   const std::uint64_t bytes = express ? 5 : a.u64("bytes");
@@ -605,8 +608,7 @@ sim::Co<void> scoma_background(Run* run) {
 sim::Co<void> pair_send(msg::Endpoint* ep, msg::AddressMap map,
                         sim::NodeId to, const PairSpec* s) {
   if (s->kind == "express") {
-    co_await ep->send_express(static_cast<std::uint8_t>(map.express(to)), 1,
-                              0x12345678);
+    co_await ep->send_express(map.express(to), 1, 0x12345678);
   } else if (s->kind == "tagon") {
     const std::byte inline_data[8] = {};
     co_await ep->stage(ep->staging_base(), s->data);
@@ -928,11 +930,11 @@ std::unique_ptr<Run> start_packets(Machine& machine, const Args& a) {
   return run;
 }
 
-/// diff: node 0's 4 KB page in the S-COMA window (tracked by the aBIU),
-/// the sSRAM copy value diffs compare against, and node 1's destination.
+/// diff: node 0's 4 KB page in the S-COMA window (tracked by the aBIU)
+/// and node 1's destination. Value diffs compare against the old copy at
+/// Node::kDiffCopyBase.
 constexpr mem::Addr kDiffPage = niu::kScomaBase + 0x10000;
 constexpr std::uint32_t kDiffBytes = 4096;
-constexpr std::uint32_t kDiffOldCopy = 0x18000;
 constexpr mem::Addr kDiffDest = 0x0060'0000;
 
 /// Node 0 dirties `dirty` evenly spread lines of the page, then ships the
@@ -982,13 +984,14 @@ std::unique_ptr<Run> start_diff(Machine& machine, const Args& a) {
   cmd.notify_tag = 2;
   if (mode != "tracked") {
     cmd.bank = niu::SramBank::kSSram;
-    cmd.sram_offset = mode == "full" ? Node::kDmaStagingBase : kDiffOldCopy;
+    cmd.sram_offset =
+        mode == "full" ? Node::kDmaStagingBase : Node::kDiffCopyBase;
   }
   if (mode == "value") {
     // The old copy equals the page, so only the dirtied lines differ.
     std::vector<std::byte> page(kDiffBytes);
     node.dram().store().read(kDiffPage, page);
-    node.niu().ssram().write(kDiffOldCopy, page);
+    node.niu().ssram().write(Node::kDiffCopyBase, page);
   }
   auto run = std::make_unique<Run>(machine);
   const auto dirty = a.u64("dirty");

@@ -15,10 +15,6 @@ struct A1Hdr {
 };
 constexpr std::uint32_t kA1Chunk = 64;
 
-/// Approaches 4/5 stage through their own sSRAM area (after the DMA
-/// engine's staging, which occupies 0x20000..0x22000).
-constexpr std::uint32_t kA45Staging = 0x24000;
-
 }  // namespace
 
 BlockTransferHarness::BlockTransferHarness(sys::Machine& machine)
@@ -184,7 +180,7 @@ sim::Co<void> BlockTransferHarness::a45_sender(const TransferSpec& spec,
     cmd.dest_addr = spec.dst + off;
     cmd.len = n;
     cmd.bank = niu::SramBank::kSSram;
-    cmd.sram_offset = kA45Staging;
+    cmd.sram_offset = sys::Node::kA45StagingBase;
     cmd.dest_node = spec.receiver;
     // Serialize staging reuse across chunks: each command fences on the
     // completion of all previously issued block operations.

@@ -5,7 +5,7 @@ namespace sv::xfer {
 SpCopyEngine::SpCopyEngine(sim::Kernel& kernel, std::string name,
                            cpu::Processor& sp, niu::SBiu& sbiu, Costs costs)
     : FwService(kernel, std::move(name), sp, sbiu, kSpCopyReqQ,
-                /*scratch=*/kStagingOffset - 64, costs) {}
+                sys::Node::kSpCopyScratch, costs) {}
 
 void SpCopyEngine::bind_queues(sys::Node& node) {
   auto& ctrl = node.niu().ctrl();
@@ -19,8 +19,9 @@ void SpCopyEngine::bind_queues(sys::Node& node) {
     r.logical = logical;
     r.full_policy = niu::RxFullPolicy::kHold;  // lossless data path
   };
-  bind(kSpCopyReqQ, kSpCopyReqL, 0xD000);
-  bind(kSpCopyDataQ, kSpCopyDataL, 0xE800);
+  bind(kSpCopyReqQ, kSpCopyReqL, sys::Node::kSpCopyQueueBase);
+  bind(kSpCopyDataQ, kSpCopyDataL,
+       sys::Node::kSpCopyQueueBase + sys::Node::kFwQueueStride);
 }
 
 void SpCopyEngine::start() {
@@ -59,7 +60,7 @@ sim::Co<void> SpCopyEngine::request_loop() {
       rd.addr = req.src + off;
       rd.len = n;
       rd.bank = niu::SramBank::kSSram;
-      rd.sram_offset = kStagingOffset;
+      rd.sram_offset = sys::Node::kSpCopyStaging;
       co_await sbiu_.post(kCmdQ, std::move(rd));
 
       SpCopyDataHdr hdr;
@@ -74,7 +75,7 @@ sim::Co<void> SpCopyEngine::request_loop() {
       send_cmd.queue = kSpCopyDataL;
       send_cmd.data = fw::to_bytes(hdr);
       send_cmd.bank = niu::SramBank::kSSram;
-      send_cmd.sram_offset = kStagingOffset;
+      send_cmd.sram_offset = sys::Node::kSpCopyStaging;
       send_cmd.attach_len = n;
       co_await sbiu_.post(kCmdQ, std::move(send_cmd));
     }

@@ -55,8 +55,6 @@ class SpCopyEngine final : public fw::FwService {
  private:
   sim::Co<void> request_loop();
   sim::Co<void> data_loop();
-
-  static constexpr std::uint32_t kStagingOffset = 0x11000;  // sSRAM scratch
 };
 
 }  // namespace sv::xfer

@@ -131,8 +131,7 @@ TEST_F(EndpointTest, ExpressSingleStoreRoundTrip) {
   bool got = false;
 
   machine.node(0).ap().run(
-      eps[0]->send_express(static_cast<std::uint8_t>(map.express(1)), 0x7E,
-                           0xDEADBEEF));
+      eps[0]->send_express(map.express(1), 0x7E, 0xDEADBEEF));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* done) -> sim::Co<void> {
         msg::ExpressMessage m = co_await ep->recv_express();
@@ -172,8 +171,7 @@ TEST_F(EndpointTest, ExpressIsFasterThanBasic) {
   basic_done = machine.kernel().now() - t0;
 
   const sim::Tick t1 = machine.kernel().now();
-  machine.node(0).ap().run(
-      eps[0]->send_express(static_cast<std::uint8_t>(map.express(1)), 1, 2));
+  machine.node(0).ap().run(eps[0]->send_express(map.express(1), 1, 2));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* done) -> sim::Co<void> {
         (void)co_await ep->recv_express();

@@ -240,7 +240,7 @@ TEST_F(DiffTest, ValueModeDiffAgainstStagedOldCopy) {
   // Old copy staged in sSRAM; DRAM region differs in two lines.
   auto old_data = test::pattern_bytes(kLen, 30);
   machine.node(0).dram().store().write(0x0070'0000, old_data);
-  machine.node(0).niu().ssram().write(0x18000, old_data);
+  machine.node(0).niu().ssram().write(sys::Node::kDiffCopyBase, old_data);
   machine.node(1).dram().store().fill(kDst, kLen, std::byte{0});
 
   auto new_data = old_data;
@@ -254,7 +254,7 @@ TEST_F(DiffTest, ValueModeDiffAgainstStagedOldCopy) {
   cmd.addr = 0x0070'0000;
   cmd.len = kLen;
   cmd.bank = niu::SramBank::kSSram;
-  cmd.sram_offset = 0x18000;
+  cmd.sram_offset = sys::Node::kDiffCopyBase;
   cmd.dest_node = 1;
   cmd.dest_addr = kDst;
   cmd.remote_notify = true;

@@ -6,7 +6,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "shm/scoma_region.hpp"
 #include "tests/test_util.hpp"
@@ -184,6 +187,81 @@ TEST(MachineTest, NetworkStatsAccumulate) {
   test::drive(machine.kernel(), [&] { return got; });
   EXPECT_GE(machine.network().packets_delivered(), 1u);
   EXPECT_GT(machine.network().transit_ps().mean(), 0.0);
+}
+
+// --- sSRAM layout ------------------------------------------------------------
+
+// Every sSRAM region is disjoint from the others, and the table the NIU
+// reads decodes every virtual destination to its route. The table used to
+// start at 0x0000 whatever its size, so above 64 nodes it ran into the
+// firmware scratch slots (and above 128 into the firmware queues), where
+// any firmware message or scratch read rewrote the node's routes.
+TEST(SsramLayout, RegionsAreDisjointAndEveryRouteDecodes) {
+  for (const std::size_t nodes : {64, 128, 256, 1024}) {
+    SCOPED_TRACE("nodes=" + std::to_string(nodes));
+    sim::Kernel kernel;
+    net::IdealNetwork net(kernel, "net", {.nodes = nodes});
+    sys::Node::Params params =
+        test::small_machine_params(nodes, sys::Machine::NetKind::kIdeal).node;
+    params.num_nodes = nodes;
+    sys::Node node(kernel, "n0", 0, net, params);
+    const msg::AddressMap map{nodes};
+    node.setup(map, sys::Node::encode_translation_table(map));
+
+    const auto regions = sys::Node::ssram_regions(map);
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      const auto& a = regions[i];
+      EXPECT_LE(a.base + a.bytes, node.niu().ssram().size()) << a.name;
+      for (std::size_t j = i + 1; j < regions.size(); ++j) {
+        const auto& b = regions[j];
+        EXPECT_TRUE(a.base + a.bytes <= b.base || b.base + b.bytes <= a.base)
+            << a.name << " overlaps " << b.name;
+      }
+    }
+
+    const niu::Ctrl& ctrl = node.niu().ctrl();
+    const auto base = ctrl.read_reg(niu::SysReg::kTranslationBase);
+    EXPECT_EQ(base, sys::Node::translation_table_region(map).base);
+    EXPECT_EQ(ctrl.read_reg(niu::SysReg::kTranslationSize),
+              map.table_entries());
+    const std::pair<std::size_t, net::QueueId> sections[] = {
+        {0, msg::AddressMap::kUser0L},
+        {map.stride(), fw::kDmaReqL},
+        {2 * map.stride(), msg::AddressMap::kUser1L},
+        {map.express_section(), msg::AddressMap::kExpressL},
+    };
+    std::size_t bad = 0;
+    for (const auto& [section, queue] : sections) {
+      for (sim::NodeId n = 0; n < nodes; ++n) {
+        std::byte raw[niu::XlatEntry::kBytes];
+        node.niu().ssram().read(base + (section + n) * niu::XlatEntry::kBytes,
+                                raw);
+        const niu::XlatEntry e = niu::XlatEntry::decode(raw);
+        bad += e.valid && e.phys_node == n && e.logical_queue == queue ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(bad, 0u) << "table entries that do not decode to their route";
+  }
+}
+
+TEST(SsramLayout, OverlapIsRejectedNamingBothRegions) {
+  // The table placed at 0x0000 regardless of size, as it once was: at 128
+  // nodes its 4 KiB run into the NUMA scratch slot at 0x0F00.
+  std::vector<sys::Node::SsramRegion> regions(
+      std::begin(sys::Node::kSsramRegions), std::end(sys::Node::kSsramRegions));
+  regions.push_back({"translation table", sys::Node::kXlatBase, 4 * 128 * 8});
+  try {
+    sys::Node::check_ssram_layout(regions, 256 * 1024);
+    ADD_FAILURE() << "overlap not rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("NUMA scratch"), std::string::npos) << what;
+    EXPECT_NE(what.find("translation table"), std::string::npos) << what;
+  }
+  // A region past the end of the bank is rejected too.
+  const sys::Node::SsramRegion past[] = {{"big", 0x30000, 0x20000}};
+  EXPECT_THROW(sys::Node::check_ssram_layout(past, 256 * 1024),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST_F(MsgTest, ExpressFlowControlAcrossQueueWrap) {
           co_await ep->send_express(vdest, static_cast<std::uint8_t>(i),
                                     i);
         }
-      }(&ep0, static_cast<std::uint8_t>(map.express(1))));
+      }(&ep0, map.express(1)));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, int* n, bool* ok) -> sim::Co<void> {
         for (std::uint32_t i = 0; i < kCount; ++i) {

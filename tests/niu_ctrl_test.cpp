@@ -259,14 +259,14 @@ TEST_F(CtrlTest, CommandWriteSramAndCopySram) {
   niu::Command wr;
   wr.op = niu::CmdOp::kWriteSram;
   wr.bank = niu::SramBank::kSSram;
-  wr.sram_offset = 0x18000;
+  wr.sram_offset = sys::Node::kDiffCopyBase;
   wr.data = test::pattern_bytes(32);
   ctrl(0).post_command(0, wr);
 
   niu::Command cp;
   cp.op = niu::CmdOp::kCopySram;
   cp.bank = niu::SramBank::kSSram;
-  cp.sram_offset = 0x18000;
+  cp.sram_offset = sys::Node::kDiffCopyBase;
   cp.bank2 = niu::SramBank::kASram;
   cp.sram_offset2 = 0x9000;
   cp.len = 32;

@@ -112,14 +112,14 @@ TEST_F(NiuMoreTest, PerQueueTranslationDisable) {
 
 TEST_F(NiuMoreTest, TagOnFromSSram) {
   auto tag_data = test::pattern_bytes(niu::kTagOnSmallBytes, 42);
-  machine.node(0).niu().ssram().write(0x18000, tag_data);
+  machine.node(0).niu().ssram().write(sys::Node::kDiffCopyBase, tag_data);
 
   niu::MsgDescriptor d;
   d.vdest = machine.addr_map().user0(1);
   d.length = 0;
   d.flags = niu::MsgDescriptor::kFlagTagOn |
             niu::MsgDescriptor::kFlagTagOnSSram;
-  d.aux = 0x18000;
+  d.aux = sys::Node::kDiffCopyBase;
   compose(0, sys::Node::kTxUser0, d, {});
 
   drive_until([&] { return !ctrl(1).rxq(sys::Node::kRxUser0).empty(); });

@@ -2,6 +2,8 @@
 // remote-command wire codec, and address-window encodings.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "niu/command.hpp"
 #include "niu/queues.hpp"
 #include "niu/regs.hpp"
@@ -196,6 +198,18 @@ TEST(AddressMapTest, SectionsArePowerOfTwoAligned) {
     }
     EXPECT_LE(map.table_entries(), 256u) << "fits an 8-bit express vdest";
   }
+}
+
+TEST(AddressMapTest, ExpressVdestIsEightBits) {
+  // Beyond 256 nodes the 8-bit vdest cannot name the destination; node
+  // 256 must be refused, not aliased onto node 0.
+  const msg::AddressMap map{1024};
+  EXPECT_EQ(map.express(0), 0u);
+  EXPECT_EQ(map.express(255), 255u);
+  EXPECT_EQ(map.express_section() | map.express(255),
+            map.express_section() + 255);
+  EXPECT_THROW((void)map.express(256), std::out_of_range);
+  EXPECT_THROW((void)map.express(1023), std::out_of_range);
 }
 
 /// Property sweep: the codec round-trips random commands.

@@ -41,7 +41,7 @@ TEST_P(ExpressProperty, RandomTuplesRoundTripInOrder) {
         for (const auto& [extra, word] : *v) {
           co_await ep->send_express(dst, extra, word);
         }
-      }(&ep0, static_cast<std::uint8_t>(map.express(1)), &sent));
+      }(&ep0, map.express(1), &sent));
 
   int received = 0;
   bool ok = true;

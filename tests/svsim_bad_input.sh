@@ -44,6 +44,7 @@ check words "$svsim" scoma words=0
 check bytes "$svsim" msg bytes=100000
 check count "$svsim" msg count=65
 check count "$svsim" express count=129
+check "nodes.*8-bit" "$svsim" express nodes=257 count=1 net=ideal
 check bytes "$svsim" dma bytes=0
 check bytes "$svsim" dma bytes=100
 check bytes "$svsim" xfer bytes=0
