@@ -4,7 +4,7 @@
 
 #include "app/runtime.hpp"
 #include "ckpt/io.hpp"
-#include "sys/machine.hpp"
+#include "sys/workload.hpp"
 
 namespace sv::ckpt {
 
@@ -28,7 +28,7 @@ void add(Snapshot& snap, std::string name, const T& component) {
 }  // namespace
 
 Snapshot capture(sys::Machine& machine, std::string config,
-                 const app::World* world) {
+                 const sys::Run* run) {
   Snapshot snap;
   snap.config = std::move(config);
   snap.tick = machine.now();
@@ -60,25 +60,25 @@ Snapshot capture(sys::Machine& machine, std::string config,
     add(snap, node_chunk(i, "asram"), node.niu().asram());
     add(snap, node_chunk(i, "ssram"), node.niu().ssram());
     add(snap, node_chunk(i, "cls"), node.niu().cls());
-    if (const fw::DmaEngine* e = node.dma()) {
-      add(snap, node_chunk(i, "fw.dma"), *e);
-    }
-    if (const fw::NumaEngine* e = node.numa()) {
-      add(snap, node_chunk(i, "fw.numa"), *e);
-    }
+    add(snap, node_chunk(i, "fw.dma"), *node.dma());
+    add(snap, node_chunk(i, "fw.numa"), *node.numa());
     if (const fw::ScomaEngine* e = node.scoma()) {
       add(snap, node_chunk(i, "fw.scoma"), *e);
     }
-    if (const fw::MissService* e = node.miss_service()) {
-      add(snap, node_chunk(i, "fw.miss"), *e);
-    }
-    if (const fw::ChunkOpener* e = node.chunk_opener()) {
-      add(snap, node_chunk(i, "fw.chunk"), *e);
-    }
+    add(snap, node_chunk(i, "fw.miss"), *node.miss_service());
+    add(snap, node_chunk(i, "fw.chunk"), *node.chunk_opener());
   }
 
-  if (world != nullptr) {
-    add(snap, "app", *world);
+  if (run != nullptr) {
+    if (run->world) {
+      add(snap, "app", *run->world);
+    }
+    // The `reliable` workload's channels live outside any World: channel
+    // i is node i's.
+    for (std::size_t i = 0; i < run->channels.size(); ++i) {
+      add(snap, node_chunk(static_cast<sim::NodeId>(i), "reliable"),
+          *run->channels[i]);
+    }
   }
   return snap;
 }

@@ -2,12 +2,12 @@
 //
 // capture() walks a sys::Machine in canonical order — event domains,
 // fault injector, network, then every node's bus/memory/processors/NIU/
-// firmware, then the app runtime if one is attached — and collects each
-// component's ckpt_save() output as a named Snapshot chunk. The walk
-// order (and therefore the serialized byte stream) is a function of the
-// machine's shape alone, never of host iteration order or thread count,
-// so two captures of bit-identical machine states produce bit-identical
-// snapshots.
+// firmware, then the run's app runtime and reliable channels, if it has
+// them — and collects each component's ckpt_save() output as a named
+// Snapshot chunk. The walk order (and therefore the serialized byte
+// stream) is a function of the machine's shape alone, never of host
+// iteration order or thread count, so two captures of bit-identical
+// machine states produce bit-identical snapshots.
 //
 // Captures are only meaningful at an epoch boundary: that is the one
 // instant where every domain agrees on the time, the parallel scheduler's
@@ -21,23 +21,21 @@
 #include "ckpt/snapshot.hpp"
 #include "sim/types.hpp"
 
-namespace sv::app {
-class World;
-}  // namespace sv::app
-
 namespace sv::sys {
 class Machine;
+struct Run;
 }  // namespace sv::sys
 
 namespace sv::ckpt {
 
 /// Capture the machine's architectural state into a Snapshot carrying
 /// `config` (the text needed to rebuild the run) and the machine's current
-/// time. `world` adds the app-runtime chunk when the workload runs one.
-/// Call only while no domain is executing (sequentially, or at an epoch
-/// boundary) — the same rule as every aggregated stats view.
+/// time. `run` adds the workload's own state: the "app" chunk when it
+/// runs an app::World, and one "n<i>.reliable" chunk per reliable
+/// channel. Call only while no domain is executing (sequentially, or at
+/// an epoch boundary) — the same rule as every aggregated stats view.
 [[nodiscard]] Snapshot capture(sys::Machine& machine, std::string config,
-                               const app::World* world = nullptr);
+                               const sys::Run* run = nullptr);
 
 /// Drive the machine in whole epochs until now() >= target (or `deadline`
 /// passes, or everything idles). Returns the boundary tick reached —

@@ -68,15 +68,6 @@ class Search {
       ++result_.pruned_horizon;
       return false;
     }
-    if (r.state_hash != 0) {
-      // Same machine state + same candidate index range => same subtree.
-      std::uint32_t& explored = seen_[{r.state_hash, first}];
-      if (explored >= remaining) {
-        ++result_.pruned_dedup;
-        return false;
-      }
-      explored = remaining;
-    }
     for (std::uint64_t i = first; i < horizon; ++i) {
       pattern.push_back(i);
       const ScenarioResult* next = eval(pattern);
@@ -107,8 +98,6 @@ class Search {
   const ExploreParams& params_;
   ExploreResult result_;
   std::map<std::vector<std::uint64_t>, ScenarioResult> cache_;
-  /// (state hash, first candidate index) -> deepest `remaining` explored.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> seen_;
   bool budget_ok_ = true;
 };
 

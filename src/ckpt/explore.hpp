@@ -9,19 +9,14 @@
 // patterns are visited in lexicographic order, so the answer is unique
 // and reproducible.
 //
-// The search stays tractable through two sound prunings plus one
-// deduplication:
+// The search stays tractable through two sound prunings:
 //   * reachability: extending pattern P with index i >= the number of
 //     drop opportunities the run of P actually observed is a no-op —
 //     run(P u {i}) == run(P) because opportunity i never happens — so
 //     only indices below the observed horizon (and the configured cap)
 //     are explored;
 //   * monotone indices: patterns are ordered sets, each extension index
-//     exceeds the pattern's last, so no pattern is visited twice;
-//   * state-hash dedup: two prefixes with the same final state hash
-//     (Snapshot::state_hash — cumulative counters and RNG cursors, so
-//     equal hashes mean equal trajectories) and the same last index
-//     reach identical futures; the subtree is explored once.
+//     exceeds the pattern's last, so no pattern is visited twice.
 //
 // The engine is workload-agnostic: the caller supplies a ScenarioFn that
 // builds a machine (typically restored from a checkpoint), applies the
@@ -46,9 +41,6 @@ struct ScenarioResult {
   /// Drop opportunities the run observed (fault::Injector::
   /// drop_opportunities()) — the reachability horizon for extensions.
   std::uint64_t opportunities = 0;
-  /// Final machine state hash (Snapshot::state_hash of a capture at the
-  /// end of the run) — the dedup key. 0 disables dedup for this run.
-  std::uint64_t state_hash = 0;
 };
 
 /// Run the workload with exactly the given drop pattern applied
@@ -83,8 +75,7 @@ struct ExploreResult {
   bool exhausted = false;
   /// Simulated runs actually performed.
   std::uint64_t runs = 0;
-  /// Subtrees skipped by the two prunings.
-  std::uint64_t pruned_dedup = 0;
+  /// Patterns with no extension below the reachability horizon.
   std::uint64_t pruned_horizon = 0;
 };
 

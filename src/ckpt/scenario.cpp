@@ -76,8 +76,7 @@ struct Trial {
       // Every drop lands at or after the snapshot's opportunity base, so
       // the prefix must reproduce the fault-free capture byte for byte.
       run_to_tick(machine, resume->tick, deadline);
-      Snapshot::verify(*resume,
-                       capture(machine, resume->config, run->world.get()));
+      Snapshot::verify(*resume, capture(machine, resume->config, run.get()));
     }
   }
 
@@ -107,7 +106,6 @@ ScenarioResult run_pattern(const RunConfig& rc,
 
   ScenarioResult r;
   r.opportunities = t.opportunities() - base;
-  r.state_hash = capture(t.machine, "", t.run->world.get()).state_hash();
   if (const std::string failure = t.run->failure(); !failure.empty()) {
     r.violation = true;
     r.detail = failure;

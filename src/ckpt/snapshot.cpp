@@ -83,15 +83,6 @@ Snapshot Snapshot::parse(std::span<const std::byte> data) {
   return s;
 }
 
-std::uint64_t Snapshot::state_hash() const {
-  std::uint32_t crc = 0;
-  for (const auto& [name, bytes] : chunks_) {
-    crc = sim::crc32(std::as_bytes(std::span(name.data(), name.size())), crc);
-    crc = sim::crc32(bytes, crc);
-  }
-  return crc;
-}
-
 void Snapshot::verify(const Snapshot& expected, const Snapshot& actual) {
   if (expected.tick != actual.tick) {
     throw Error("restore diverged: snapshot tick " +

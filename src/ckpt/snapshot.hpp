@@ -35,8 +35,9 @@ namespace sv::ckpt {
 class Snapshot {
  public:
   static constexpr std::uint32_t kMagic = 0x4B435653;  // "SVCK" little-endian
-  /// Version 2: the processor chunk no longer carries batched-quantum ticks.
-  static constexpr std::uint32_t kVersion = 2;
+  /// Version 3: the clsSRAM chunk digests only its materialized chunks,
+  /// and a `reliable` run's channels have chunks of their own.
+  static constexpr std::uint32_t kVersion = 3;
 
   std::string config;  // the run's configuration (ckpt/scenario.hpp)
   std::uint64_t tick = 0;
@@ -61,12 +62,6 @@ class Snapshot {
 
   /// Parse serialized bytes; throws ckpt::Error on any structural problem.
   static Snapshot parse(std::span<const std::byte> data);
-
-  /// CRC-32 over the chunk payloads (names included). This is the state
-  /// hash the scenario explorer prunes on: equal hashes mean the two
-  /// machine states are observationally identical, because the chunks
-  /// cover cumulative counters and RNG cursors, not just live state.
-  [[nodiscard]] std::uint64_t state_hash() const;
 
   /// Byte-compare every chunk of `expected` (the file) against `actual`
   /// (the re-captured state after replay). Throws ckpt::Error naming the

@@ -1,5 +1,6 @@
 #include "mem/cls_sram.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 
@@ -83,25 +84,21 @@ sim::Co<void> ClsSram::write_state_range(Addr base, Addr size,
 void ClsSram::ckpt_save(ckpt::Writer& w) const {
   w.u64(writes_.value());
   w.u64(lines_);
-  // Digest the *effective* array — materialized chunks as stored, virtual
-  // chunks expanded through the default function — in index order, so the
-  // digest is byte-identical to the old eagerly-allocated layout.
+  // Digest the materialized chunks by index, as BackingStore does its
+  // pages. A virtual chunk reads as the default function, which the same
+  // config installs again, so any line that diverges from it is in a
+  // chunk digested here.
+  std::uint64_t count = 0;
   std::uint32_t crc = 0;
-  Chunk scratch;
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    const std::size_t base = c * kChunkLines;
-    const std::size_t n = std::min(kChunkLines, lines_ - base);
-    const std::uint8_t* bytes;
+  for (std::uint64_t c = 0; c < chunks_.size(); ++c) {
     if (chunks_[c]) {
-      bytes = chunks_[c]->data();
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        scratch[i] = default_of(base + i);
-      }
-      bytes = scratch.data();
+      const std::size_t n = std::min(kChunkLines, lines_ - c * kChunkLines);
+      crc = sim::crc32(std::as_bytes(std::span(&c, 1)), crc);
+      crc = sim::crc32(std::as_bytes(std::span(chunks_[c]->data(), n)), crc);
+      ++count;
     }
-    crc = sim::crc32(std::as_bytes(std::span(bytes, n)), crc);
   }
+  w.u64(count);
   w.u32(crc);
 }
 

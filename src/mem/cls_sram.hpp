@@ -75,8 +75,10 @@ class ClsSram : public sim::SimObject {
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] const sim::Counter& writes() const { return writes_; }
 
-  /// Snapshot state: write count plus a digest of the full per-line state
-  /// array (the coherence-protocol ground truth for the S-COMA window).
+  /// Snapshot state: write count, then the count of materialized chunks
+  /// and a CRC-32 over (chunk index, chunk bytes) of each, in index order
+  /// (the coherence-protocol ground truth for the S-COMA window). Virtual
+  /// chunks cost nothing: they read as the default function.
   void ckpt_save(ckpt::Writer& w) const;
 
  private:
@@ -99,9 +101,7 @@ class ClsSram : public sim::SimObject {
   Params params_;
   std::size_t lines_;  // region_size / kLineBytes
   /// Sparse state: chunks_[i] covers lines [i*kChunkLines, ...); a null
-  /// chunk reads as the default function applied per line. The effective
-  /// array (and therefore the checkpoint digest) is identical to the old
-  /// eagerly-allocated vector.
+  /// chunk reads as the default function applied per line.
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::function<std::uint8_t(Addr)> default_fn_;
   sim::Semaphore port_;

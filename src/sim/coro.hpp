@@ -9,7 +9,6 @@
 //   delay(k,dt) awaitable: resume dt ticks later
 //   OneShot     one-shot broadcast event (fire() wakes all waiters, sticky)
 //   Signal      recurring broadcast event (pulse() wakes current waiters)
-//   Future<T>/Promise<T>   one-shot value handoff
 //   Channel<T>  unbounded FIFO with awaitable pop (direct handoff, no races)
 //   Semaphore   counting semaphore with awaitable acquire
 //
@@ -23,7 +22,6 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -309,56 +307,6 @@ class Signal {
   Kernel* kernel_;
   std::vector<std::coroutine_handle<>> waiters_;
   std::vector<std::coroutine_handle<>> scratch_;  // recycled by pulse()
-};
-
-// ---------------------------------------------------------------------------
-// Future / Promise: one-shot value handoff with shared state.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-template <typename T>
-struct FutureState {
-  explicit FutureState(Kernel& k) : event(k) {}
-  OneShot event;
-  std::optional<T> value;
-};
-}  // namespace detail
-
-template <typename T>
-class Future {
- public:
-  explicit Future(std::shared_ptr<detail::FutureState<T>> st)
-      : state_(std::move(st)) {}
-
-  [[nodiscard]] bool ready() const { return state_->event.fired(); }
-
-  /// co_await fut: suspends until the value is set, then returns a copy of
-  /// it (futures may be awaited by multiple consumers).
-  Co<T> get() {
-    co_await state_->event;
-    co_return *state_->value;
-  }
-
- private:
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
-template <typename T>
-class Promise {
- public:
-  explicit Promise(Kernel& k)
-      : state_(std::make_shared<detail::FutureState<T>>(k)) {}
-
-  [[nodiscard]] Future<T> get_future() const { return Future<T>(state_); }
-
-  void set_value(T v) {
-    assert(!state_->event.fired() && "Promise set twice");
-    state_->value.emplace(std::move(v));
-    state_->event.fire();
-  }
-
- private:
-  std::shared_ptr<detail::FutureState<T>> state_;
 };
 
 // ---------------------------------------------------------------------------

@@ -39,20 +39,16 @@ Node::Node(sim::Kernel& kernel, const std::string& name, sim::NodeId id,
                                          nullptr, params.sp);
 
   auto& sbiu = niu_->sbiu();
-  if (params.enable_dma) {
-    fw::DmaEngine::Params dp;
-    dp.staging_offset = kDmaStagingBase;
-    dp.queues = params.fw_queues;
-    dma_ = std::make_unique<fw::DmaEngine>(kernel, name + ".fw.dma", *sp_,
-                                           sbiu, dp, params.fw_costs);
-  }
-  if (params.enable_numa) {
-    fw::NumaEngine::Params fnp;
-    fnp.queues = params.fw_queues;
-    fnp.num_nodes = params.num_nodes;
-    numa_ = std::make_unique<fw::NumaEngine>(kernel, name + ".fw.numa", *sp_,
-                                             sbiu, fnp, params.fw_costs);
-  }
+  fw::DmaEngine::Params dp;
+  dp.staging_offset = kDmaStagingBase;
+  dp.queues = params.fw_queues;
+  dma_ = std::make_unique<fw::DmaEngine>(kernel, name + ".fw.dma", *sp_,
+                                         sbiu, dp, params.fw_costs);
+  fw::NumaEngine::Params fnp;
+  fnp.queues = params.fw_queues;
+  fnp.num_nodes = params.num_nodes;
+  numa_ = std::make_unique<fw::NumaEngine>(kernel, name + ".fw.numa", *sp_,
+                                           sbiu, fnp, params.fw_costs);
   if (params.enable_scoma) {
     fw::ScomaEngine::Params spp;
     spp.queues = params.fw_queues;
@@ -63,16 +59,12 @@ Node::Node(sim::Kernel& kernel, const std::string& name, sim::NodeId id,
                                                *sp_, sbiu, spp,
                                                params.fw_costs);
   }
-  if (params.enable_miss_service) {
-    miss_ = std::make_unique<fw::MissService>(
-        kernel, name + ".fw.miss", *sp_, sbiu, params.fw_queues,
-        params.fw_costs);
-  }
-  if (params.enable_chunk_opener) {
-    chunk_ = std::make_unique<fw::ChunkOpener>(
-        kernel, name + ".fw.chunk", *sp_, sbiu, params.fw_queues,
-        niu::ABiu::kClsReadWrite, params.fw_costs);
-  }
+  miss_ = std::make_unique<fw::MissService>(kernel, name + ".fw.miss", *sp_,
+                                            sbiu, params.fw_queues,
+                                            params.fw_costs);
+  chunk_ = std::make_unique<fw::ChunkOpener>(
+      kernel, name + ".fw.chunk", *sp_, sbiu, params.fw_queues,
+      niu::ABiu::kClsReadWrite, params.fw_costs);
 }
 
 void Node::setup_tx_queues() {
@@ -285,21 +277,13 @@ void Node::start() {
     throw std::logic_error("Node::start before setup");
   }
   niu_->start();
-  if (dma_) {
-    dma_->start();
-  }
-  if (numa_) {
-    numa_->start();
-  }
+  dma_->start();
+  numa_->start();
   if (scoma_) {
     scoma_->start();
   }
-  if (miss_) {
-    miss_->start();
-  }
-  if (chunk_) {
-    chunk_->start();
-  }
+  miss_->start();
+  chunk_->start();
 }
 
 msg::Endpoint::Config Node::endpoint_config() {

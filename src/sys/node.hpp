@@ -40,11 +40,7 @@ class Node {
     fw::FwQueueMap fw_queues;
     std::uint32_t scoma_page_bytes = 4096;
 
-    bool enable_dma = true;
-    bool enable_numa = true;
     bool enable_scoma = true;
-    bool enable_miss_service = true;
-    bool enable_chunk_opener = true;
 
     Params() { sp.clock = sim::Clock{10000}; }
   };

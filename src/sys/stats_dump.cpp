@@ -123,16 +123,12 @@ sim::StatRegistry collect_stats(Machine& machine) {
       reg.set(p + "scoma.grants",
               static_cast<double>(scoma->stats().grants.value()));
     }
-    if (auto* numa = node.numa()) {
-      reg.set(p + "numa.remote_loads",
-              static_cast<double>(numa->remote_loads().value()));
-      reg.set(p + "numa.remote_stores",
-              static_cast<double>(numa->remote_stores().value()));
-    }
-    if (auto* miss = node.miss_service()) {
-      reg.set(p + "miss_service.serviced",
-              static_cast<double>(miss->serviced().value()));
-    }
+    reg.set(p + "numa.remote_loads",
+            static_cast<double>(node.numa()->remote_loads().value()));
+    reg.set(p + "numa.remote_stores",
+            static_cast<double>(node.numa()->remote_stores().value()));
+    reg.set(p + "miss_service.serviced",
+            static_cast<double>(node.miss_service()->serviced().value()));
   }
   return reg;
 }

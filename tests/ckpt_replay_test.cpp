@@ -53,8 +53,8 @@ void expect_replay_identical(const test::RunSpec& spec, sim::Tick at) {
 
   a.finish();
   b.finish();
-  const ckpt::Snapshot final_a = ckpt::capture(a.machine, "final");
-  const ckpt::Snapshot final_b = ckpt::capture(b.machine, "final");
+  const ckpt::Snapshot final_a = a.capture("final");
+  const ckpt::Snapshot final_b = b.capture("final");
   EXPECT_EQ(final_a.tick, final_b.tick);
   expect_verify_ok(final_a, final_b);
   EXPECT_EQ(a.stats_json(), b.stats_json());
@@ -219,7 +219,7 @@ std::string corpus_path() {
 TEST(CkptReplayTest, CommittedCorpusRestoresByteIdentically) {
   const ckpt::Snapshot snap = ckpt::Snapshot::load_file(corpus_path());
   EXPECT_GT(snap.tick, 0u);
-  EXPECT_EQ(snap.chunks().size(), 31u);
+  EXPECT_EQ(snap.chunks().size(), 33u);
 
   // The explorer's scenario resumed from a snapshot replays to the
   // capture tick and byte-verifies every chunk (throwing on divergence)
@@ -227,6 +227,18 @@ TEST(CkptReplayTest, CommittedCorpusRestoresByteIdentically) {
   // violation.
   const ckpt::ScenarioResult res = ckpt::drop_scenario(snap)({});
   EXPECT_FALSE(res.violation) << res.detail;
+}
+
+TEST(CkptReplayTest, ReliableCaptureHoldsEveryChannel) {
+  // The ring's go-back-N windows and retransmit timers live in its
+  // channels, outside the machine: each is a chunk of its own.
+  test::RunSpec spec("reliable", {"count=4"});
+  spec.nodes = 2;
+  test::SteppableRun ring(spec);
+  const ckpt::Snapshot snap = ring.capture_at(5 * sim::kMicrosecond);
+  EXPECT_NE(snap.find("n0.reliable"), nullptr);
+  EXPECT_NE(snap.find("n1.reliable"), nullptr);
+  EXPECT_EQ(snap.find("n2.reliable"), nullptr);
 }
 
 TEST(CkptReplayTest, CorpusConfigIsTheSchema) {

@@ -12,7 +12,7 @@
 namespace sv::test {
 
 /// A RunSpec materialized as a machine the caller steps. Captures include
-/// the "app" chunk for app.* runs.
+/// the "app" chunk for app.* runs and the channel chunks for `reliable`.
 struct SteppableRun {
   sys::Machine machine;
   std::unique_ptr<sys::Run> run;
@@ -45,7 +45,7 @@ struct SteppableRun {
   }
 
   [[nodiscard]] ckpt::Snapshot capture(std::string label) {
-    return ckpt::capture(machine, std::move(label), run->world.get());
+    return ckpt::capture(machine, std::move(label), run.get());
   }
 
   void finish(sim::Tick deadline = 2000 * sim::kMillisecond) {

@@ -8,15 +8,9 @@
 // change to msg::ReliableChannel introduces a liveness or ordering bug,
 // this suite both fails and prints the minimal counterexample pattern
 // that reproduces it.
-//
-// Deep searches (the committed-corpus exploration) honour
-// SV_EXPLORER_QUICK: when set, they skip — that is the "--quick" lane CI
-// uses under sanitizers, where each simulated run is several times
-// slower.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,20 +22,8 @@
 namespace sv {
 namespace {
 
-bool quick_mode() { return std::getenv("SV_EXPLORER_QUICK") != nullptr; }
-
 bool contains(const std::vector<std::uint64_t>& v, std::uint64_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
-}
-
-/// Distinct deterministic hash per pattern, so state-dedup never merges
-/// two different synthetic trajectories.
-std::uint64_t pattern_hash(const std::vector<std::uint64_t>& v) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint64_t x : v) {
-    h = (h ^ (x + 1)) * 0x100000001b3ull;
-  }
-  return h;
 }
 
 TEST(ExplorerTest, FindsSeededMinimalPair) {
@@ -52,7 +34,6 @@ TEST(ExplorerTest, FindsSeededMinimalPair) {
       [](const std::vector<std::uint64_t>& drops) {
         ckpt::ScenarioResult r;
         r.opportunities = 8;
-        r.state_hash = pattern_hash(drops);
         if (contains(drops, 2) && contains(drops, 5)) {
           r.violation = true;
           r.detail = "planted double-drop violation";
@@ -75,7 +56,6 @@ TEST(ExplorerTest, MinimalIsLexicographicallyFirst) {
       [](const std::vector<std::uint64_t>& drops) {
         ckpt::ScenarioResult r;
         r.opportunities = 8;
-        r.state_hash = pattern_hash(drops);
         r.violation = contains(drops, 3) || contains(drops, 6);
         return r;
       };
@@ -93,11 +73,10 @@ TEST(ExplorerTest, ProvesCleanBoundExhaustively) {
   // the simulator).
   std::uint64_t calls = 0;
   const ckpt::ScenarioFn fn =
-      [&calls](const std::vector<std::uint64_t>& drops) {
+      [&calls](const std::vector<std::uint64_t>&) {
         ++calls;
         ckpt::ScenarioResult r;
         r.opportunities = 4;
-        r.state_hash = pattern_hash(drops);
         return r;
       };
   ckpt::ExploreParams p;
@@ -128,10 +107,9 @@ TEST(ExplorerTest, BaselineViolationShortCircuits) {
 }
 
 TEST(ExplorerTest, RunBudgetStopsWithoutClaimingProof) {
-  const ckpt::ScenarioFn fn = [](const std::vector<std::uint64_t>& drops) {
+  const ckpt::ScenarioFn fn = [](const std::vector<std::uint64_t>&) {
     ckpt::ScenarioResult r;
     r.opportunities = 64;
-    r.state_hash = pattern_hash(drops);
     return r;
   };
   ckpt::ExploreParams p;
@@ -152,7 +130,6 @@ TEST(ExplorerTest, MaxOpportunitiesCapsTheHorizon) {
         }
         ckpt::ScenarioResult r;
         r.opportunities = 1000;
-        r.state_hash = pattern_hash(drops);
         return r;
       };
   ckpt::ExploreParams p;
@@ -162,24 +139,6 @@ TEST(ExplorerTest, MaxOpportunitiesCapsTheHorizon) {
   EXPECT_TRUE(res.exhausted);
   EXPECT_EQ(res.runs, 6u);  // baseline + indices 0..4
   EXPECT_EQ(max_index_seen, 4u);
-}
-
-TEST(ExplorerTest, StateHashDedupPrunesEquivalentSubtrees) {
-  // A constant state hash asserts every prefix reaches the same machine
-  // state, so subtrees sharing (hash, first-candidate) are explored once.
-  const ckpt::ScenarioFn fn = [](const std::vector<std::uint64_t>&) {
-    ckpt::ScenarioResult r;
-    r.opportunities = 4;
-    r.state_hash = 42;
-    return r;
-  };
-  ckpt::ExploreParams p;
-  p.max_drops = 3;
-  const ckpt::ExploreResult res = ckpt::explore(fn, p);
-  EXPECT_TRUE(res.exhausted);
-  EXPECT_GT(res.pruned_dedup, 0u);
-  // Without dedup the proof costs 1 + 4 + 6 + 4 = 15 runs.
-  EXPECT_LT(res.runs, 15u);
 }
 
 // --- The real reliable-ring scenario. These searches simulate the full
@@ -197,7 +156,6 @@ TEST(ExplorerTest, ReliableRingBaselineIsClean) {
   const ckpt::ScenarioResult res = ckpt::drop_scenario(small_ring())({});
   EXPECT_FALSE(res.violation) << res.detail;
   EXPECT_GT(res.opportunities, 0u);
-  EXPECT_NE(res.state_hash, 0u);
 }
 
 TEST(ExplorerTest, ReliableRingSingleDropBoundProven) {
@@ -216,6 +174,23 @@ TEST(ExplorerTest, ReliableRingSingleDropBoundProven) {
   EXPECT_GT(res.runs, 1u);
 }
 
+TEST(ExplorerTest, ReliableRingDoubleDropBoundProven) {
+  // EXPERIMENTS.md Ext-Q's double-drop row: no pair of drops breaks the
+  // ring's contract, and the proof takes exactly 3 438 runs.
+  const ckpt::RunConfig ring = ckpt::run_config(
+      "reliable", {"net=ideal", "dram_mb=64", "scoma_mb=16", "count=20",
+                   "bytes=32", "window=8", "timeout_us=20", "give_up=4",
+                   "deadline_ms=20", "fault.seed=1"});
+  ckpt::ExploreParams p;
+  p.max_drops = 2;
+  p.max_runs = 5000;
+  const ckpt::ExploreResult res =
+      ckpt::explore(ckpt::drop_scenario(ring), p);
+  EXPECT_FALSE(res.found) << "minimal violating pattern: " << res.detail;
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_EQ(res.runs, 3438u);
+}
+
 TEST(ExplorerTest, CheckpointResumeExploresOnlyTheSuffix) {
   // The snapshot is written as svsim writes one; fault.drop_script= runs
   // the injector in scripted mode with no drops.
@@ -226,7 +201,7 @@ TEST(ExplorerTest, CheckpointResumeExploresOnlyTheSuffix) {
   const auto run = sys::workload(ring.workload).launch(machine, ring.cfg);
   ckpt::run_to_tick(machine, 2 * sim::kMicrosecond, 20 * sim::kMillisecond);
   const ckpt::Snapshot snap =
-      ckpt::capture(machine, ckpt::snapshot_config(ring));
+      ckpt::capture(machine, ckpt::snapshot_config(ring), run.get());
   EXPECT_GE(snap.tick, 2 * sim::kMicrosecond);
   EXPECT_NE(snap.find("fault"), nullptr) << "no fault injector captured";
 
@@ -249,9 +224,6 @@ TEST(ExplorerTest, CheckpointResumeExploresOnlyTheSuffix) {
 }
 
 TEST(ExplorerTest, CommittedCorpusExplorationReproduces) {
-  if (quick_mode()) {
-    GTEST_SKIP() << "SV_EXPLORER_QUICK set: skipping deep corpus search";
-  }
   // The committed checkpoint (tests/ckpt/reliable_ring.svck) is the
   // published starting point for `svexplore --snapshot=...`; the proof it
   // yields must reproduce on every machine, every build.

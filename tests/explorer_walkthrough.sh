@@ -27,9 +27,9 @@ expect() {
 }
 
 snap=$dir/ring.30999999.svck
-expect "tick 30999999, 31 chunks" "$svsim" reliable count=30 \
+expect "tick 30999999, 33 chunks" "$svsim" reliable count=30 \
   fault.drop_script= --checkpoint-every=10000000 --checkpoint-out="$dir/ring"
-expect "31 chunks verified" "$svsim" --restore="$snap"
+expect "33 chunks verified" "$svsim" --restore="$snap"
 expect "^PROVEN" "$svexplore" --snapshot="$snap" max_drops=1
-expect "tick 10499999, 31 chunks verified" "$svsim" --restore="$corpus"
+expect "tick 10499999, 33 chunks verified" "$svsim" --restore="$corpus"
 exit $status

@@ -125,19 +125,11 @@ TEST(MachineTest, MessagingAndSharedMemoryCoexist) {
 
 TEST(MachineTest, DisabledEnginesLeaveNullAccessors) {
   auto p = test::small_machine_params(2);
-  p.node.enable_dma = false;
-  p.node.enable_numa = false;
   p.node.enable_scoma = false;
-  p.node.enable_miss_service = false;
-  p.node.enable_chunk_opener = false;
   sys::Machine machine(p);
-  EXPECT_EQ(machine.node(0).dma(), nullptr);
-  EXPECT_EQ(machine.node(0).numa(), nullptr);
   EXPECT_EQ(machine.node(0).scoma(), nullptr);
-  EXPECT_EQ(machine.node(0).miss_service(), nullptr);
-  EXPECT_EQ(machine.node(0).chunk_opener(), nullptr);
 
-  // Plain messaging still works without any firmware engines.
+  // Plain messaging still works without the S-COMA engine.
   auto ep0 = machine.node(0).make_endpoint();
   auto ep1 = machine.node(1).make_endpoint();
   bool got = false;

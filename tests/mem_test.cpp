@@ -2,6 +2,7 @@
 // snooping bus, DRAM, SRAM banks and clsSRAM.
 #include <gtest/gtest.h>
 
+#include "ckpt/io.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/bus.hpp"
 #include "mem/cls_sram.hpp"
@@ -534,6 +535,62 @@ TEST(ClsSramTest, StateRoundTripAndRange) {
   }
   EXPECT_EQ(cls.peek(0x8000'0180), 0);
   EXPECT_THROW((void)cls.peek(0x9000'0000), std::out_of_range);
+}
+
+TEST(ClsSramTest, CheckpointDigestsOnlyMaterializedChunks) {
+  // 16 chunks of 4 096 lines whose power-on value alternates by line.
+  sim::Kernel kernel;
+  ClsSram::Params p;
+  p.region_base = 0x8000'0000;
+  p.region_size = 16 * 4096 * kLineBytes;
+  std::uint64_t default_calls = 0;
+  const auto make = [&] {
+    auto cls = std::make_unique<ClsSram>(kernel, "cls", p);
+    cls->set_default([&default_calls, base = p.region_base](Addr a) {
+      ++default_calls;
+      return static_cast<std::uint8_t>((a - base) / kLineBytes % 2 + 1);
+    });
+    return cls;
+  };
+  const auto saved = [](const ClsSram& cls) {
+    ckpt::Writer w;
+    cls.ckpt_save(w);
+    return w.data();
+  };
+  const Addr x = p.region_base + 5 * 4096 * kLineBytes + 7 * kLineBytes;
+  const Addr y = p.region_base + 5 * 4096 * kLineBytes + 9 * kLineBytes;
+
+  // A capture expands no virtual chunk through the default function.
+  const auto a = make();
+  a->poke(x, 9);
+  default_calls = 0;
+  const std::vector<std::byte> a_bytes = saved(*a);
+  EXPECT_EQ(default_calls, 0u);
+
+  // The same pokes write the same bytes; one differing line changes them.
+  const auto b = make();
+  b->poke(x, 9);
+  EXPECT_EQ(saved(*b), a_bytes);
+  const auto c = make();
+  c->poke(x, 9);
+  c->poke(p.region_base, 9);
+  EXPECT_NE(saved(*c), a_bytes);
+  const auto d = make();
+  d->poke(x, 10);
+  EXPECT_NE(saved(*d), a_bytes);
+
+  // A line poked back to its default leaves its chunk materialized, and
+  // the chunk digests by its bytes, whichever line took it there and back.
+  const auto there_and_back = [&](Addr line) {
+    auto cls = make();
+    const std::uint8_t def = cls->peek(line);
+    cls->poke(line, 9);
+    cls->poke(line, def);
+    EXPECT_EQ(cls->chunks_materialized(), 1u);
+    return saved(*cls);
+  };
+  EXPECT_EQ(there_and_back(x), there_and_back(x));
+  EXPECT_EQ(there_and_back(x), there_and_back(y));
 }
 
 }  // namespace

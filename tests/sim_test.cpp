@@ -519,20 +519,6 @@ TEST(Signal, UntilChecksPredicateOnEveryPulse) {
   EXPECT_EQ(x, 5);
 }
 
-TEST(Future, DeliversValueToMultipleConsumers) {
-  Kernel k;
-  Promise<int> p(k);
-  int sum = 0;
-  for (int i = 0; i < 2; ++i) {
-    spawn([](Future<int> f, int* out) -> Co<void> {
-      *out += co_await f.get();
-    }(p.get_future(), &sum));
-  }
-  k.schedule(5, [&] { p.set_value(21); });
-  k.run();
-  EXPECT_EQ(sum, 42);
-}
-
 TEST(Channel, FifoOrderAndDirectHandoff) {
   Kernel k;
   Channel<int> ch(k);

@@ -77,13 +77,9 @@ TEST(StatsDumpTest, CollectsPerNodeAndMachineCounters) {
 TEST(StatsDumpTest, DisabledEnginesOmitTheirKeys) {
   auto p = test::small_machine_params(2);
   p.node.enable_scoma = false;
-  p.node.enable_numa = false;
-  p.node.enable_miss_service = false;
   auto machine = sys::Machine(p);
   const auto reg = collect_stats(machine);
   EXPECT_FALSE(reg.contains("n0.scoma.grants"));
-  EXPECT_FALSE(reg.contains("n0.numa.remote_loads"));
-  EXPECT_FALSE(reg.contains("n0.miss_service.serviced"));
 }
 
 }  // namespace

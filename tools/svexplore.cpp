@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
     ep.max_runs = search.u64("max_runs");
     const ckpt::ExploreResult res = ckpt::explore(scenario, ep);
 
-    std::printf("svexplore: %llu runs, %llu dedup-pruned, "
-                "%llu horizon-pruned\n",
+    std::printf("svexplore: %llu runs, %llu horizon-pruned\n",
                 static_cast<unsigned long long>(res.runs),
-                static_cast<unsigned long long>(res.pruned_dedup),
                 static_cast<unsigned long long>(res.pruned_horizon));
     if (res.found) {
       std::string pattern;

@@ -91,7 +91,7 @@ int drive(sys::Machine& machine, const ckpt::RunConfig& rc,
     // one written before every key was embedded holds fewer lines.
     try {
       ckpt::Snapshot::verify(
-          *restore, ckpt::capture(machine, restore->config, run.world.get()));
+          *restore, ckpt::capture(machine, restore->config, &run));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "svsim: restore verify FAILED: %s\n", e.what());
       return 1;
@@ -109,7 +109,7 @@ int drive(sys::Machine& machine, const ckpt::RunConfig& rc,
     if (every != 0) {
       path += "." + std::to_string(machine.now()) + ".svck";
     }
-    const ckpt::Snapshot snap = ckpt::capture(machine, config, run.world.get());
+    const ckpt::Snapshot snap = ckpt::capture(machine, config, &run);
     snap.save_file(path);
     std::printf("checkpoint: tick %llu, %zu chunks -> %s\n",
                 static_cast<unsigned long long>(snap.tick),
