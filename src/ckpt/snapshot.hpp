@@ -35,9 +35,10 @@ namespace sv::ckpt {
 class Snapshot {
  public:
   static constexpr std::uint32_t kMagic = 0x4B435653;  // "SVCK" little-endian
-  /// Version 3: the clsSRAM chunk digests only its materialized chunks,
-  /// and a `reliable` run's channels have chunks of their own.
-  static constexpr std::uint32_t kVersion = 3;
+  /// Version 4: a kernel chunk no longer holds the host's executed-event
+  /// count (version 3 digested clsSRAM by materialized chunk and gave a
+  /// `reliable` run's channels chunks of their own).
+  static constexpr std::uint32_t kVersion = 4;
 
   std::string config;  // the run's configuration (ckpt/scenario.hpp)
   std::uint64_t tick = 0;

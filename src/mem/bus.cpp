@@ -66,14 +66,10 @@ trace::Tracer* MemBus::trace_target() {
   return tr;
 }
 
-sim::Co<void> MemBus::wait_cycles(sim::Cycles c) {
-  co_await sim::delay(kernel_, params_.clock.to_ticks(c));
-}
-
 // --- Bus bypass (DESIGN.md §12) --------------------------------------------
 
 bool MemBus::plan_fast(const BusRequest& req, std::uint64_t s0,
-                       sim::Tick start, sim::Tick t1, sim::Tick t2) {
+                       sim::Tick start) {
   // Fault injection and tracing observe intermediate phases; both stay slow.
   if (kernel_.fault_injector() != nullptr) {
     return false;
@@ -123,14 +119,13 @@ bool MemBus::plan_fast(const BusRequest& req, std::uint64_t s0,
   r.live = true;
   r.committed = false;
   ++r.gen;
-  r.wake_phase = 0;
+  r.resume = Resume::kDone;
   r.s0 = s0;
   r.has_lead = req.lead_ticks > 0;
-  r.t_lead = start;
   r.start = start;
-  r.t1 = t1;
-  r.t2 = t2;
-  r.t3 = t2 + params_.clock.to_ticks(accept_latency + beats);
+  r.t2 = start + params_.clock.until_next_edge(start) +
+         params_.clock.to_ticks(params_.address_cycles);
+  r.t3 = r.t2 + params_.clock.to_ticks(accept_latency + beats);
   r.beats = beats;
   r.accept_device = accept;
   r.req = req;
@@ -178,16 +173,17 @@ void MemBus::fast_complete(std::uint64_t gen) {
   stats_.latency_ps.sample(r.t3 - r.start);
   ++fast_hits_;
   r.live = false;
-  r.wake_phase = 0;
+  r.resume = Resume::kDone;
   // Resume last: the continuation may start new transactions that re-use
-  // the record. transact() copies the result out before control returns.
+  // the record. transact_retry copies the result out before control
+  // returns.
   r.waiter.resume();
 }
 
 void MemBus::fast_wake() {
   // The record is already marked dead; hand control back to the coroutine,
   // which continues on the slow path from the reserved phase point it was
-  // woken at (wake_phase tells it which). Clearing wake_pending first
+  // woken at (resume tells it which). Clearing wake_pending first
   // releases the record for re-engagement — the resumed continuation may
   // start new transactions.
   fast_rec_.wake_pending = false;
@@ -201,33 +197,26 @@ void MemBus::revoke_fast() {
   }
   const sim::Tick t = kernel_.now();
   const std::uint64_t s = kernel_.current_seq();
-  if (r.has_lead &&
-      (t < r.t_lead || (t == r.t_lead && s < r.s0 - 1))) {
+  if (r.has_lead && (t < r.start || (t == r.start && s < r.s0 - 1))) {
     // Lead-in (issue/decode) window: the slow path would hold nothing yet,
     // so un-seize the address bus (nobody can be queued on it: it was free
     // at engagement and every acquirer since revokes first) and wake at
     // the lead key. The coroutine re-runs the slow path from arbitration —
     // behind the revoker, exactly as the slow schedule would order it.
     ++r.gen;
-    r.wake_phase = 1;
+    r.resume = Resume::kArbitrate;
     r.live = false;
     r.wake_pending = true;
     addr_bus_.release();
-    kernel_.schedule_at_seq(r.t_lead, r.s0 - 1, [this] { fast_wake(); });
-  } else if (t < r.t1 || (t == r.t1 && s < r.s0)) {
-    // Arbitration window: cancel the completion and resume the coroutine
-    // at the align edge — exactly where the slow path's first phase event
-    // would have dispatched. The address bus stays held, as it would be.
-    ++r.gen;
-    r.wake_phase = 2;
-    r.live = false;
-    r.wake_pending = true;
-    kernel_.schedule_at_seq(r.t1, r.s0, [this] { fast_wake(); });
+    kernel_.schedule_at_seq(r.start, r.s0 - 1, [this] { fast_wake(); });
   } else if (t < r.t2 || (t == r.t2 && s < r.s0 + 1)) {
-    // Address tenure in progress: resume at its end and re-run the snoop
-    // window live (the revoker may change what snoopers answer).
+    // Arbitration or address tenure in progress: the slow path would hold
+    // the address bus until the tenure ends, so the bus stays held and the
+    // coroutine resumes at the tenure's end, where the slow path's one
+    // address-tenure event dispatches, and re-runs the snoop window live
+    // (the revoker may change what snoopers answer).
     ++r.gen;
-    r.wake_phase = 3;
+    r.resume = Resume::kSnoop;
     r.live = false;
     r.wake_pending = true;
     kernel_.schedule_at_seq(r.t2, r.s0 + 1, [this] { fast_wake(); });
@@ -246,197 +235,189 @@ void MemBus::revoke_fast() {
 
 // --- Transactions ----------------------------------------------------------
 
-sim::Co<BusResult> MemBus::transact(int requester_id, BusRequest req) {
-  req.requester = requester_id;
-  // Entry is the revocation choke point: any new master (or any operation
-  // that could invalidate the bypass's assumptions) passes through here
-  // before arbitrating, so an in-flight bypass folds back onto the slow
-  // schedule before this transaction can observe anything.
-  revoke_fast();
-  const sim::Tick lead = req.lead_ticks;
-  // Issue time: where the slow path finishes the requester's folded-in
-  // lead (work/decode) delay and begins arbitrating. Latency stats are
-  // measured from here, so fused and unfused callers sample identically.
-  const sim::Tick start = now() + lead;
-  // Reserve the dispatch keys of all timed phases up front — in BOTH
-  // modes — so fast and slow runs issue identical sequence numbers at
-  // identical program points. This pins the global dispatch order, which
-  // is the entire bit-identity argument (DESIGN.md §12). A folded lead
-  // delay adds one key (s0 - 1) ahead of the three phase keys.
-  const std::uint64_t s_base = kernel_.reserve_seqs(lead > 0 ? 4 : 3);
-  const std::uint64_t s0 = lead > 0 ? s_base + 1 : s_base;
-  const sim::Tick t1 = start + params_.clock.until_next_edge(start);
-  const sim::Tick t2 = t1 + params_.clock.to_ticks(params_.address_cycles);
-
-  int resume_phase = 0;
-  if (params_.fastpath && plan_fast(req, s0, start, t1, t2)) {
-    const int phase = co_await FastAwait{*this};
-    if (phase == 0) {
-      co_return fast_rec_.res;  // completed in one event
-    }
-    resume_phase = phase;  // revoked: continue on the slow path below
-  }
-
-  // --- Lead-in --------------------------------------------------------------
-  if (resume_phase == 0 && lead > 0) {
-    co_await sim::seq_delay(kernel_, start, s_base);
-  }
-  // --- Address tenure -------------------------------------------------------
-  if (resume_phase <= 1) {
-    co_await addr_bus_.acquire();
-    co_await sim::seq_delay(
-        kernel_, now() + params_.clock.until_next_edge(now()), s0);
-  }
-  if (resume_phase <= 2) {
-    co_await sim::seq_delay(
-        kernel_, now() + params_.clock.to_ticks(params_.address_cycles),
-        s0 + 1);
-  }
-
-  BusResult res;
-  int accept_device = -1;      // device that claimed the address (memory)
-  sim::Cycles accept_latency = 0;
-  int modified_device = -1;    // device performing intervention
-  sim::Cycles modified_latency = 0;
-  bool retry = false;
-
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (static_cast<int>(i) == requester_id) {
-      continue;
-    }
-    const SnoopResult sr = devices_[i]->bus_snoop(req);
-    switch (sr.action) {
-      case SnoopAction::kIgnore:
-        break;
-      case SnoopAction::kAccept:
-        assert(accept_device < 0 && "multiple devices claimed one address");
-        accept_device = static_cast<int>(i);
-        accept_latency = sr.latency;
-        break;
-      case SnoopAction::kShared:
-        res.shared = true;
-        break;
-      case SnoopAction::kModified:
-        assert(modified_device < 0 && "multiple modified owners");
-        modified_device = static_cast<int>(i);
-        modified_latency = sr.latency;
-        break;
-      case SnoopAction::kRetry:
-        retry = true;
-        break;
-    }
-  }
-  addr_bus_.release();
-
-  stats_.transactions.inc();
-  if (retry) {
-    stats_.retries.inc();
-    res.retried = true;
-    if (trace::Tracer* tr = trace_target()) {
-      tr->instant(trace_track_,
-                  "ARTRY " + std::string(to_string(req.op)), now());
-    }
-    co_return res;
-  }
-
-  // Intervention: a dirty snooper overrides the addressed responder.
-  int responder = accept_device;
-  sim::Cycles latency = accept_latency;
-  if (modified_device >= 0) {
-    responder = modified_device;
-    latency = modified_latency;
-    res.intervened = true;
-    res.shared = true;
-    stats_.interventions.inc();
-  }
-  res.responder = responder;
-
-  if (op_address_only(req.op) || (req.op == BusOp::kFlush && !res.intervened)) {
-    // Kill, or a flush that found no dirty copy: no data tenure.
-    stats_.address_only.inc();
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (static_cast<int>(i) != requester_id) {
-        devices_[i]->bus_observe(req, res);
-      }
-    }
-    stats_.latency_ps.sample(now() - start);
-    co_return res;
-  }
-
-  if (responder < 0) {
-    res.no_responder = true;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (static_cast<int>(i) != requester_id) {
-        devices_[i]->bus_observe(req, res);
-      }
-    }
-    stats_.latency_ps.sample(now() - start);
-    co_return res;
-  }
-
-  // --- Data tenure ----------------------------------------------------------
-  co_await data_bus_.acquire();
-  const sim::Tick data_start = now();
-  const sim::Cycles beats =
-      std::max<sim::Cycles>(1, (req.size + kBeatBytes - 1) / kBeatBytes);
-  co_await sim::seq_delay(
-      kernel_, now() + params_.clock.to_ticks(latency + beats), s0 + 2);
-  stats_.data_beats.inc(beats);
-  stats_.data_busy.add_busy(now() - data_start);
-  if (trace::Tracer* tr = trace_target()) {
-    // One span per data tenure: their sum is exactly data_busy, so trace
-    // occupancy reproduces the StatRegistry bus occupancy.
-    tr->span(trace_track_, std::string(to_string(req.op)), data_start, now());
-  }
-
-  if (req.op == BusOp::kFlush) {
-    // The dirty owner pushes the line back to memory.
-    assert(res.intervened);
-    std::byte line[kLineBytes];
-    std::span<std::byte> buf(line, req.size);
-    devices_[responder]->bus_read_data(req, buf);
-    if (accept_device >= 0) {
-      devices_[accept_device]->bus_write_data(req, buf);
-    }
-  } else if (op_reads_data(req.op)) {
-    assert(req.rdata != nullptr);
-    std::span<std::byte> buf(req.rdata, req.size);
-    devices_[responder]->bus_read_data(req, buf);
-    if (res.intervened && req.op == BusOp::kRead && accept_device >= 0) {
-      // Intervention data is reflected into memory so the previously dirty
-      // line becomes clean-shared system-wide.
-      devices_[accept_device]->bus_write_data(req, buf);
-    }
-  } else if (op_writes_data(req.op)) {
-    assert(req.wdata != nullptr);
-    std::span<const std::byte> buf(req.wdata, req.size);
-    devices_[responder]->bus_write_data(req, buf);
-  }
-  data_bus_.release();
-
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (static_cast<int>(i) != requester_id) {
-      devices_[i]->bus_observe(req, res);
-    }
-  }
-  stats_.latency_ps.sample(now() - start);
-  co_return res;
-}
-
 sim::Co<BusResult> MemBus::transact_retry(int requester_id, BusRequest req,
                                           unsigned max_retries) {
-  unsigned tries = 0;
-  for (;;) {
-    BusResult res = co_await transact(requester_id, req);
-    req.lead_ticks = 0;  // issue/decode work precedes only the first attempt
-    if (!res.retried) {
+  req.requester = requester_id;
+  for (unsigned tries = 1;; ++tries) {
+    // Entry is the revocation choke point: any new master (or any
+    // operation that could invalidate the bypass's assumptions) passes
+    // through here before arbitrating, so an in-flight bypass folds back
+    // onto the slow schedule before this attempt can observe anything.
+    revoke_fast();
+    const sim::Tick lead = req.lead_ticks;
+    // Issue time: where the slow path finishes the requester's folded-in
+    // lead (work/decode) delay and begins arbitrating. Latency stats are
+    // measured from here, so fused and unfused callers sample identically.
+    const sim::Tick start = now() + lead;
+    // Reserve the dispatch keys of all timed phases up front — in BOTH
+    // modes — so fast and slow runs issue identical sequence numbers at
+    // identical program points. This pins the global dispatch order, which
+    // is the entire bit-identity argument (DESIGN.md §12). A folded lead
+    // delay adds one key (s0 - 1) ahead of the three phase keys; s0, the
+    // align edge's key, is a hole in both modes.
+    const std::uint64_t s_base = kernel_.reserve_seqs(lead > 0 ? 4 : 3);
+    const std::uint64_t s0 = lead > 0 ? s_base + 1 : s_base;
+
+    Resume at = Resume::kIssue;
+    if (params_.fastpath && plan_fast(req, s0, start)) {
+      at = co_await FastAwait{*this};
+      if (at == Resume::kDone) {
+        co_return fast_rec_.res;  // completed in one event
+      }
+      // revoked: continue on the slow path below
+    }
+
+    // --- Lead-in ------------------------------------------------------------
+    if (at == Resume::kIssue && lead > 0) {
+      co_await sim::seq_delay(kernel_, start, s_base);
+    }
+    // --- Address tenure -----------------------------------------------------
+    // One event at its end: nothing happens at the align edge that ends
+    // arbitration, so the tenure is timed from it directly.
+    if (at != Resume::kSnoop) {
+      co_await addr_bus_.acquire();
+      const sim::Tick edge = now() + params_.clock.until_next_edge(now());
+      co_await sim::seq_delay(
+          kernel_, edge + params_.clock.to_ticks(params_.address_cycles),
+          s0 + 1);
+    }
+
+    BusResult res;
+    int accept_device = -1;      // device that claimed the address (memory)
+    sim::Cycles accept_latency = 0;
+    int modified_device = -1;    // device performing intervention
+    sim::Cycles modified_latency = 0;
+    bool retry = false;
+
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      if (static_cast<int>(i) == requester_id) {
+        continue;
+      }
+      const SnoopResult sr = devices_[i]->bus_snoop(req);
+      switch (sr.action) {
+        case SnoopAction::kIgnore:
+          break;
+        case SnoopAction::kAccept:
+          assert(accept_device < 0 && "multiple devices claimed one address");
+          accept_device = static_cast<int>(i);
+          accept_latency = sr.latency;
+          break;
+        case SnoopAction::kShared:
+          res.shared = true;
+          break;
+        case SnoopAction::kModified:
+          assert(modified_device < 0 && "multiple modified owners");
+          modified_device = static_cast<int>(i);
+          modified_latency = sr.latency;
+          break;
+        case SnoopAction::kRetry:
+          retry = true;
+          break;
+      }
+    }
+    addr_bus_.release();
+
+    stats_.transactions.inc();
+    if (retry) {
+      stats_.retries.inc();
+      res.retried = true;
+      if (trace::Tracer* tr = trace_target()) {
+        tr->instant(trace_track_,
+                    "ARTRY " + std::string(to_string(req.op)), now());
+      }
+      if (max_retries != 0 && tries >= max_retries) {
+        co_return res;
+      }
+      req.lead_ticks = 0;  // issue/decode work precedes only the first try
+      co_await sim::delay(kernel_,
+                          params_.clock.to_ticks(params_.retry_backoff));
+      continue;
+    }
+
+    // Intervention: a dirty snooper overrides the addressed responder.
+    int responder = accept_device;
+    sim::Cycles latency = accept_latency;
+    if (modified_device >= 0) {
+      responder = modified_device;
+      latency = modified_latency;
+      res.intervened = true;
+      res.shared = true;
+      stats_.interventions.inc();
+    }
+    res.responder = responder;
+
+    if (op_address_only(req.op) ||
+        (req.op == BusOp::kFlush && !res.intervened)) {
+      // Kill, or a flush that found no dirty copy: no data tenure.
+      stats_.address_only.inc();
+      for (std::size_t i = 0; i < devices_.size(); ++i) {
+        if (static_cast<int>(i) != requester_id) {
+          devices_[i]->bus_observe(req, res);
+        }
+      }
+      stats_.latency_ps.sample(now() - start);
       co_return res;
     }
-    ++tries;
-    if (max_retries != 0 && tries >= max_retries) {
+
+    if (responder < 0) {
+      res.no_responder = true;
+      for (std::size_t i = 0; i < devices_.size(); ++i) {
+        if (static_cast<int>(i) != requester_id) {
+          devices_[i]->bus_observe(req, res);
+        }
+      }
+      stats_.latency_ps.sample(now() - start);
       co_return res;
     }
-    co_await wait_cycles(params_.retry_backoff);
+
+    // --- Data tenure --------------------------------------------------------
+    co_await data_bus_.acquire();
+    const sim::Tick data_start = now();
+    const sim::Cycles beats =
+        std::max<sim::Cycles>(1, (req.size + kBeatBytes - 1) / kBeatBytes);
+    co_await sim::seq_delay(
+        kernel_, now() + params_.clock.to_ticks(latency + beats), s0 + 2);
+    stats_.data_beats.inc(beats);
+    stats_.data_busy.add_busy(now() - data_start);
+    if (trace::Tracer* tr = trace_target()) {
+      // One span per data tenure: their sum is exactly data_busy, so trace
+      // occupancy reproduces the StatRegistry bus occupancy.
+      tr->span(trace_track_, std::string(to_string(req.op)), data_start,
+               now());
+    }
+
+    if (req.op == BusOp::kFlush) {
+      // The dirty owner pushes the line back to memory.
+      assert(res.intervened);
+      std::byte line[kLineBytes];
+      std::span<std::byte> buf(line, req.size);
+      devices_[responder]->bus_read_data(req, buf);
+      if (accept_device >= 0) {
+        devices_[accept_device]->bus_write_data(req, buf);
+      }
+    } else if (op_reads_data(req.op)) {
+      assert(req.rdata != nullptr);
+      std::span<std::byte> buf(req.rdata, req.size);
+      devices_[responder]->bus_read_data(req, buf);
+      if (res.intervened && req.op == BusOp::kRead && accept_device >= 0) {
+        // Intervention data is reflected into memory so the previously
+        // dirty line becomes clean-shared system-wide.
+        devices_[accept_device]->bus_write_data(req, buf);
+      }
+    } else if (op_writes_data(req.op)) {
+      assert(req.wdata != nullptr);
+      std::span<const std::byte> buf(req.wdata, req.size);
+      devices_[responder]->bus_write_data(req, buf);
+    }
+    data_bus_.release();
+
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      if (static_cast<int>(i) != requester_id) {
+        devices_[i]->bus_observe(req, res);
+      }
+    }
+    stats_.latency_ps.sample(now() - start);
+    co_return res;
   }
 }
 

@@ -85,7 +85,7 @@ struct BusRequest {
   const std::byte* wdata = nullptr;
   /// Destination buffer for read ops; must stay valid until completion.
   std::byte* rdata = nullptr;
-  /// Device id of the requester (set by MemBus::transact).
+  /// Device id of the requester (set by MemBus::transact_retry).
   int requester = -1;
   /// True when the transaction was initiated by the application processor
   /// (the aBIU's S-COMA/NUMA checks apply only to aP-initiated traffic).
@@ -138,7 +138,8 @@ class BusDevice {
   /// True when bus_snoop(req) is a pure function of static configuration:
   /// it returns kIgnore or kAccept (never Shared/Modified/Retry), has no
   /// side effects, and its answer cannot change except through a code path
-  /// that re-enters MemBus::transact (which revokes an in-flight bypass).
+  /// that re-enters MemBus::transact_retry (which revokes an in-flight
+  /// bypass).
   [[nodiscard]] virtual bool bus_snoop_stable(const BusRequest& req) const {
     (void)req;
     return false;
@@ -190,14 +191,12 @@ class MemBus : public sim::SimObject {
   [[nodiscard]] const sim::Clock& clock() const { return params_.clock; }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// Run one bus transaction. The request's requester field is filled in
-  /// from `requester_id`. Returns once the transaction completes or is
-  /// retried (result.retried).
-  sim::Co<BusResult> transact(int requester_id, BusRequest req);
-
-  /// Issue and re-issue on ARTRY with backoff until the transaction
-  /// completes. `max_retries` == 0 means unbounded (hardware semantics).
-  /// With a bound, gives up and returns retried=true after that many tries.
+  /// Run one bus transaction, re-issuing it `retry_backoff` cycles after
+  /// each ARTRY until it completes. The request's requester field is
+  /// filled in from `requester_id`. `max_retries` == 0 means unbounded
+  /// (hardware semantics); with a bound, gives up and returns
+  /// retried=true after that many attempts, so 1 runs a single attempt.
+  /// Every attempt and backoff runs in this one coroutine frame.
   sim::Co<BusResult> transact_retry(int requester_id, BusRequest req,
                                     unsigned max_retries = 0);
 
@@ -220,27 +219,31 @@ class MemBus : public sim::SimObject {
   void ckpt_save(ckpt::Writer& w) const;
 
  private:
+  /// Where a bypassed transaction's coroutine continues (DESIGN.md §12.2).
+  enum class Resume : std::uint8_t {
+    kIssue,      // not bypassed: the whole slow path, lead-in first
+    kArbitrate,  // revoked in the lead-in: from arbitration, at the lead key
+    kSnoop,      // revoked in the address tenure: at its end, snoop live
+    kDone,       // the bypass completed the transaction
+  };
+
   /// In-flight bypassed transaction. At most one can exist per bus: the
   /// bypass requires both bus resources free and seizes the address bus,
-  /// and any later transact() entry revokes it before arbitrating.
+  /// and any later attempt's entry revokes it before arbitrating.
   struct FastRecord {
     bool live = false;
     bool committed = false;  // address tenure passed: addr released, data held
     /// A revocation wake is scheduled but has not yet resumed the waiter.
-    /// The record (waiter slot, wake_phase) is still owned by the revoked
+    /// The record (waiter slot, resume) is still owned by the revoked
     /// transaction, so no new bypass may engage — the lead-window arm
     /// releases the address bus, which would otherwise look engageable
     /// while a transaction is still in flight.
     bool wake_pending = false;
     std::uint64_t gen = 0;   // liveness token for the completion event
-    int wake_phase = 0;  // 0 completed; 1 resume at the lead key (re-run the
-                         // slow path from arbitration); 2 resume at t1;
-                         // 3 resume at t2
+    Resume resume = Resume::kDone;
     std::uint64_t s0 = 0;    // first of the three reserved phase seqs
     bool has_lead = false;   // request carried a lead-in (lead key = s0 - 1)
-    sim::Tick t_lead = 0;    // end of the lead-in window (= issue time)
-    sim::Tick start = 0;     // issue time (lead-in excluded; latency basis)
-    sim::Tick t1 = 0;        // align edge (end of arbitration)
+    sim::Tick start = 0;     // issue time: end of the lead-in, latency basis
     sim::Tick t2 = 0;        // end of address tenure / snoop window
     sim::Tick t3 = 0;        // end of data tenure (completion)
     sim::Cycles beats = 0;
@@ -256,22 +259,20 @@ class MemBus : public sim::SimObject {
     void await_suspend(std::coroutine_handle<> h) const {
       bus.fast_rec_.waiter = h;
     }
-    int await_resume() const noexcept { return bus.fast_rec_.wake_phase; }
+    Resume await_resume() const noexcept { return bus.fast_rec_.resume; }
   };
 
   /// Check single-transaction bypass eligibility and, on success, engage:
   /// seize the address bus, fill fast_rec_ and schedule the completion
   /// event at (t3, s0+2).
-  bool plan_fast(const BusRequest& req, std::uint64_t s0, sim::Tick start,
-                 sim::Tick t1, sim::Tick t2);
+  bool plan_fast(const BusRequest& req, std::uint64_t s0, sim::Tick start);
   void fast_complete(std::uint64_t gen);
   void fast_wake();
   /// Fold the in-flight bypass, if any, back onto the slow schedule at the
   /// phase the caller observes it (DESIGN.md §12.2). Called on every
-  /// transact() entry; a no-op when nothing is in flight.
+  /// attempt's entry; a no-op when nothing is in flight.
   void revoke_fast();
 
-  sim::Co<void> wait_cycles(sim::Cycles c);
   [[nodiscard]] trace::Tracer* trace_target();
 
   Params params_;

@@ -10,27 +10,21 @@ namespace sv::sim {
 
 constexpr std::size_t kArity = 4;  // four 16-byte keys: one cache line
 
-void EventQueue::push(Tick when, Callback fn) {
-  push_at_seq(when, next_seq_++, std::move(fn));
-}
-
-void EventQueue::push_at_seq(Tick when, std::uint64_t seq, Callback fn) {
+std::uint32_t EventQueue::free_slot(std::uint64_t seq) {
   if (seq >= kSeqLimit) {
     throw std::overflow_error("EventQueue: sequence number past 2^44");
   }
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    slab_[slot] = std::move(fn);
-  } else {
+  if (free_.empty()) {
     if (slab_.size() == kMaxPending) {
       throw std::overflow_error("EventQueue: more than 2^20 pending events");
     }
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
+    slab_.emplace_back();
+    free_.push_back(static_cast<std::uint32_t>(slab_.size() - 1));
   }
-  const Key k = Key{when} << 64 | seq << kSlotBits | slot;
+  return free_.back();
+}
+
+void EventQueue::insert(Key k) {
   if (hole_) {
     hole_ = false;
     sift_down(0, k);
@@ -86,6 +80,9 @@ Tick EventQueue::next_time() const {
 }
 
 EventQueue::Popped EventQueue::try_pop(Tick bound) {
+  // Every path returns `p`, so it is built in the caller's storage (NRVO)
+  // and the callback moves once on its way out: slab slot to caller.
+  Popped p{kTickInvalid, 0, {}};
   if (hole_) {
     hole_ = false;
     const Key last = heap_.back();
@@ -95,13 +92,14 @@ EventQueue::Popped EventQueue::try_pop(Tick bound) {
     }
   }
   if (heap_.empty() || static_cast<Tick>(heap_.front() >> 64) > bound) {
-    return Popped{kTickInvalid, 0, {}};
+    return p;
   }
   const Key k = heap_.front();
   const auto low = static_cast<std::uint64_t>(k);
   const auto slot = static_cast<std::uint32_t>(low & (kMaxPending - 1));
-  Popped p{static_cast<Tick>(k >> 64), low >> kSlotBits,
-           std::move(slab_[slot])};
+  p.when = static_cast<Tick>(k >> 64);
+  p.seq = low >> kSlotBits;
+  p.fn = std::move(slab_[slot]);
   free_.push_back(slot);
   hole_ = true;
   floor_ = p.when;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_func.hpp"
@@ -34,8 +35,13 @@ class EventQueue {
 
   /// Schedule `fn` to run at absolute time `when`. `when` must be >= the
   /// current floor (the last popped/advanced time) — the kernel's
-  /// no-events-in-the-past rule.
-  void push(Tick when, Callback fn);
+  /// no-events-in-the-past rule. `fn` is any callable a Callback accepts
+  /// (or a Callback); it is built in its slab slot, not moved through
+  /// temporaries.
+  template <typename F>
+  void push(Tick when, F&& fn) {
+    push_at_seq(when, next_seq_++, std::forward<F>(fn));
+  }
 
   /// Reserve `n` consecutive sequence numbers and return the first. The
   /// fast-path layer (DESIGN.md §12) reserves an operation's tie-break
@@ -52,7 +58,13 @@ class EventQueue {
   /// Schedule `fn` at `when` under a previously reserved sequence number
   /// instead of a fresh one. The (when, seq) pair must be unique among
   /// live events (a dead — revoked — event may share it; see MemBus).
-  void push_at_seq(Tick when, std::uint64_t seq, Callback fn);
+  template <typename F>
+  void push_at_seq(Tick when, std::uint64_t seq, F&& fn) {
+    const std::uint32_t slot = free_slot(seq);
+    slab_[slot].emplace(std::forward<F>(fn));
+    free_.pop_back();  // only now: a throwing constructor leaks no slot
+    insert(Key{when} << 64 | seq << kSlotBits | slot);
+  }
 
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t size() const { return heap_.size() - hole_; }
@@ -103,6 +115,11 @@ class EventQueue {
   /// changes nothing.
   using Key = unsigned __int128;
 
+  /// Check the key limits and return the free slab slot at free_.back(),
+  /// growing the slab if none is free. The slot stays on free_ until the
+  /// caller has built its callback there.
+  std::uint32_t free_slot(std::uint64_t seq);
+  void insert(Key k);
   void sift_up(std::size_t i, Key k);
   void sift_down(std::size_t i, Key k);
 

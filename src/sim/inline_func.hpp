@@ -39,30 +39,20 @@ class InlineFunc {
             typename = std::enable_if_t<!std::is_same_v<D, InlineFunc> &&
                                         std::is_invocable_r_v<void, D&>>>
   InlineFunc(F&& f) {  // NOLINT(google-explicit-constructor)
-    static_assert(sizeof(D) <= kCapacity,
-                  "InlineFunc: capture too large for the inline buffer — "
-                  "shrink the capture or move the state through a pool "
-                  "handle (see net::PacketPool)");
-    static_assert(alignof(D) <= kAlign,
-                  "InlineFunc: capture over-aligned for the inline buffer");
-    static_assert(std::is_move_constructible_v<D>,
-                  "InlineFunc: capture must be move-constructible");
-    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-    invoke_ = [](void* s) { (*static_cast<D*>(s))(); };
-    // Most captures are a few pointers and integers: trivially copyable,
-    // trivially destructible. Those keep manage_ == nullptr and relocate
-    // by plain memcpy with nothing to destroy — no indirect call when
-    // the event queue moves a callback into its slab and back out.
-    if constexpr (!(std::is_trivially_copyable_v<D> &&
-                    std::is_trivially_destructible_v<D>)) {
-      manage_ = [](void* dst, void* src) {
-        if (src != nullptr) {  // relocate: move-construct dst, destroy src
-          ::new (dst) D(std::move(*static_cast<D*>(src)));
-          static_cast<D*>(src)->~D();
-        } else {  // destroy dst
-          static_cast<D*>(dst)->~D();
-        }
-      };
+    construct<D>(std::forward<F>(f));
+  }
+
+  /// Replace the held callable with `f`, built directly in this buffer.
+  /// The event queue builds each callback in its slab slot this way
+  /// instead of relocating a temporary InlineFunc into it (DESIGN.md
+  /// §11.2). An InlineFunc argument is moved in.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<D, InlineFunc>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      construct<D>(std::forward<F>(f));
     }
   }
 
@@ -107,6 +97,35 @@ class InlineFunc {
   [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
 
  private:
+  template <typename D, typename F>
+  void construct(F&& f) {
+    static_assert(sizeof(D) <= kCapacity,
+                  "InlineFunc: capture too large for the inline buffer — "
+                  "shrink the capture or move the state through a pool "
+                  "handle (see net::PacketPool)");
+    static_assert(alignof(D) <= kAlign,
+                  "InlineFunc: capture over-aligned for the inline buffer");
+    static_assert(std::is_move_constructible_v<D>,
+                  "InlineFunc: capture must be move-constructible");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    invoke_ = [](void* s) { (*static_cast<D*>(s))(); };
+    // Most captures are a few pointers and integers: trivially copyable,
+    // trivially destructible. Those keep manage_ == nullptr and relocate
+    // by plain memcpy with nothing to destroy — no indirect call when
+    // the event queue moves a callback out of its slab.
+    if constexpr (!(std::is_trivially_copyable_v<D> &&
+                    std::is_trivially_destructible_v<D>)) {
+      manage_ = [](void* dst, void* src) {
+        if (src != nullptr) {  // relocate: move-construct dst, destroy src
+          ::new (dst) D(std::move(*static_cast<D*>(src)));
+          static_cast<D*>(src)->~D();
+        } else {  // destroy dst
+          static_cast<D*>(dst)->~D();
+        }
+      };
+    }
+  }
+
   void reset() {
     if (manage_ != nullptr) {
       manage_(storage_, nullptr);

@@ -7,20 +7,7 @@
 
 namespace sv::sim {
 
-void Kernel::schedule_abs(Tick when, EventQueue::Callback fn) {
-  if (when < now_) {
-    throw std::logic_error("Kernel::schedule_abs: time in the past");
-  }
-  events_.push(when, std::move(fn));
-}
-
-void Kernel::schedule_at_seq(Tick when, std::uint64_t seq,
-                             EventQueue::Callback fn) {
-  if (when < now_) {
-    throw std::logic_error("Kernel::schedule_at_seq: time in the past");
-  }
-  events_.push_at_seq(when, seq, std::move(fn));
-}
+void Kernel::throw_past(const char* what) { throw std::logic_error(what); }
 
 void Kernel::post(Tick when, std::uint32_t src, std::uint64_t seq,
                   EventQueue::Callback fn) {
@@ -118,8 +105,10 @@ Tick Kernel::run_until(Tick t) {
 bool Kernel::step() { return dispatch_one(kTickInvalid); }
 
 void Kernel::ckpt_save(ckpt::Writer& w) const {
+  // The executed-event count is host work, not model state: the bypass
+  // and any change that runs fewer events for the same schedule move it,
+  // so it stays out of the chunk (DESIGN.md §14.1).
   w.tick(now_);
-  w.u64(executed_);
   events_.ckpt_save(w);
   // Mailbox keys in canonical (when, src, seq) order. The callbacks are
   // closures and restore by replay, like the event queue's. staged_ is

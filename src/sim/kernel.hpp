@@ -25,6 +25,7 @@
 #include <mutex>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -54,12 +55,21 @@ class Kernel {
 
   /// Schedule `fn` to run `delta` ticks from now (delta may be 0: the event
   /// runs after all currently-executing work, still at the same time).
-  void schedule(Tick delta, EventQueue::Callback fn) {
-    events_.push(now_ + delta, std::move(fn));
+  /// Every schedule* call takes the callable itself (anything an
+  /// EventQueue::Callback accepts) and builds it in its queue slot.
+  template <typename F>
+  void schedule(Tick delta, F&& fn) {
+    events_.push(now_ + delta, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at an absolute time, which must be >= now().
-  void schedule_abs(Tick when, EventQueue::Callback fn);
+  template <typename F>
+  void schedule_abs(Tick when, F&& fn) {
+    if (when < now_) {
+      throw_past("Kernel::schedule_abs: time in the past");
+    }
+    events_.push(when, std::forward<F>(fn));
+  }
 
   /// Reserve `n` consecutive dispatch tie-break keys (sequence numbers)
   /// and return the first. See EventQueue::reserve_seqs and DESIGN.md §12:
@@ -72,7 +82,13 @@ class Kernel {
   /// Schedule `fn` at absolute time `when` under a reserved sequence
   /// number. (when, seq) must be at or after the currently dispatching
   /// event's key; `when` must be >= now().
-  void schedule_at_seq(Tick when, std::uint64_t seq, EventQueue::Callback fn);
+  template <typename F>
+  void schedule_at_seq(Tick when, std::uint64_t seq, F&& fn) {
+    if (when < now_) {
+      throw_past("Kernel::schedule_at_seq: time in the past");
+    }
+    events_.push_at_seq(when, seq, std::forward<F>(fn));
+  }
 
   /// Key of the event currently being dispatched (its tie-break sequence
   /// number). Valid only while an event is executing; the fast-path
@@ -159,8 +175,9 @@ class Kernel {
   [[nodiscard]] fault::Injector* fault_injector() const { return fault_; }
   void set_fault_injector(fault::Injector* fault) { fault_ = fault; }
 
-  /// Append the domain's snapshot state to `w`: clock, dispatch counters,
-  /// the event queue's pending keys (EventQueue::ckpt_save), and every
+  /// Append the domain's snapshot state to `w`: clock, the event queue's
+  /// floor, next sequence number and pending keys (EventQueue::ckpt_save),
+  /// and every
   /// pending cross-domain mailbox key in (when, src, seq) order. Must be
   /// called while no event is executing and staged_ is empty — i.e. at an
   /// epoch boundary (DESIGN.md §14).
@@ -192,6 +209,8 @@ class Kernel {
   /// mailbox messages due at its tick. Returns false when nothing <= bound
   /// is pending. Throws when the per-run event budget is exhausted.
   bool dispatch_one(Tick bound);
+
+  [[noreturn]] static void throw_past(const char* what);
 
   EventQueue events_;
   Mailbox mailbox_;

@@ -113,14 +113,22 @@ TEST(CkptPropertyTest, RejectsUnknownVersion) {
   data[4] = static_cast<std::byte>(ckpt::Snapshot::kVersion + 1);
   EXPECT_THROW((void)ckpt::Snapshot::parse(data), ckpt::Error);
 
-  // A file of the previous format is refused with one line, not misread.
+  // Files of earlier formats are refused with one line, not misread.
   data[4] = static_cast<std::byte>(2);
   try {
     (void)ckpt::Snapshot::parse(data);
     ADD_FAILURE() << "a version-2 snapshot parsed";
   } catch (const ckpt::Error& e) {
     EXPECT_STREQ(e.what(), "snapshot rejected: version 2 (this build reads "
-                           "version 3)");
+                           "version 4)");
+  }
+  data[4] = static_cast<std::byte>(3);
+  try {
+    (void)ckpt::Snapshot::parse(data);
+    ADD_FAILURE() << "a version-3 snapshot parsed";
+  } catch (const ckpt::Error& e) {
+    EXPECT_STREQ(e.what(), "snapshot rejected: version 3 (this build reads "
+                           "version 4)");
   }
 }
 

@@ -112,6 +112,15 @@ TEST(InlineFunc, AssignOverEngagedDestroysOldCapture) {
   EXPECT_EQ(old_dtors, 1);
   f();
   EXPECT_EQ(new_hits, 1);
+
+  // emplace() builds the new callable in place, over an engaged one too.
+  int emplaced_dtors = 0;
+  f.emplace(DtorCounter{&emplaced_dtors});
+  EXPECT_EQ(emplaced_dtors, 0);
+  f.emplace([&new_hits] { ++new_hits; });
+  EXPECT_EQ(emplaced_dtors, 1);
+  f();
+  EXPECT_EQ(new_hits, 2);
 }
 
 TEST(InlineFunc, TrivialCaptureRelocatesWithoutManager) {

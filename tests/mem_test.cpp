@@ -98,7 +98,7 @@ TEST_F(BusTest, ReadCompletesWithResponderData) {
   BusResult res{};
   test::run_co(kernel, [](MemBus* b, int id, BusRequest r,
                           BusResult* out) -> sim::Co<void> {
-    *out = co_await b->transact(id, r);
+    *out = co_await b->transact_retry(id, r, 1);
   }(&bus, master_id, req, &res));
   EXPECT_FALSE(res.retried);
   EXPECT_EQ(res.responder, mem_id);
@@ -121,7 +121,7 @@ TEST_F(BusTest, RetryAbortsBeforeDataPhase) {
   BusResult res{};
   test::run_co(kernel, [](MemBus* b, int id, BusRequest r,
                           BusResult* out) -> sim::Co<void> {
-    *out = co_await b->transact(id, r);
+    *out = co_await b->transact_retry(id, r, 1);
   }(&bus, master_id, req, &res));
   EXPECT_TRUE(res.retried);
   EXPECT_EQ(mem.reads, 0);
@@ -160,12 +160,12 @@ TEST_F(BusTest, TransactRetryEventuallySucceeds) {
 // Regression for the retry-backoff edge: a retried op that re-arbitrates in
 // the same cycle a fast path is granted must lose arbitration
 // deterministically. Master A's read of the retried address backs off and
-// re-enters transact at the exact tick — but after, in dispatch order —
-// master B's bypass-eligible read engages the fast path. A's re-entry
-// revokes B inside the arbitration window (wake at (t1, s0), address bus
-// kept held), so A queues behind B exactly as it would behind B's slow-path
-// address tenure, and the whole collision resolves bit-identically in both
-// modes.
+// re-arbitrates at the exact tick — but after, in dispatch order — master
+// B's bypass-eligible read engages the fast path. A's re-entry revokes B
+// inside the arbitration window (wake at the address tenure's end (t2,
+// s0+1), address bus kept held), so A queues behind B exactly as it would
+// behind B's slow-path address tenure, and the whole collision resolves
+// bit-identically in both modes.
 
 /// Accepts every address; stable, so it never blocks a bypass.
 class AcceptAllDevice : public BusDevice {
@@ -278,7 +278,7 @@ CollisionOutcome run_retry_fastpath_collision(bool fastpath, bool with_a) {
     req.rdata = bbuf;
     sim::spawn([](MemBus* b, int id, BusRequest r, sim::Kernel* k,
                   CollisionOutcome* o) -> sim::Co<void> {
-      co_await b->transact(id, r);
+      co_await b->transact_retry(id, r, 1);
       o->b_done = k->now();
       o->order += 'B';
     }(&bus, b_id, req, &kernel, &out));
@@ -319,6 +319,55 @@ TEST(BusRetryFastPath, RetryLosesSameCycleArbitrationDeterministically) {
   EXPECT_EQ(fast.fast_hits, 0u);
 }
 
+// --- Kernel events per transaction ------------------------------------------
+//
+// The fixture's fake devices are never snoop-stable, so every attempt takes
+// the slow path: one event at the end of the address tenure, one at the end
+// of the data tenure, and one backoff delay per ARTRY. Nothing is scheduled
+// at the align edge that ends arbitration.
+
+std::uint64_t events_for_read(sim::Kernel& kernel, MemBus& bus, int id) {
+  std::byte buf[8] = {};
+  BusRequest req;
+  req.op = BusOp::kReadSingle;
+  req.addr = 0x100;
+  req.size = 8;
+  req.rdata = buf;
+  BusResult res{};
+  const std::uint64_t before = kernel.events_executed();
+  test::run_co(kernel, [](MemBus* b, int i, BusRequest r,
+                          BusResult* out) -> sim::Co<void> {
+    *out = co_await b->transact_retry(i, r);
+  }(&bus, id, req, &res));
+  EXPECT_FALSE(res.retried);
+  EXPECT_EQ(buf[0], std::byte{0xC0});
+  return kernel.events_executed() - before;
+}
+
+TEST_F(BusTest, UnretriedTransactionTakesTwoEvents) {
+  mem.next_snoop = {SnoopAction::kAccept, 2};
+  EXPECT_EQ(events_for_read(kernel, bus, master_id), 2u);
+  EXPECT_EQ(bus.fast_path_hits(), 0u);
+}
+
+TEST_F(BusTest, EachRetriedAttemptTakesTwoEvents) {
+  mem.next_snoop = {SnoopAction::kAccept, 2};
+  for (const int k : {2, 5}) {
+    RetryOnceDevice retrier;  // ARTRYs its first k snoops of the address
+    retrier.retry_addr = 0x100;
+    retrier.retries_left = k;
+    sim::Kernel kern;
+    MemBus b{kern, "bus", {}};
+    b.attach(&mem);
+    b.attach(&retrier);
+    const int id = b.attach(&master);
+    EXPECT_EQ(events_for_read(kern, b, id), 2u * k + 2) << "k=" << k;
+    EXPECT_EQ(b.stats().retries.value(), static_cast<std::uint64_t>(k));
+    EXPECT_EQ(b.stats().transactions.value(),
+              static_cast<std::uint64_t>(k) + 1);
+  }
+}
+
 TEST_F(BusTest, InterventionSuppliesAndReflects) {
   mem.next_snoop = {SnoopAction::kAccept, 6};
   other.next_snoop = {SnoopAction::kModified, 3};
@@ -331,7 +380,7 @@ TEST_F(BusTest, InterventionSuppliesAndReflects) {
   BusResult res{};
   test::run_co(kernel, [](MemBus* b, int id, BusRequest r,
                           BusResult* out) -> sim::Co<void> {
-    *out = co_await b->transact(id, r);
+    *out = co_await b->transact_retry(id, r, 1);
   }(&bus, master_id, req, &res));
   EXPECT_TRUE(res.intervened);
   EXPECT_TRUE(res.shared);
@@ -350,7 +399,7 @@ TEST_F(BusTest, AddressOnlyKillHasNoDataPhase) {
   BusResult res{};
   test::run_co(kernel, [](MemBus* b, int id, BusRequest r,
                           BusResult* out) -> sim::Co<void> {
-    *out = co_await b->transact(id, r);
+    *out = co_await b->transact_retry(id, r, 1);
   }(&bus, master_id, req, &res));
   EXPECT_FALSE(res.retried);
   EXPECT_EQ(mem.reads, 0);
@@ -371,7 +420,7 @@ TEST_F(BusTest, NoResponderIsReported) {
   BusResult res{};
   test::run_co(kernel, [](MemBus* b, int id, BusRequest r,
                           BusResult* out) -> sim::Co<void> {
-    *out = co_await b->transact(id, r);
+    *out = co_await b->transact_retry(id, r, 1);
   }(&bus, master_id, req, &res));
   EXPECT_TRUE(res.no_responder);
 }
@@ -385,7 +434,7 @@ TEST_F(BusTest, WriteDataReachesResponder) {
   req.size = kLineBytes;
   req.wdata = data.data();
   test::run_co(kernel, [](MemBus* b, int id, BusRequest r) -> sim::Co<void> {
-    co_await b->transact(id, r);
+    co_await b->transact_retry(id, r, 1);
   }(&bus, master_id, req));
   EXPECT_EQ(mem.captured, data);
 }
@@ -403,7 +452,7 @@ TEST_F(BusTest, DataTenuresSerializeOnDataBus) {
     req.size = kLineBytes;
     req.rdata = buf;
     sim::spawn([](MemBus* b, int id, BusRequest r, int* d) -> sim::Co<void> {
-      co_await b->transact(id, r);
+      co_await b->transact_retry(id, r, 1);
       ++*d;
     }(&bus, master_id, req, &done));
   }
@@ -459,8 +508,8 @@ TEST(DramTest, EndToEndReadWriteOverBus) {
   rd.rdata = buf;
   test::run_co(kernel, [](MemBus* b, int id, BusRequest w,
                           BusRequest r) -> sim::Co<void> {
-    co_await b->transact(id, w);
-    co_await b->transact(id, r);
+    co_await b->transact_retry(id, w, 1);
+    co_await b->transact_retry(id, r, 1);
   }(&bus, mid, wr, rd));
   EXPECT_EQ(std::vector<std::byte>(buf, buf + kLineBytes), data);
   EXPECT_EQ(dram.reads().value(), 1u);

@@ -357,6 +357,40 @@ TEST(Kernel, ScheduleAbsAtNowRunsThisInstant) {
   EXPECT_EQ(k.now(), 10u);
 }
 
+/// Counts its own copies and moves; records the count when it runs.
+struct MoveCounter {
+  int* moves;
+  int* at_call;
+  MoveCounter(int* m, int* c) : moves(m), at_call(c) {}
+  MoveCounter(const MoveCounter& o) : moves(o.moves), at_call(o.at_call) {
+    ++*moves;
+  }
+  MoveCounter(MoveCounter&& o) noexcept
+      : moves(o.moves), at_call(o.at_call) {
+    ++*moves;
+  }
+  void operator()() const { *at_call = *moves; }
+};
+
+TEST(Kernel, ScheduledCallbackRelocatesAtMostTwice) {
+  // Built in its slab slot at push, moved out once at pop (DESIGN.md §11.2).
+  Kernel k;
+  int moves = 0;
+  int at_call = -1;
+  k.schedule(5, MoveCounter{&moves, &at_call});
+  k.run();
+  EXPECT_LE(at_call, 2);
+  EXPECT_GE(at_call, 0);  // it ran
+
+  int seq_moves = 0;
+  int seq_at_call = -1;
+  const std::uint64_t seq = k.reserve_seqs(1);
+  k.schedule_at_seq(k.now() + 5, seq, MoveCounter{&seq_moves, &seq_at_call});
+  k.run();
+  EXPECT_LE(seq_at_call, 2);
+  EXPECT_GE(seq_at_call, 0);
+}
+
 TEST(Kernel, MailboxOrdersByTickSourceSequence) {
   // post() arrival order is scrambled on purpose; delivery must follow the
   // (when, src, seq) key alone.
