@@ -18,7 +18,7 @@ Processor::Processor(sim::Kernel& kernel, std::string name, mem::MemBus& bus,
 
 void Processor::trace_busy(const char* what, sim::Tick start, sim::Tick end) {
   trace::Tracer* tr = kernel_.tracer();
-  if (tr == nullptr || !tr->enabled() || end <= start) {
+  if (tr == nullptr || end <= start) {
     return;
   }
   if (trace_track_ == trace::kNoTrack) {

@@ -16,7 +16,7 @@ FwService::FwService(sim::Kernel& kernel, std::string name,
 
 void FwService::trace_handler(const char* what, sim::Tick start) {
   trace::Tracer* tr = kernel_.tracer();
-  if (tr == nullptr || !tr->enabled() || now() < start) {
+  if (tr == nullptr || now() < start) {
     return;
   }
   if (trace_track_ == trace::kNoTrack) {

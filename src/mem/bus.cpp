@@ -57,7 +57,7 @@ int MemBus::attach(BusDevice* dev) {
 
 trace::Tracer* MemBus::trace_target() {
   trace::Tracer* tr = kernel_.tracer();
-  if (tr == nullptr || !tr->enabled()) {
+  if (tr == nullptr) {
     return nullptr;
   }
   if (trace_track_ == trace::kNoTrack) {
@@ -74,7 +74,7 @@ bool MemBus::plan_fast(const BusRequest& req, std::uint64_t s0,
   if (kernel_.fault_injector() != nullptr) {
     return false;
   }
-  if (trace::Tracer* tr = kernel_.tracer(); tr != nullptr && tr->enabled()) {
+  if (kernel_.tracer() != nullptr) {
     return false;
   }
   if (addr_bus_.available() != 1 || data_bus_.available() != 1 ||

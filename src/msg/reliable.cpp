@@ -41,7 +41,7 @@ ReliableChannel::ReliableChannel(Endpoint& ep, AddressMap map,
       map_(map),
       self_(self),
       params_(params),
-      engine_(ep.ap().kernel(), "n" + std::to_string(self) + ".fw.retx",
+      engine_(ep.ap().kernel(), 'n' + std::to_string(self) + ".fw.retx",
               params.retransmit),
       tx_mutex_(ep.ap().kernel(), 1),
       window_sig_(ep.ap().kernel()),

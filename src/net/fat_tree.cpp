@@ -70,15 +70,15 @@ FatTreeNetwork::FatTreeNetwork(sim::Kernel& kernel, std::string name,
         const unsigned hi_port = topo_.digit(w, l);
         Router* hi = routers_[topo_.router_index(l + 1, w_hi)].get();
 
-        Link* up = new_link("u" + std::to_string(l) + "_" +
-                            std::to_string(w) + "_" + std::to_string(c));
+        Link* up = new_link('u' + std::to_string(l) + '_' +
+                            std::to_string(w) + '_' + std::to_string(c));
         up->set_sink(
             [hi, hi_port](Packet&& p) { hi->receive(hi_port, std::move(p)); });
         hi->connect_input_upstream(hi_port, up);
         lo->connect_output(k + c, up);
 
-        Link* dn = new_link("d" + std::to_string(l) + "_" +
-                            std::to_string(w) + "_" + std::to_string(c));
+        Link* dn = new_link('d' + std::to_string(l) + '_' +
+                            std::to_string(w) + '_' + std::to_string(c));
         dn->set_sink(
             [lo, c, k](Packet&& p) { lo->receive(k + c, std::move(p)); });
         lo->connect_input_upstream(k + c, dn);

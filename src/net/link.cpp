@@ -42,7 +42,7 @@ sim::Co<void> Link::send(Packet pkt) {
   packets_.inc();
   bytes_.inc(pkt.wire_bytes());
   co_await sim::delay(kernel_, ser);
-  if (trace::Tracer* tr = kernel_.tracer(); tr != nullptr && tr->enabled()) {
+  if (trace::Tracer* tr = kernel_.tracer(); tr != nullptr) {
     if (trace_track_ == trace::kNoTrack) {
       trace_track_ = tr->track_for(name(), "link");
     }

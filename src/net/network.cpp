@@ -94,7 +94,7 @@ sim::Co<void> IdealNetwork::inject(Packet pkt) {
       params_.bytes_per_cycle;
   const sim::Tick ser_start = k.now();
   co_await sim::delay(k, params_.link_clock.to_ticks(ser_cycles));
-  if (trace::Tracer* tr = k.tracer(); tr != nullptr && tr->enabled()) {
+  if (trace::Tracer* tr = k.tracer(); tr != nullptr) {
     trace::TrackId& track = wire_tracks_[pkt.src];
     if (track == trace::kNoTrack) {
       track = tr->track("net", "wire.n" + std::to_string(pkt.src), "link");

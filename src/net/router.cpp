@@ -104,8 +104,7 @@ sim::Co<void> Router::output_process(unsigned out) {
     }
     co_await sim::delay(kernel_,
                         params_.clock.to_ticks(params_.fall_through_cycles));
-    if (trace::Tracer* tr = kernel_.tracer();
-        tr != nullptr && tr->enabled()) {
+    if (trace::Tracer* tr = kernel_.tracer(); tr != nullptr) {
       if (trace_track_ == trace::kNoTrack) {
         trace_track_ = tr->track_for(name(), "router");
       }

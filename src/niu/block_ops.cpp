@@ -63,7 +63,7 @@ sim::Co<void> BlockEngines::read_chunk(const Command& cmd, mem::Addr addr,
   while (pending != 0) {
     co_await done;
   }
-  if (trace::Tracer* tr = ctrl_.tracing()) {
+  if (trace::Tracer* tr = ctrl_.kernel().tracer()) {
     tr->span(ctrl_.trace_lane(read_track_, "NIU.BlkRd", "niu"),
              "read " + std::to_string(len) + "B", chunk_start, ctrl_.now());
   }
@@ -95,7 +95,7 @@ sim::Co<void> BlockEngines::tx_chunk(const Command& cmd,
     pkt.payload = encode_remote(wr);
     co_await ctrl_.inject(std::move(pkt));
   }
-  if (trace::Tracer* tr = ctrl_.tracing()) {
+  if (trace::Tracer* tr = ctrl_.kernel().tracer()) {
     tr->span(ctrl_.trace_lane(tx_track_, "NIU.BlkTx", "niu"),
              "tx " + std::to_string(len) + "B", chunk_start, ctrl_.now());
   }

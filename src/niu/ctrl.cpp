@@ -63,11 +63,6 @@ Ctrl::Ctrl(sim::Kernel& kernel, std::string name, sim::NodeId node,
 
 // --- Tracing -----------------------------------------------------------------
 
-trace::Tracer* Ctrl::tracing() const {
-  trace::Tracer* tr = kernel_.tracer();
-  return (tr != nullptr && tr->enabled()) ? tr : nullptr;
-}
-
 trace::TrackId Ctrl::trace_lane(trace::TrackId& cache, std::string lane,
                                 std::string_view category,
                                 bool counter) const {
@@ -81,7 +76,7 @@ trace::TrackId Ctrl::trace_lane(trace::TrackId& cache, std::string lane,
 }
 
 void Ctrl::trace_tx_depth(unsigned q) {
-  if (trace::Tracer* tr = tracing()) {
+  if (trace::Tracer* tr = kernel_.tracer()) {
     tr->counter(trace_lane(txq_depth_track_[q],
                            "txq" + std::to_string(q), "queue",
                            /*counter=*/true),
@@ -90,7 +85,7 @@ void Ctrl::trace_tx_depth(unsigned q) {
 }
 
 void Ctrl::trace_rx_depth(unsigned q) {
-  if (trace::Tracer* tr = tracing()) {
+  if (trace::Tracer* tr = kernel_.tracer()) {
     tr->counter(trace_lane(rxq_depth_track_[q],
                            "rxq" + std::to_string(q), "queue",
                            /*counter=*/true),
@@ -100,7 +95,7 @@ void Ctrl::trace_rx_depth(unsigned q) {
 
 void Ctrl::trace_rx_consumed(unsigned q, unsigned count) {
   auto& resident = rx_resident_[q];
-  trace::Tracer* tr = tracing();
+  trace::Tracer* tr = kernel_.tracer();
   while (count > 0 && !resident.empty()) {
     const RxResident r = resident.front();
     resident.pop_front();
@@ -141,7 +136,7 @@ sim::Co<void> Ctrl::ibus_access(SramBank bank, std::uint32_t bytes) {
   const sim::Tick t0 = now();
   co_await sram(bank).access(mem::DualPortedSram::Port::kIBus, bytes);
   stats_.ibus_busy.add_busy(now() - t0);
-  if (trace::Tracer* tr = tracing()) {
+  if (trace::Tracer* tr = kernel_.tracer()) {
     // Span sum mirrors ibus_busy exactly (the semaphore prevents overlap).
     tr->span(trace_lane(ibus_track_, "NIU.IBus", "niu"), "ibus", t0, now());
   }
@@ -246,7 +241,7 @@ sim::Co<std::optional<XlatEntry>> Ctrl::translate(std::uint16_t and_mask,
 void Ctrl::shutdown_tx_queue(unsigned q) {
   txq_.at(q).shutdown = true;
   stats_.protection_violations.inc();
-  if (trace::Tracer* tr = tracing()) {
+  if (trace::Tracer* tr = kernel_.tracer()) {
     tr->instant(trace_lane(txu_track_, "NIU.TxU", "niu"),
                 "txq" + std::to_string(q) + " shut down (protection)", now());
   }
@@ -356,7 +351,7 @@ sim::Co<void> Ctrl::tx_launch(unsigned q) {
   co_await inject(std::move(pkt));
   stats_.msgs_launched.inc();
   ++t.consumer;
-  if (trace::Tracer* tr = tracing()) {
+  if (trace::Tracer* tr = kernel_.tracer()) {
     tr->span(trace_lane(txu_track_, "NIU.TxU", "niu"),
              "launch q" + std::to_string(q), launch_start, now());
   }
@@ -366,7 +361,7 @@ sim::Co<void> Ctrl::tx_launch(unsigned q) {
 }
 
 sim::Co<void> Ctrl::inject(net::Packet pkt) {
-  trace::Tracer* tr = tracing();
+  trace::Tracer* tr = kernel_.tracer();
   sim::Tick t0 = 0;
   std::uint64_t flow = 0;
   if (tr != nullptr) {
@@ -436,7 +431,7 @@ sim::Co<void> Ctrl::rx_enqueue(unsigned qidx, const RxDescriptor& desc,
     }
   }
   ++r.producer;
-  if (tracing() != nullptr && flow != 0) {
+  if (kernel_.tracer() != nullptr && flow != 0) {
     rx_resident_[qidx].push_back(RxResident{flow, now()});
   }
   trace_rx_depth(qidx);
@@ -469,7 +464,7 @@ sim::Co<void> Ctrl::rx_deliver(net::Packet pkt) {
   stats_.msgs_received.inc();
   const sim::Tick rx_start = now();
   const std::uint64_t flow = pkt.serial;
-  trace::Tracer* tr = tracing();
+  trace::Tracer* tr = kernel_.tracer();
   const auto rx_span = [&](const char* what) {
     if (tr != nullptr) {
       tr->span(trace_lane(rxu_track_, "NIU.RxU", "niu"), what, rx_start,
@@ -608,7 +603,7 @@ sim::Co<void> Ctrl::command_loop(sim::Channel<Command>& chan,
       const CmdOp op = cmd.op;
       co_await execute(cmd);
       co_await finish_command(cmd);
-      if (trace::Tracer* tr = tracing()) {
+      if (trace::Tracer* tr = kernel_.tracer()) {
         tr->span(trace_lane(cmd_track_, "NIU.CTRL", "niu"), cmd_name(op),
                  exec_start, now());
       }
@@ -645,7 +640,7 @@ sim::Co<void> Ctrl::run_block_command(Command cmd) {
       assert(false);
   }
   co_await finish_command(cmd);
-  if (trace::Tracer* tr = tracing()) {
+  if (trace::Tracer* tr = kernel_.tracer()) {
     tr->span(trace_lane(cmd_track_, "NIU.CTRL", "niu"), cmd_name(op),
              block_start, now());
   }
@@ -717,7 +712,7 @@ sim::Co<void> Ctrl::execute(Command cmd) {
       if (cmd.translate) {
         const auto xe = co_await translate(0xFFFF, 0, cmd.vdest);
         if (!xe) {
-          if (trace::Tracer* tr = tracing()) {
+          if (trace::Tracer* tr = kernel_.tracer()) {
             tr->instant(trace_lane(cmd_track_, "NIU.CTRL", "niu"),
                         "send: no translation for vdest " +
                             std::to_string(cmd.vdest),

@@ -228,8 +228,6 @@ class Ctrl : public sim::SimObject {
   [[nodiscard]] int rx_lookup(net::QueueId logical) const;
 
   // --- Tracing helpers (no-ops when no tracer is attached) -------------------
-  /// The kernel's tracer when tracing is on, else nullptr.
-  [[nodiscard]] trace::Tracer* tracing() const;
   /// Lazily register a lane under this NIU's node process ("n0").
   trace::TrackId trace_lane(trace::TrackId& cache, std::string lane,
                             std::string_view category,

@@ -1,5 +1,6 @@
 // Statistics collection: counters, scalar samples, log2 histograms, and a
-// registry so any component can publish metrics that harnesses/benches dump.
+// registry so any component can publish metrics that svsim dumps (stats=1)
+// and svbench digests.
 #pragma once
 
 #include <algorithm>

@@ -62,7 +62,7 @@ Machine::Machine(Params params) : params_(params) {
   nodes_.reserve(params_.nodes);
   for (sim::NodeId i = 0; i < params_.nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(domain_for_node(i),
-                                            "n" + std::to_string(i), i,
+                                            'n' + std::to_string(i), i,
                                             *network_, node_params));
   }
   const msg::AddressMap map = addr_map();
@@ -137,9 +137,6 @@ trace::Tracer& Machine::enable_tracing(std::size_t capacity) {
       tracers_.push_back(std::make_unique<trace::Tracer>(capacity));
       d->set_tracer(tracers_.back().get());
     }
-  }
-  for (auto& t : tracers_) {
-    t->set_enabled(true);
   }
   return *tracers_.front();
 }

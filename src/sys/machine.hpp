@@ -92,8 +92,8 @@ class Machine {
   bool run_epochs_until(const std::function<bool()>& pred,
                         sim::Tick deadline);
 
-  /// Attach one tracer per event domain and enable them. All instrumented
-  /// units start recording from the current simulation time. Idempotent.
+  /// Attach one tracer per event domain. All instrumented units start
+  /// recording from the current simulation time. Idempotent.
   /// Returns the first domain's tracer; use tracers() for the full set
   /// (trace::merge_traces orders their events canonically).
   trace::Tracer& enable_tracing(

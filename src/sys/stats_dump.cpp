@@ -36,7 +36,7 @@ sim::StatRegistry collect_stats(Machine& machine) {
 
   for (sim::NodeId i = 0; i < machine.size(); ++i) {
     Node& node = machine.node(i);
-    const std::string p = "n" + std::to_string(i) + ".";
+    const std::string p = 'n' + std::to_string(i) + '.';
 
     const auto& bus = node.bus().stats();
     reg.set(p + "bus.transactions",

@@ -47,7 +47,7 @@ namespace {
 /// has k's type and lies in its range.
 void check_value(const Key& k, const sim::Config& cfg) {
   bool ok = true;
-  std::string got = "'" + cfg.get_string(k.name) + "'";
+  std::string got = '\'' + cfg.get_string(k.name) + '\'';
   if (k.type == Key::kUint) {
     const std::uint64_t v = cfg.get_u64(k.name, 0);  // throws if malformed
     ok = v >= k.lo && v <= k.hi;

@@ -30,7 +30,7 @@ std::string fmt_value(double v) {
 /// unquoted, up to 1024 successive flows of one node would merge into one
 /// arrow. svtrace reads either form exactly.
 std::string flow_id(std::uint64_t id) {
-  return "\"" + std::to_string(id) + "\"";
+  return '"' + std::to_string(id) + '"';
 }
 
 void write_record(std::ostream& os, const TrackInfo& t, int pid, int tid,

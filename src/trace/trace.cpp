@@ -39,7 +39,7 @@ TrackId Tracer::track_for(std::string_view object_name,
 
 void Tracer::span(TrackId t, std::string name, sim::Tick start, sim::Tick end,
                   std::uint64_t flow) {
-  if (!enabled_ || t == kNoTrack || end < start) {
+  if (t == kNoTrack || end < start) {
     return;
   }
   push(Event{EventKind::kSpan, t, start, end - start, 0.0, flow,
@@ -48,14 +48,14 @@ void Tracer::span(TrackId t, std::string name, sim::Tick start, sim::Tick end,
 
 void Tracer::instant(TrackId t, std::string name, sim::Tick ts,
                      std::uint64_t flow) {
-  if (!enabled_ || t == kNoTrack) {
+  if (t == kNoTrack) {
     return;
   }
   push(Event{EventKind::kInstant, t, ts, 0, 0.0, flow, std::move(name)});
 }
 
 void Tracer::counter(TrackId t, sim::Tick ts, double value) {
-  if (!enabled_ || t == kNoTrack) {
+  if (t == kNoTrack) {
     return;
   }
   push(Event{EventKind::kCounter, t, ts, 0, value, 0, {}});

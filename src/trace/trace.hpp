@@ -69,9 +69,6 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   /// Register (or look up) the track for (process, name). Instrumentation
   /// sites call this once and cache the returned id.
   TrackId track(std::string_view process, std::string_view name,
@@ -124,7 +121,6 @@ class Tracer {
   void push(Event e);
 
   TraceSink* sink_ = nullptr;
-  bool enabled_ = true;
   std::size_t capacity_;
   std::vector<Event> ring_;
   std::size_t head_ = 0;  // oldest event once the ring has wrapped

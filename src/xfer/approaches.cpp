@@ -25,7 +25,7 @@ BlockTransferHarness::BlockTransferHarness(sys::Machine& machine)
         std::make_unique<msg::Endpoint>(node.ap(), node.endpoint_config()));
     SpCopyEngine::bind_queues(node);
     sp_copy_.push_back(std::make_unique<SpCopyEngine>(
-        machine_.kernel(), "n" + std::to_string(n) + ".fw.spcopy",
+        machine_.kernel(), 'n' + std::to_string(n) + ".fw.spcopy",
         node.sp(), node.niu().sbiu(), node.params().fw_costs));
     sp_copy_.back()->start();
     // Approaches 4/5: cls state kClsBlockPending retries without invoking

@@ -38,8 +38,11 @@ std::atomic<std::uint64_t> g_news{0};
 
 // Counting global allocator. Counts every allocation in the process (gtest
 // included), so tests only compare deltas across windows where the code
-// under test runs alone.
-void* operator new(std::size_t n) {
+// under test runs alone. None of these is inlined: at -O3, g++ 12 would
+// see malloc() inlined on one side of a new/delete pair and free() on the
+// other, and report a mismatched deallocation (-Wmismatched-new-delete)
+// that cannot happen.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) {
     return p;
@@ -47,14 +50,18 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -1,15 +1,12 @@
 #!/bin/sh
-# svsim, svexplore and the bench binaries' own flags must reject bad
-# input with exactly one stderr line naming the offending key or flag and
-# exit status 2: no abort, no signal, no hang, and no run. A trace= file
-# that cannot be opened fails before the run, too.
+# svsim and svexplore must reject bad input with exactly one stderr line
+# naming the offending key or flag and exit status 2: no abort, no signal,
+# no hang, and no run. A trace= file that cannot be opened fails before
+# the run, too.
 #
 #   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore
-#          PATH/TO/bench_parallel PATH/TO/bench_kernel
 svsim=$1
 svexplore=$2
-bench_parallel=$3
-bench_kernel=$4
 corpus=$(dirname "$0")/ckpt/reliable_ring.svck
 status=0
 dir=$(mktemp -d)
@@ -82,8 +79,4 @@ check "'count'" "$svexplore" --snapshot="$corpus" count=3 max_drops=0
   ckpt.out="$dir/scripted.svck" >/dev/null
 check fault.drop_script "$svexplore" --snapshot="$dir/plain.svck"
 check fault.drop_script "$svexplore" --snapshot="$dir/scripted.svck"
-
-check threads "$bench_parallel" --threads=abc
-check threads "$bench_parallel" --threads=65
-check tolerance "$bench_kernel" --tolerance=2
 exit $status

@@ -92,7 +92,10 @@ int main(int argc, char** argv) {
     if (res.found) {
       std::string pattern;
       for (const std::uint64_t i : res.minimal) {
-        pattern += (pattern.empty() ? "" : ",") + std::to_string(i);
+        if (!pattern.empty()) {
+          pattern += ',';
+        }
+        pattern += std::to_string(i);
       }
       std::printf("VIOLATION: minimal drop pattern {%s}%s\n  %s\n",
                   pattern.c_str(),

@@ -107,7 +107,7 @@ int drive(sys::Machine& machine, const ckpt::RunConfig& rc,
        at != 0 && pause_at(at); at = every != 0 ? machine.now() + every : 0) {
     std::string path = opts.text("ckpt.out");
     if (every != 0) {
-      path += "." + std::to_string(machine.now()) + ".svck";
+      path += '.' + std::to_string(machine.now()) + ".svck";
     }
     const ckpt::Snapshot snap = ckpt::capture(machine, config, &run);
     snap.save_file(path);

@@ -1,4 +1,4 @@
-// svtrace: offline analyzer for traces produced by svsim / the benches.
+// svtrace: offline analyzer for the traces svsim writes (trace=FILE).
 //
 // Reads a Chrome trace-event JSON file (as written by
 // trace::ChromeWriter) and prints the summaries that are awkward to
