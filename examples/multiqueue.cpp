@@ -133,7 +133,7 @@ int main() {
     fw::DramQueueDesc desc;
     desc.base = 0x0050'0000;
     desc.slots = 32;
-    machine.node(1).miss_service()->register_queue(kLogical, desc);
+    machine.node(1).miss_service().register_queue(kLogical, desc);
 
     bool got = false;
     bool intact = false;
@@ -157,7 +157,7 @@ int main() {
           *done = true;
         }(&dq, &got, &intact));
     wait_for([&] { return got; });
-    const auto spills = machine.node(1).miss_service()->serviced().value();
+    const auto spills = machine.node(1).miss_service().serviced().value();
     std::printf("  firmware miss service handled %llu spill(s)\n",
                 static_cast<unsigned long long>(spills));
     ok = ok && intact && spills == 1;

@@ -90,7 +90,7 @@ Run run_strategy(sys::Machine& machine, int mode, unsigned dirty_lines) {
     if (mode < 0) {
       cmd.op = niu::CmdOp::kBlockXfer;
       cmd.bank = niu::SramBank::kSSram;
-      cmd.sram_offset = sys::Node::kDmaStagingBase;
+      cmd.sram_offset = fw::DmaEngine::kStaging;
     } else {
       cmd.op = niu::CmdOp::kBlockDiffTx;
       cmd.diff_mode = static_cast<std::uint8_t>(mode);

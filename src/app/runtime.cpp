@@ -115,20 +115,20 @@ sim::Co<Inbound> Comm::recv_impl(std::uint16_t src, std::uint32_t tag) {
 
 sim::Co<void> Comm::send(std::uint16_t dst, std::uint32_t tag,
                          std::span<const std::byte> data) {
-  co_await compute(world_->params().compute.cost(data.size()));
+  co_await compute(comm_cycles(data.size()));
   co_await send_impl(dst, tag, data);
 }
 
 sim::Co<Inbound> Comm::recv(std::uint16_t src, std::uint32_t tag) {
   Inbound m = co_await recv_impl(src, tag);
-  co_await compute(world_->params().compute.cost(m.data.size()));
+  co_await compute(comm_cycles(m.data.size()));
   co_return m;
 }
 
 sim::Co<void> Comm::isend_task(std::uint16_t dst, std::uint32_t tag,
                                std::vector<std::byte> data,
                                std::shared_ptr<Request::State> st) {
-  co_await compute(world_->params().compute.cost(data.size()));
+  co_await compute(comm_cycles(data.size()));
   co_await send_impl(dst, tag, data);
   st->completed.fire();
   wg().done();
@@ -137,7 +137,7 @@ sim::Co<void> Comm::isend_task(std::uint16_t dst, std::uint32_t tag,
 sim::Co<void> Comm::irecv_task(std::uint16_t src, std::uint32_t tag,
                                std::shared_ptr<Request::State> st) {
   st->msg = co_await recv_impl(src, tag);
-  co_await compute(world_->params().compute.cost(st->msg.data.size()));
+  co_await compute(comm_cycles(st->msg.data.size()));
   st->completed.fire();
   wg().done();
 }
@@ -317,8 +317,7 @@ World::World(sys::Machine& machine, Params params)
         break;
       case TransportKind::kShm:
         transports_.push_back(std::make_unique<ShmTransport>(
-            node, k, params_.nranks, machine_.size(), params_.shm_region,
-            params_.shm_poll));
+            node, k, params_.nranks, machine_.size(), params_.shm_region));
         break;
     }
   }

@@ -13,7 +13,7 @@
 // Following the SMPI model, communications are simulated while
 // computations are emulated: programs move real bytes and compute real
 // values host-side at zero simulated cost, and simulated time is charged
-// explicitly — per communication call through the ComputeModel, and for
+// explicitly — per communication call through comm_cycles(), and for
 // algorithmic work through Comm::compute().
 //
 // Determinism: every rank's process is an event-driven coroutine inside
@@ -28,7 +28,7 @@
 #include <memory>
 
 #include "app/transport.hpp"
-#include "sys/experiment.hpp"
+#include "sys/machine.hpp"
 
 namespace sv::app {
 
@@ -36,16 +36,13 @@ enum class TransportKind { kMsg, kShm, kReliable };
 
 enum class ReduceOp { kSum, kMin, kMax };
 
-/// Simulated cycles charged on the aP per communication call:
-/// a fixed API overhead plus a per-word marshalling cost.
-struct ComputeModel {
-  std::uint64_t op_cycles = 200;
-  std::uint64_t word_cycles = 1;  // per 4 payload bytes
-
-  [[nodiscard]] std::uint64_t cost(std::size_t bytes) const {
-    return op_cycles + word_cycles * ((bytes + 3) / 4);
-  }
-};
+/// Simulated cycles charged on the aP per communication call of `bytes`
+/// payload bytes: a fixed API overhead plus a per-word marshalling cost.
+inline constexpr std::uint64_t kCommOpCycles = 200;
+inline constexpr std::uint64_t kCommWordCycles = 1;  // per 4 payload bytes
+[[nodiscard]] constexpr std::uint64_t comm_cycles(std::size_t bytes) {
+  return kCommOpCycles + kCommWordCycles * ((bytes + 3) / 4);
+}
 
 class World;
 
@@ -146,9 +143,7 @@ class World {
     std::size_t nranks = 0;
     TransportKind transport = TransportKind::kMsg;
     ShmTransport::Region shm_region = ShmTransport::Region::kNuma;
-    ComputeModel compute;
     msg::ReliableChannel::Params reliable;
-    sim::Tick shm_poll = 500 * sim::kNanosecond;
   };
 
   /// A per-rank program. Must be SPMD with respect to collectives.

@@ -235,11 +235,10 @@ sim::Co<void> ReliableTransport::rx_loop(sim::NodeId peer) {
 
 ShmTransport::ShmTransport(sys::Node& node, sim::Kernel& kernel,
                            std::size_t nranks, std::size_t nnodes,
-                           Region region, sim::Tick poll_interval)
+                           Region region)
     : Transport(node, kernel, nranks),
       region_(region),
       nnodes_(nnodes),
-      poll_interval_(poll_interval),
       base_(region == Region::kNuma ? niu::kNumaBase : niu::kScomaBase),
       cached_(region == Region::kScoma) {
   if (!cached_) {
@@ -298,7 +297,7 @@ sim::Co<void> ShmTransport::send_frame(sim::NodeId dst_node,
     tx.consumed_seen = co_await load_u32(page);
     tx.unflushed = 0;  // a completed read drains all earlier posted stores
     if (tx.next_seq - tx.consumed_seen > kSlots) {
-      co_await sim::delay(kernel_, poll_interval_);
+      co_await sim::delay(kernel_, kPollInterval);
     }
   }
 
@@ -373,7 +372,7 @@ sim::Co<void> ShmTransport::rx_sweep() {
       }
     }
     if (!any) {
-      co_await sim::delay(kernel_, poll_interval_);
+      co_await sim::delay(kernel_, kPollInterval);
     }
   }
 }

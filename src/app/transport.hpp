@@ -221,9 +221,11 @@ class ShmTransport final : public Transport {
   static constexpr std::uint32_t kSlotBytes = 128;
   static constexpr std::uint32_t kSlots = 31;
   static constexpr std::uint32_t kSlotDataOff = 8;
+  /// Wait between two polls of a ring that had nothing new.
+  static constexpr sim::Tick kPollInterval = 500 * sim::kNanosecond;
 
   ShmTransport(sys::Node& node, sim::Kernel& kernel, std::size_t nranks,
-               std::size_t nnodes, Region region, sim::Tick poll_interval);
+               std::size_t nnodes, Region region);
 
   void start() override;
   [[nodiscard]] const char* kind() const override {
@@ -273,7 +275,6 @@ class ShmTransport final : public Transport {
 
   Region region_;
   std::size_t nnodes_;
-  sim::Tick poll_interval_;
   mem::Addr base_;
   bool cached_;
   std::uint32_t store_window_ = 0;  // 0 = no windowing (cached rings)

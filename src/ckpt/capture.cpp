@@ -60,13 +60,13 @@ Snapshot capture(sys::Machine& machine, std::string config,
     add(snap, node_chunk(i, "asram"), node.niu().asram());
     add(snap, node_chunk(i, "ssram"), node.niu().ssram());
     add(snap, node_chunk(i, "cls"), node.niu().cls());
-    add(snap, node_chunk(i, "fw.dma"), *node.dma());
-    add(snap, node_chunk(i, "fw.numa"), *node.numa());
+    add(snap, node_chunk(i, "fw.dma"), node.dma());
+    add(snap, node_chunk(i, "fw.numa"), node.numa());
     if (const fw::ScomaEngine* e = node.scoma()) {
       add(snap, node_chunk(i, "fw.scoma"), *e);
     }
-    add(snap, node_chunk(i, "fw.miss"), *node.miss_service());
-    add(snap, node_chunk(i, "fw.chunk"), *node.chunk_opener());
+    add(snap, node_chunk(i, "fw.miss"), node.miss_service());
+    add(snap, node_chunk(i, "fw.chunk"), node.chunk_opener());
   }
 
   if (run != nullptr) {

@@ -11,13 +11,6 @@ namespace sv::ckpt {
 
 inline void save(Writer& w, const sim::Counter& c) { w.u64(c.value()); }
 
-inline void save(Writer& w, const sim::Accumulator& a) {
-  w.u64(a.count());
-  w.f64(a.sum());
-  w.f64(a.min());
-  w.f64(a.max());
-}
-
 inline void save(Writer& w, const sim::Histogram& h) {
   w.u64(h.count());
   w.f64(h.mean());
@@ -37,15 +30,6 @@ inline void save(Writer& w, const sim::Rng& r) {
   const sim::Rng::State st = r.state();
   for (const std::uint64_t s : st.s) {
     w.u64(s);
-  }
-}
-
-/// std::map iterates in key order, so the registry dump is canonical.
-inline void save(Writer& w, const sim::StatRegistry& reg) {
-  w.u64(reg.all().size());
-  for (const auto& [name, value] : reg.all()) {
-    w.str(name);
-    w.f64(value);
   }
 }
 

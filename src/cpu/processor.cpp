@@ -44,7 +44,7 @@ sim::Co<void> Processor::load(mem::Addr a, std::span<std::byte> out) {
   // which the golden corpus and the benchmark digests are recorded against
   // (DESIGN.md §12.1).
   const sim::Tick t0 = now();
-  const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
+  const sim::Tick work_ticks = params_.clock.to_ticks(kOpOverhead);
   const std::uint64_t s0 =
       kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, out.size()));
   busy_.add_busy(work_ticks);
@@ -62,7 +62,7 @@ sim::Co<void> Processor::store(mem::Addr a, std::span<const std::byte> in) {
     co_return;
   }
   const sim::Tick t0 = now();
-  const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
+  const sim::Tick work_ticks = params_.clock.to_ticks(kOpOverhead);
   const std::uint64_t s0 =
       kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, in.size()));
   busy_.add_busy(work_ticks);
@@ -83,7 +83,7 @@ sim::Co<void> Processor::load_uncached(mem::Addr a,
     const auto n = static_cast<std::uint32_t>(
         std::min<std::size_t>({out.size() - done, to_boundary, 8}));
     const sim::Tick t0 = now();
-    const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
+    const sim::Tick work_ticks = params_.clock.to_ticks(kOpOverhead);
     // The issue-overhead charge is folded into the transaction as a lead-in
     // (req.lead_ticks) instead of a separate work() delay: the slow path
     // replays it event-for-event, and the fast path completes the whole op
@@ -116,7 +116,7 @@ sim::Co<void> Processor::store_uncached(mem::Addr a,
     const auto n = static_cast<std::uint32_t>(
         std::min<std::size_t>({in.size() - done, to_boundary, 8}));
     const sim::Tick t0 = now();
-    const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
+    const sim::Tick work_ticks = params_.clock.to_ticks(kOpOverhead);
     busy_.add_busy(work_ticks);
     trace_busy("work", t0, t0 + work_ticks);
     mem::BusRequest req;

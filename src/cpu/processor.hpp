@@ -20,11 +20,18 @@
 
 namespace sv::cpu {
 
+/// The 166.67 MHz 604e application processor, whose cache times its hits.
+inline constexpr sim::Clock kApClock = mem::SnoopingCache::kCpuClock;
+/// The 100 MHz service processor.
+inline constexpr sim::Clock kSpClock{10000};
+
 class Processor : public sim::SimObject, public mem::BusDevice {
  public:
+  /// Issue overhead per memory operation, in processor cycles.
+  static constexpr sim::Cycles kOpOverhead = 2;
+
   struct Params {
-    sim::Clock clock{6000};        // 166.67 MHz 604e
-    sim::Cycles op_overhead = 2;   // issue overhead per memory operation
+    sim::Clock clock = kApClock;  // kSpClock for the sP
   };
 
   /// `cache` may be null (the sP model runs uncached).

@@ -6,11 +6,8 @@
 namespace sv::fw {
 
 DmaEngine::DmaEngine(sim::Kernel& kernel, std::string name,
-                     cpu::Processor& sp, niu::SBiu& sbiu, Params params,
-                     Costs costs)
-    : FwService(kernel, std::move(name), sp, sbiu, params.queues.dma_req,
-                scratch_offset(params.staging_offset), costs),
-      params_(params),
+                     cpu::Processor& sp, niu::SBiu& sbiu)
+    : FwService(kernel, std::move(name), sp, sbiu, kDmaReqQ, kScratch),
       done_seen_(kernel) {}
 
 void DmaEngine::start() {
@@ -23,7 +20,7 @@ sim::Co<void> DmaEngine::loop() {
     co_await wait_msg();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     RxMsg msg = co_await read_msg();
     sp_.release();
     co_await handle(msg.as<DmaRequest>());
@@ -33,14 +30,14 @@ sim::Co<void> DmaEngine::loop() {
 
 sim::Co<void> DmaEngine::done_loop() {
   auto& ctrl = sbiu_.ctrl();
-  const unsigned q = params_.queues.fw_done;
+  const unsigned q = kFwDoneQ;
   for (;;) {
     while (ctrl.rxq(q).empty()) {
       co_await ctrl.rx_arrival();
     }
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     auto& rq = ctrl.rxq(q);
     const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + 8];
@@ -78,7 +75,7 @@ sim::Co<void> DmaEngine::handle(DmaRequest req) {
     push.dest_node = static_cast<std::uint16_t>(node());
     push.sender_done_queue = niu::kNoNotify;
     co_await sp_.acquire();
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     co_await send(holder, kDmaReqL, to_bytes(push));
     sp_.release();
     co_return;
@@ -86,8 +83,7 @@ sim::Co<void> DmaEngine::handle(DmaRequest req) {
 
   // Push: split into page-bounded chunks, ping-pong two staging areas, and
   // keep at most two block transfers in flight.
-  const std::uint32_t staging_bytes =
-      2 * sbiu_.ctrl().params().block_chunk_bytes;
+  const std::uint32_t staging_bytes = 2 * niu::Ctrl::kBlockChunkBytes;
   std::uint32_t issued = 0;
   std::vector<std::uint32_t> tags;
 
@@ -96,8 +92,7 @@ sim::Co<void> DmaEngine::handle(DmaRequest req) {
   std::uint32_t remaining = req.len;
   while (remaining > 0) {
     const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        {remaining, params_.chunk,
-         niu::kBlockMaxBytes - (src % niu::kBlockMaxBytes),
+        {remaining, niu::kBlockMaxBytes - (src % niu::kBlockMaxBytes),
          niu::kBlockMaxBytes - (dst % niu::kBlockMaxBytes)}));
     const bool last = n == remaining;
 
@@ -111,8 +106,7 @@ sim::Co<void> DmaEngine::handle(DmaRequest req) {
     cmd.dest_addr = dst;
     cmd.len = n;
     cmd.bank = niu::SramBank::kSSram;
-    cmd.sram_offset =
-        params_.staging_offset + (issued % 2) * staging_bytes;
+    cmd.sram_offset = kStaging + (issued % 2) * staging_bytes;
     cmd.dest_node = req.dest_node;
     cmd.notify_queue = kFwDoneL;
     cmd.notify_tag = next_tag_++;
@@ -124,8 +118,8 @@ sim::Co<void> DmaEngine::handle(DmaRequest req) {
     tags.push_back(cmd.notify_tag);
 
     co_await sp_.acquire();
-    co_await sp_.work(costs_.handler);
-    co_await sbiu_.post(params_.cmdq, std::move(cmd));
+    co_await sp_.work(kHandlerCycles);
+    co_await sbiu_.post(/*cmdq=*/0, std::move(cmd));
     sp_.release();
 
     src += n;

@@ -42,20 +42,13 @@ struct DmaRequest {
 
 class DmaEngine final : public FwService {
  public:
-  /// The sSRAM scratch slot (64 bytes) sits just below the staging areas.
-  static constexpr std::uint32_t scratch_offset(std::uint32_t staging_offset) {
-    return staging_offset - 64;
-  }
-
-  struct Params {
-    std::uint32_t staging_offset = 0x10000;  // sSRAM: 2 areas x 2 buffers
-    std::uint32_t chunk = niu::kBlockMaxBytes;
-    unsigned cmdq = 0;
-    FwQueueMap queues;
-  };
+  /// sSRAM: two staging areas of two block-transfer buffers each, and the
+  /// scratch slot (64 bytes) just below them.
+  static constexpr std::uint32_t kStaging = 0x20000;
+  static constexpr std::uint32_t kScratch = kStaging - 64;
 
   DmaEngine(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-            niu::SBiu& sbiu, Params params, Costs costs = {});
+            niu::SBiu& sbiu);
 
   void start() override;
 
@@ -71,7 +64,6 @@ class DmaEngine final : public FwService {
   sim::Co<void> handle(DmaRequest req);
   sim::Co<void> wait_done(std::uint32_t tag);
 
-  Params params_;
   std::deque<std::uint32_t> completed_tags_;
   sim::Signal done_seen_;
   std::uint32_t next_tag_ = 0x40000000;

@@ -6,13 +6,12 @@ namespace sv::fw {
 
 FwService::FwService(sim::Kernel& kernel, std::string name,
                      cpu::Processor& sp, niu::SBiu& sbiu, unsigned hwq,
-                     std::uint32_t scratch, Costs costs)
+                     std::uint32_t scratch)
     : sim::SimObject(kernel, std::move(name)),
       sp_(sp),
       sbiu_(sbiu),
       hwq_(hwq),
-      scratch_(scratch),
-      costs_(costs) {}
+      scratch_(scratch) {}
 
 void FwService::trace_handler(const char* what, sim::Tick start) {
   trace::Tracer* tr = kernel_.tracer();

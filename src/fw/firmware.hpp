@@ -39,16 +39,14 @@ inline constexpr net::QueueId kScomaReqL = 0x0F03;
 inline constexpr net::QueueId kScomaRspL = 0x0F04;
 inline constexpr net::QueueId kFwDoneL = 0x0F05;
 
-struct FwQueueMap {
-  unsigned dma_req = 8;
-  unsigned numa_req = 9;
-  unsigned numa_rsp = 10;
-  unsigned scoma_req = 11;
-  unsigned scoma_rsp = 12;
-  unsigned chunk_arrival = 13;
-  unsigned fw_done = 14;
-  unsigned miss = niu::kMissRxQueue;
-};
+// The hardware rx queues of the standard queue plan above.
+inline constexpr unsigned kDmaReqQ = 8;
+inline constexpr unsigned kNumaReqQ = 9;
+inline constexpr unsigned kNumaRspQ = 10;
+inline constexpr unsigned kScomaReqQ = 11;
+inline constexpr unsigned kScomaRspQ = 12;
+inline constexpr unsigned kChunkArrivalQ = 13;
+inline constexpr unsigned kFwDoneQ = 14;
 
 struct RxMsg {
   niu::RxDescriptor desc;
@@ -75,14 +73,12 @@ template <typename T>
 /// aP-DRAM access helpers, all with explicit sP cycle costs.
 class FwService : public sim::SimObject {
  public:
-  struct Costs {
-    sim::Cycles dispatch = 20;  // wake + decode per event
-    sim::Cycles handler = 30;   // base handling work per event
-  };
+  // sP cycles charged per event.
+  static constexpr sim::Cycles kDispatchCycles = 20;  // wake + decode
+  static constexpr sim::Cycles kHandlerCycles = 30;   // base handling work
 
   FwService(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-            niu::SBiu& sbiu, unsigned hwq, std::uint32_t scratch,
-            Costs costs);
+            niu::SBiu& sbiu, unsigned hwq, std::uint32_t scratch);
 
   virtual ~FwService() = default;
 
@@ -123,7 +119,6 @@ class FwService : public sim::SimObject {
   niu::SBiu& sbiu_;
   unsigned hwq_;
   std::uint32_t scratch_;  // private sSRAM scratch area offset
-  Costs costs_;
   sim::Counter events_;
 
  private:

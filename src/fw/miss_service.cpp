@@ -4,10 +4,9 @@
 namespace sv::fw {
 
 MissService::MissService(sim::Kernel& kernel, std::string name,
-                         cpu::Processor& sp, niu::SBiu& sbiu,
-                         FwQueueMap queues, Costs costs)
-    : FwService(kernel, std::move(name), sp, sbiu, queues.miss,
-                kScratch, costs) {}
+                         cpu::Processor& sp, niu::SBiu& sbiu)
+    : FwService(kernel, std::move(name), sp, sbiu, niu::kMissRxQueue,
+                kScratch) {}
 
 void MissService::start() { sim::spawn(loop()); }
 
@@ -20,7 +19,7 @@ sim::Co<void> MissService::loop() {
     co_await wait_msg();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     RxMsg msg = co_await read_msg();
 
     auto it = queues_.find(msg.desc.logical);
@@ -44,7 +43,7 @@ sim::Co<void> MissService::loop() {
       continue;
     }
 
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     // Write descriptor + data into the DRAM slot, then publish producer.
     std::vector<std::byte> slot(niu::kBasicHeaderBytes + msg.data.size());
     msg.desc.encode(slot.data());

@@ -16,10 +16,8 @@ std::vector<std::byte> with_data(const NumaMsg& msg,
 }  // namespace
 
 NumaEngine::NumaEngine(sim::Kernel& kernel, std::string name,
-                       cpu::Processor& sp, niu::SBiu& sbiu, Params params,
-                       Costs costs)
-    : FwService(kernel, std::move(name), sp, sbiu, params.queues.numa_req,
-                kScratch, costs),
+                       cpu::Processor& sp, niu::SBiu& sbiu, Params params)
+    : FwService(kernel, std::move(name), sp, sbiu, kNumaReqQ, kScratch),
       params_(params) {}
 
 void NumaEngine::start() {
@@ -34,7 +32,7 @@ void NumaEngine::claim_region(mem::Addr base, mem::Addr size,
 }
 
 sim::NodeId NumaEngine::home_of(mem::Addr a) const {
-  return static_cast<sim::NodeId>(((a - params_.base) / params_.page_bytes) %
+  return static_cast<sim::NodeId>(((a - niu::kNumaBase) / kPageBytes) %
                                   params_.num_nodes);
 }
 
@@ -59,7 +57,7 @@ sim::Co<void> NumaEngine::client_loop() {
 sim::Co<void> NumaEngine::handle_op(niu::FwdOp op) {
   const sim::Tick h0 = now();
   co_await sp_.acquire();
-  co_await sp_.work(costs_.dispatch + costs_.handler);
+  co_await sp_.work(kDispatchCycles + kHandlerCycles);
   const sim::NodeId home = home_of(op.addr);
   const mem::Addr backing = backing_of(op.addr);
 
@@ -103,7 +101,7 @@ sim::Co<void> NumaEngine::home_loop() {
     co_await wait_msg();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch + costs_.handler);
+    co_await sp_.work(kDispatchCycles + kHandlerCycles);
     RxMsg rx = co_await read_msg();
     const auto msg = rx.as<NumaMsg>();
     const mem::Addr backing = backing_of(msg.addr);
@@ -129,14 +127,14 @@ sim::Co<void> NumaEngine::home_loop() {
 
 sim::Co<void> NumaEngine::reply_loop() {
   auto& ctrl = sbiu_.ctrl();
-  const unsigned q = params_.queues.numa_rsp;
+  const unsigned q = kNumaRspQ;
   for (;;) {
     while (ctrl.rxq(q).empty()) {
       co_await ctrl.rx_arrival();
     }
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     auto& rq = ctrl.rxq(q);
     const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + sizeof(NumaMsg) +

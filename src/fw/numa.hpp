@@ -41,12 +41,10 @@ struct NumaMsg {
 class NumaEngine final : public FwService {
  public:
   static constexpr std::uint32_t kScratch = 0x0F00;  // sSRAM, 64 bytes
+  static constexpr std::uint32_t kPageBytes = 4096;  // home interleave
 
   struct Params {
-    FwQueueMap queues;
     std::size_t num_nodes = 2;
-    mem::Addr base = niu::kNumaBase;
-    std::uint32_t page_bytes = 4096;  // home interleave granularity
   };
 
   /// A claimed sub-window handler: receives forwarded ops instead of the
@@ -54,7 +52,7 @@ class NumaEngine final : public FwService {
   using RegionHandler = std::function<sim::Co<void>(const niu::FwdOp&)>;
 
   NumaEngine(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-             niu::SBiu& sbiu, Params params, Costs costs = {});
+             niu::SBiu& sbiu, Params params);
 
   void start() override;
 
@@ -63,7 +61,7 @@ class NumaEngine final : public FwService {
 
   [[nodiscard]] sim::NodeId home_of(mem::Addr a) const;
   [[nodiscard]] mem::Addr backing_of(mem::Addr a) const {
-    return kNumaBackingBase + (a - params_.base);
+    return kNumaBackingBase + (a - niu::kNumaBase);
   }
 
   [[nodiscard]] const sim::Counter& remote_loads() const {

@@ -4,9 +4,9 @@ namespace sv::fw {
 
 ReflectiveEngine::ReflectiveEngine(sim::Kernel& kernel, std::string name,
                                    cpu::Processor& sp, niu::SBiu& sbiu,
-                                   Params params, Costs costs)
-    : FwService(kernel, std::move(name), sp, sbiu,
-                params.queues.fw_done /*unused queue*/, kScratch, costs),
+                                   Params params)
+    : FwService(kernel, std::move(name), sp, sbiu, kFwDoneQ /*unused queue*/,
+                kScratch),
       params_(std::move(params)) {
   sbiu_.abiu().add_reflect_range(params_.local_base, params_.size,
                                  /*hw_mode=*/false, params_.peers);
@@ -20,7 +20,7 @@ sim::Co<void> ReflectiveEngine::loop() {
     niu::FwdOp op = co_await ops.pop();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch + costs_.handler);
+    co_await sp_.work(kDispatchCycles + kHandlerCycles);
     for (const auto& peer : params_.peers) {
       niu::Command wr;
       wr.op = niu::CmdOp::kWriteApDram;

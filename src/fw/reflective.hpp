@@ -22,11 +22,10 @@ class ReflectiveEngine final : public FwService {
     mem::Addr local_base = 0;
     mem::Addr size = 0;
     std::vector<niu::ABiu::ReflectPeer> peers;
-    FwQueueMap queues;
   };
 
   ReflectiveEngine(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-                   niu::SBiu& sbiu, Params params, Costs costs = {});
+                   niu::SBiu& sbiu, Params params);
 
   void start() override;
 

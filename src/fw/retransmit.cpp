@@ -15,7 +15,6 @@ RetransmitEngine::RetransmitEngine(sim::Kernel& kernel, std::string name,
       params_(params),
       rearm_(kernel) {
   assert(params_.base_timeout > 0);
-  assert(params_.backoff >= 1.0);
 }
 
 void RetransmitEngine::bind(RetransmitFn retransmit, GiveUpFn give_up) {
@@ -61,7 +60,7 @@ bool RetransmitEngine::given_up(sim::NodeId peer) const {
 sim::Tick RetransmitEngine::timeout_for(unsigned attempts) const {
   double t = static_cast<double>(params_.base_timeout);
   for (unsigned i = 0; i < attempts; ++i) {
-    t *= params_.backoff;
+    t *= kBackoff;
   }
   return static_cast<sim::Tick>(t);
 }

@@ -24,9 +24,12 @@ namespace sv::fw {
 
 class RetransmitEngine : public sim::SimObject {
  public:
+  /// Timeout multiplier per consecutive expiry.
+  static constexpr double kBackoff = 2.0;
+  static_assert(kBackoff >= 1.0);
+
   struct Params {
     sim::Tick base_timeout = 50 * sim::kMicrosecond;
-    double backoff = 2.0;      // timeout multiplier per consecutive expiry
     unsigned give_up_after = 8;  // expiries with no progress => peer dead
   };
 

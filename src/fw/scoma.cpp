@@ -20,10 +20,8 @@ std::vector<std::byte> with_data(const ScomaMsg& msg,
 }  // namespace
 
 ScomaEngine::ScomaEngine(sim::Kernel& kernel, std::string name,
-                         cpu::Processor& sp, niu::SBiu& sbiu, Params params,
-                         Costs costs)
-    : FwService(kernel, std::move(name), sp, sbiu, params.queues.scoma_req,
-                kScratch, costs),
+                         cpu::Processor& sp, niu::SBiu& sbiu, Params params)
+    : FwService(kernel, std::move(name), sp, sbiu, kScomaReqQ, kScratch),
       params_(params),
       acks_(kernel) {}
 
@@ -34,7 +32,7 @@ void ScomaEngine::start() {
 }
 
 sim::NodeId ScomaEngine::home_of(mem::Addr a) const {
-  return static_cast<sim::NodeId>(((a - params_.base) / params_.page_bytes) %
+  return static_cast<sim::NodeId>(((a - niu::kScomaBase) / kPageBytes) %
                                   params_.num_nodes);
 }
 
@@ -67,14 +65,12 @@ void ScomaEngine::init_cls() {
   // SRAM's power-on default instead of poking every line. Everything is
   // value-captured (home_of is pure in these params), so the function
   // outlives the engine if teardown order ever changes.
-  const mem::Addr base = params_.base;
-  const mem::Addr page = params_.page_bytes;
   const std::size_t num_nodes = params_.num_nodes;
   const sim::NodeId self = node();
   sbiu_.ctrl().cls().set_default(
-      [base, page, num_nodes, self](mem::Addr a) -> std::uint8_t {
-        const auto home =
-            static_cast<sim::NodeId>(((a - base) / page) % num_nodes);
+      [num_nodes, self](mem::Addr a) -> std::uint8_t {
+        const auto home = static_cast<sim::NodeId>(
+            ((a - niu::kScomaBase) / kPageBytes) % num_nodes);
         return home == self ? niu::ABiu::kClsReadWrite
                             : niu::ABiu::kClsInvalid;
       });
@@ -112,7 +108,7 @@ sim::Co<void> ScomaEngine::client_loop() {
     niu::FwdOp op = co_await ops.pop();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch + costs_.handler);
+    co_await sp_.work(kDispatchCycles + kHandlerCycles);
     ScomaMsg msg;
     msg.kind = niu::classify(op.op) == niu::OpClass::kLoad ? ScomaMsg::kReadReq
                                                       : ScomaMsg::kWriteReq;
@@ -131,14 +127,14 @@ sim::Co<void> ScomaEngine::client_loop() {
 
 sim::Co<void> ScomaEngine::demand_loop() {
   auto& ctrl = sbiu_.ctrl();
-  const unsigned q = params_.queues.scoma_rsp;
+  const unsigned q = kScomaRspQ;
   for (;;) {
     while (ctrl.rxq(q).empty()) {
       co_await ctrl.rx_arrival();
     }
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     auto& rq = ctrl.rxq(q);
     const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + sizeof(ScomaMsg) +
@@ -152,7 +148,7 @@ sim::Co<void> ScomaEngine::demand_loop() {
 
     switch (msg.kind) {
       case ScomaMsg::kInval: {
-        co_await sp_.work(costs_.handler);
+        co_await sp_.work(kHandlerCycles);
         // Close the line before flushing the cache: otherwise the aP can
         // refill a stale copy in the window between flush and cls update.
         co_await set_local_cls(msg.addr, niu::ABiu::kClsInvalid);
@@ -167,7 +163,7 @@ sim::Co<void> ScomaEngine::demand_loop() {
       }
       case ScomaMsg::kRecallShare:
       case ScomaMsg::kRecallInval: {
-        co_await sp_.work(costs_.handler);
+        co_await sp_.work(kHandlerCycles);
         // Demote the cls state before flushing so the aP cannot slip a
         // stale refill (or a silent store) into the demotion window.
         co_await set_local_cls(msg.addr,
@@ -212,7 +208,7 @@ sim::Co<void> ScomaEngine::home_loop() {
     co_await wait_msg();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     RxMsg rx = co_await read_msg();
     sp_.release();
     co_await serve_request(rx.as<ScomaMsg>());
@@ -229,7 +225,7 @@ sim::Co<void> ScomaEngine::recall_owner(Dir& dir, mem::Addr line,
     // The home itself holds the line RW: flush the aP cache so DRAM is
     // current and demote our own cls state.
     co_await sp_.acquire();
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     co_await set_local_cls(line, to_shared ? niu::ABiu::kClsReadOnly
                                            : niu::ABiu::kClsInvalid);
     co_await flush_local(line);
@@ -246,7 +242,7 @@ sim::Co<void> ScomaEngine::recall_owner(Dir& dir, mem::Addr line,
   recall.node = static_cast<std::uint16_t>(node());
   recall.addr = line;
   co_await sp_.acquire();
-  co_await sp_.work(costs_.handler);
+  co_await sp_.work(kHandlerCycles);
   co_await send(owner, kScomaRspL, to_bytes(recall), net::kPriorityHigh);
   sp_.release();
 
@@ -257,7 +253,7 @@ sim::Co<void> ScomaEngine::recall_owner(Dir& dir, mem::Addr line,
     AckInfo ack = co_await acks_.pop();
     if (ack.kind == ScomaMsg::kAckData && ack.addr == line) {
       co_await sp_.acquire();
-      co_await sp_.work(costs_.handler);
+      co_await sp_.work(kHandlerCycles);
       co_await write_ap(line, ack.data);
       sp_.release();
       break;
@@ -282,7 +278,7 @@ sim::Co<void> ScomaEngine::invalidate_sharers(Dir& dir, mem::Addr line,
     sstats_.invalidations.inc();
     if (s == node()) {
       co_await sp_.acquire();
-      co_await sp_.work(costs_.handler);
+      co_await sp_.work(kHandlerCycles);
       co_await set_local_cls(line, niu::ABiu::kClsInvalid);
       co_await flush_local(line);
       sp_.release();
@@ -293,7 +289,7 @@ sim::Co<void> ScomaEngine::invalidate_sharers(Dir& dir, mem::Addr line,
     inval.node = static_cast<std::uint16_t>(node());
     inval.addr = line;
     co_await sp_.acquire();
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     co_await send(s, kScomaRspL, to_bytes(inval), net::kPriorityHigh);
     sp_.release();
     ++expected;
@@ -318,14 +314,14 @@ sim::Co<void> ScomaEngine::grant(mem::Addr line, std::uint16_t to,
   sstats_.grants.inc();
   if (to == node()) {
     co_await sp_.acquire();
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     co_await set_local_cls(line, cls);
     sp_.release();
     co_return;
   }
   std::byte data[mem::kLineBytes];
   co_await sp_.acquire();
-  co_await sp_.work(costs_.handler);
+  co_await sp_.work(kHandlerCycles);
   co_await read_ap(line, data);
 
   niu::Command wr;
@@ -387,10 +383,8 @@ sim::Co<void> ScomaEngine::serve_request(const ScomaMsg& req) {
 
 ChunkOpener::ChunkOpener(sim::Kernel& kernel, std::string name,
                          cpu::Processor& sp, niu::SBiu& sbiu,
-                         FwQueueMap queues, std::uint8_t open_bits,
-                         Costs costs)
-    : FwService(kernel, std::move(name), sp, sbiu, queues.chunk_arrival,
-                kScratch, costs),
+                         std::uint8_t open_bits)
+    : FwService(kernel, std::move(name), sp, sbiu, kChunkArrivalQ, kScratch),
       open_bits_(open_bits) {}
 
 void ChunkOpener::start() { sim::spawn(loop()); }
@@ -400,13 +394,13 @@ sim::Co<void> ChunkOpener::loop() {
     co_await wait_msg();
     const sim::Tick h0 = now();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     RxMsg msg = co_await read_msg();
     std::uint64_t addr = 0;
     std::uint32_t len = 0;
     std::memcpy(&addr, msg.data.data(), 8);
     std::memcpy(&len, msg.data.data() + 8, 4);
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     niu::Command cmd;
     cmd.op = niu::CmdOp::kWriteClsState;
     cmd.addr = addr;

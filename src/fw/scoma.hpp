@@ -52,17 +52,14 @@ struct ScomaMsg {
 class ScomaEngine final : public FwService {
  public:
   static constexpr std::uint32_t kScratch = 0x0F40;  // sSRAM, 64 bytes
+  static constexpr std::uint32_t kPageBytes = 4096;  // home interleave
 
   struct Params {
-    FwQueueMap queues;
     std::size_t num_nodes = 2;
-    mem::Addr base = niu::kScomaBase;
-    mem::Addr size = niu::kScomaDefaultSize;
-    std::uint32_t page_bytes = 4096;  // home interleave granularity
   };
 
   ScomaEngine(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-              niu::SBiu& sbiu, Params params, Costs costs = {});
+              niu::SBiu& sbiu, Params params);
 
   void start() override;
 
@@ -134,8 +131,7 @@ class ChunkOpener final : public FwService {
   static constexpr std::uint32_t kScratch = 0x0F80;  // sSRAM, 64 bytes
 
   ChunkOpener(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-              niu::SBiu& sbiu, FwQueueMap queues, std::uint8_t open_bits,
-              Costs costs = {});
+              niu::SBiu& sbiu, std::uint8_t open_bits);
 
   void start() override;
 

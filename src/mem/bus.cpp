@@ -123,9 +123,9 @@ bool MemBus::plan_fast(const BusRequest& req, std::uint64_t s0,
   r.s0 = s0;
   r.has_lead = req.lead_ticks > 0;
   r.start = start;
-  r.t2 = start + params_.clock.until_next_edge(start) +
-         params_.clock.to_ticks(params_.address_cycles);
-  r.t3 = r.t2 + params_.clock.to_ticks(accept_latency + beats);
+  r.t2 = start + kBusClock.until_next_edge(start) +
+         kBusClock.to_ticks(kAddressCycles);
+  r.t3 = r.t2 + kBusClock.to_ticks(accept_latency + beats);
   r.beats = beats;
   r.accept_device = accept;
   r.req = req;
@@ -276,10 +276,9 @@ sim::Co<BusResult> MemBus::transact_retry(int requester_id, BusRequest req,
     // arbitration, so the tenure is timed from it directly.
     if (at != Resume::kSnoop) {
       co_await addr_bus_.acquire();
-      const sim::Tick edge = now() + params_.clock.until_next_edge(now());
+      const sim::Tick edge = now() + kBusClock.until_next_edge(now());
       co_await sim::seq_delay(
-          kernel_, edge + params_.clock.to_ticks(params_.address_cycles),
-          s0 + 1);
+          kernel_, edge + kBusClock.to_ticks(kAddressCycles), s0 + 1);
     }
 
     BusResult res;
@@ -329,8 +328,7 @@ sim::Co<BusResult> MemBus::transact_retry(int requester_id, BusRequest req,
         co_return res;
       }
       req.lead_ticks = 0;  // issue/decode work precedes only the first try
-      co_await sim::delay(kernel_,
-                          params_.clock.to_ticks(params_.retry_backoff));
+      co_await sim::delay(kernel_, kBusClock.to_ticks(kRetryBackoff));
       continue;
     }
 
@@ -376,7 +374,7 @@ sim::Co<BusResult> MemBus::transact_retry(int requester_id, BusRequest req,
     const sim::Cycles beats =
         std::max<sim::Cycles>(1, (req.size + kBeatBytes - 1) / kBeatBytes);
     co_await sim::seq_delay(
-        kernel_, now() + params_.clock.to_ticks(latency + beats), s0 + 2);
+        kernel_, now() + kBusClock.to_ticks(latency + beats), s0 + 2);
     stats_.data_beats.inc(beats);
     stats_.data_busy.add_busy(now() - data_start);
     if (trace::Tracer* tr = trace_target()) {

@@ -33,6 +33,9 @@ namespace sv::mem {
 inline constexpr std::size_t kLineBytes = 32;
 /// Width of the data bus in bytes (64-bit 60x data bus).
 inline constexpr std::size_t kBeatBytes = 8;
+/// The 66.67 MHz 60x bus clock. The NIU's CTRL, BIUs, TxU/RxU and SRAM
+/// banks run at it too, and so does the sP's own 60x bus.
+inline constexpr sim::Clock kBusClock{15000};
 
 [[nodiscard]] constexpr Addr line_base(Addr a) {
   return a & ~static_cast<Addr>(kLineBytes - 1);
@@ -171,10 +174,10 @@ struct BusStats {
 
 class MemBus : public sim::SimObject {
  public:
+  static constexpr sim::Cycles kAddressCycles = 2;  // tenure + snoop window
+  static constexpr sim::Cycles kRetryBackoff = 4;  // before re-arbitrating
+
   struct Params {
-    sim::Clock clock{15000};        // 66.67 MHz 60x bus
-    sim::Cycles address_cycles = 2; // address tenure + snoop window
-    sim::Cycles retry_backoff = 4;  // cycles before a retried op re-arbitrates
     /// DMI-style bypass, the simulator's only fast path: contention-free
     /// transactions complete in a single kernel event at the analytically
     /// computed tick (DESIGN.md §12). Meant to be bit-identical either
@@ -188,10 +191,9 @@ class MemBus : public sim::SimObject {
   /// Attach a device; returns its device id (used as requester id).
   int attach(BusDevice* dev);
 
-  [[nodiscard]] const sim::Clock& clock() const { return params_.clock; }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// Run one bus transaction, re-issuing it `retry_backoff` cycles after
+  /// Run one bus transaction, re-issuing it kRetryBackoff cycles after
   /// each ARTRY until it completes. The request's requester field is
   /// filled in from `requester_id`. `max_retries` == 0 means unbounded
   /// (hardware semantics); with a bound, gives up and returns
@@ -208,8 +210,6 @@ class MemBus : public sim::SimObject {
 
   [[nodiscard]] const BusStats& stats() const { return stats_; }
   BusStats& stats() { return stats_; }
-
-  [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
   /// Snapshot state: transaction/retry/beat counters, occupancy, the
   /// latency histogram, and the bypass hit count. In-flight fast records

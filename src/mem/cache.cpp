@@ -168,7 +168,8 @@ sim::Co<void> SnoopingCache::read(Addr addr, std::span<std::byte> out,
 
     Line* line = find_line(a);
     if (line != nullptr) {
-      co_await sim::seq_delay(kernel_, now() + hit_ticks(), seq);
+      co_await sim::seq_delay(kernel_, now() + kCpuClock.to_ticks(kHitCycles),
+                              seq);
       // Counted at the chunk-completion key, not the probe. The golden
       // corpus pins this: a run that stops mid-access dumps the count as of
       // this (tick, seq).
@@ -205,7 +206,8 @@ sim::Co<void> SnoopingCache::write(Addr addr, std::span<const std::byte> in,
     if (line != nullptr &&
         (line->state == MesiState::kModified ||
          line->state == MesiState::kExclusive)) {
-      co_await sim::seq_delay(kernel_, now() + hit_ticks(), seq);
+      co_await sim::seq_delay(kernel_, now() + kCpuClock.to_ticks(kHitCycles),
+                              seq);
       stats_.write_hits.inc();  // completion key, like read_hits
     } else if (line != nullptr && line->state == MesiState::kShared) {
       // Upgrade: broadcast a kill so other holders drop their copies.
@@ -284,12 +286,12 @@ SnoopResult SnoopingCache::bus_snoop(const BusRequest& req) {
     case BusOp::kReadSingle:
     case BusOp::kRWITM:
       if (line->state == MesiState::kModified) {
-        return {SnoopAction::kModified, params_.intervention_cycles};
+        return {SnoopAction::kModified, kInterventionCycles};
       }
       return {SnoopAction::kShared, 0};
     case BusOp::kFlush:
       if (line->state == MesiState::kModified) {
-        return {SnoopAction::kModified, params_.intervention_cycles};
+        return {SnoopAction::kModified, kInterventionCycles};
       }
       return {SnoopAction::kShared, 0};
     case BusOp::kWriteSingle:

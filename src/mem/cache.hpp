@@ -42,12 +42,15 @@ struct CacheStats {
 
 class SnoopingCache : public sim::SimObject, public BusDevice {
  public:
+  /// The aP's clock, which times a hit; cpu::kApClock is this constant.
+  static constexpr sim::Clock kCpuClock{6000};
+  static constexpr sim::Cycles kHitCycles = 1;  // kCpuClock cycles
+  /// Snoop-supply latency of a dirty line, in bus cycles.
+  static constexpr sim::Cycles kInterventionCycles = 3;
+
   struct Params {
     std::size_t size_bytes = 512 * 1024;
     std::size_t ways = 8;
-    sim::Clock cpu_clock{6000};     // clock domain of hit latency
-    sim::Cycles hit_cycles = 1;
-    sim::Cycles intervention_cycles = 3;  // snoop-supply latency (bus cycles)
   };
 
   SnoopingCache(sim::Kernel& kernel, std::string name, MemBus& bus,
@@ -89,7 +92,6 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   void purge_range(Addr addr, std::size_t len);
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t set_count() const { return sets_.size(); }
 
   /// Sets whose way storage exists (fills materialize a set on first
   /// touch). An untouched cache reports 0 — the scale memory tests pin
@@ -164,9 +166,6 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   [[nodiscard]] const Line* find_line(Addr addr) const;
   Line& choose_victim(std::size_t set);
   void touch(Line& line) { line.lru = ++lru_clock_; }
-  [[nodiscard]] sim::Tick hit_ticks() const {
-    return params_.cpu_clock.to_ticks(params_.hit_cycles);
-  }
 
   /// Bring a line in with the given bus op (kRead or kRWITM).
   sim::Co<Line*> fill_line(Addr line_addr, BusOp op);

@@ -59,7 +59,7 @@ void ClsSram::poke(Addr a, std::uint8_t bits) {
 
 sim::Co<void> ClsSram::write_state(Addr a, std::uint8_t bits) {
   co_await port_.acquire();
-  co_await sim::delay(kernel_, params_.clock.to_ticks(params_.write_cycles));
+  co_await sim::delay(kernel_, kBusClock.to_ticks(kWriteCycles));
   poke(a, bits);
   writes_.inc();
   port_.release();
@@ -72,8 +72,7 @@ sim::Co<void> ClsSram::write_state_range(Addr base, Addr size,
   const Addr last = line_base(base + size - 1);
   const sim::Cycles lines =
       static_cast<sim::Cycles>((last - first) / kLineBytes + 1);
-  co_await sim::delay(kernel_,
-                      params_.clock.to_ticks(lines * params_.write_cycles));
+  co_await sim::delay(kernel_, kBusClock.to_ticks(lines * kWriteCycles));
   for (Addr a = first; a <= last; a += kLineBytes) {
     poke(a, bits);
   }

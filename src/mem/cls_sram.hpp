@@ -28,11 +28,12 @@ namespace sv::mem {
 
 class ClsSram : public sim::SimObject {
  public:
+  /// Port time per line written, in cycles of kBusClock.
+  static constexpr sim::Cycles kWriteCycles = 1;
+
   struct Params {
     Addr region_base = 0;   // first address covered
     Addr region_size = 0;   // bytes covered (state kept per kLineBytes line)
-    sim::Clock clock{15000};
-    sim::Cycles write_cycles = 1;
   };
 
   ClsSram(sim::Kernel& kernel, std::string name, Params params);

@@ -21,7 +21,7 @@ SnoopResult DramCtrl::bus_snoop(const BusRequest& req) {
     return {};
   }
   const sim::Cycles lat =
-      op_writes_data(req.op) ? params_.write_latency : params_.read_latency;
+      op_writes_data(req.op) ? kWriteLatency : kReadLatency;
   return SnoopResult{SnoopAction::kAccept, lat};
 }
 

@@ -22,10 +22,11 @@ class DramCtrl : public sim::SimObject, public BusDevice {
     }
   };
 
+  static constexpr sim::Cycles kReadLatency = 6;   // to first beat (~90 ns)
+  static constexpr sim::Cycles kWriteLatency = 2;  // posting latency
+
   struct Params {
-    std::vector<Range> ranges;       // address ranges this controller claims
-    sim::Cycles read_latency = 6;    // bus cycles to first beat (~90 ns)
-    sim::Cycles write_latency = 2;   // posting latency
+    std::vector<Range> ranges;  // address ranges this controller claims
   };
 
   DramCtrl(sim::Kernel& kernel, std::string name, Params params);

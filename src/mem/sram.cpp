@@ -16,7 +16,7 @@ sim::Co<void> DualPortedSram::access(Port port, std::uint32_t bytes) {
   auto& sem = port_sems_[static_cast<int>(port)];
   co_await sem.acquire();
   const sim::Cycles words = (bytes + 7) / 8 > 0 ? (bytes + 7) / 8 : 1;
-  const sim::Tick dur = params_.clock.to_ticks(words * params_.access_cycles);
+  const sim::Tick dur = kBusClock.to_ticks(words * kAccessCycles);
   busy_[static_cast<int>(port)].add_busy(dur);
   co_await sim::delay(kernel_, dur);
   sem.release();

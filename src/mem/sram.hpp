@@ -11,6 +11,7 @@
 #include <string>
 
 #include "mem/backing_store.hpp"
+#include "mem/bus.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
@@ -22,10 +23,11 @@ class DualPortedSram : public sim::SimObject {
  public:
   enum class Port : std::uint8_t { kBus = 0, kIBus = 1 };
 
+  /// Port time per 8-byte word, in cycles of kBusClock (bus-rate SRAM).
+  static constexpr sim::Cycles kAccessCycles = 1;
+
   struct Params {
-    Addr size = 128 * 1024;     // bytes per bank
-    sim::Clock clock{15000};    // SRAM access clock (bus-rate)
-    sim::Cycles access_cycles = 1;  // per 8-byte word
+    Addr size = 128 * 1024;  // bytes per bank
   };
 
   DualPortedSram(sim::Kernel& kernel, std::string name, Params params);
@@ -47,10 +49,6 @@ class DualPortedSram : public sim::SimObject {
   template <typename T>
   void write_scalar(Addr offset, const T& v) {
     store_.write_scalar<T>(offset, v);
-  }
-
-  [[nodiscard]] const sim::BusyTracker& port_busy(Port port) const {
-    return busy_[static_cast<int>(port)];
   }
 
   /// Snapshot state: port busy times plus the bank contents digest.

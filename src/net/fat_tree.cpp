@@ -24,8 +24,6 @@ FatTreeNetwork::FatTreeNetwork(sim::Kernel& kernel, std::string name,
       Router::Params rp;
       rp.num_inputs = 2 * k;
       rp.num_outputs = 2 * k;
-      rp.clock = params_.router_clock;
-      rp.fall_through_cycles = params_.fall_through_cycles;
       // Creation-order fault lane: stable for a given topology, so the
       // fault schedule each router sees replays from the seed alone.
       rp.fault_lane = static_cast<std::uint32_t>(routers_.size());

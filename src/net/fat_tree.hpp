@@ -24,8 +24,6 @@ class FatTreeNetwork final : public Network {
     std::size_t nodes = 8;
     unsigned radix = 4;  // k: Arctic switches form radix-4 trees
     Link::Params link;
-    sim::Clock router_clock{12500};
-    sim::Cycles fall_through_cycles = 3;
   };
 
   FatTreeNetwork(sim::Kernel& kernel, std::string name, Params params);

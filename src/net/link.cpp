@@ -37,7 +37,7 @@ sim::Co<void> Link::send(Packet pkt) {
     }
   }
   const sim::Tick ser =
-      params_.clock.to_ticks(serialize_cycles(pkt.wire_bytes()));
+      kLinkClock.to_ticks(serialize_cycles(pkt.wire_bytes()));
   busy_.add_busy(ser);
   packets_.inc();
   bytes_.inc(pkt.wire_bytes());
@@ -51,7 +51,7 @@ sim::Co<void> Link::send(Packet pkt) {
   }
   wire_.release();
 
-  const sim::Tick prop = params_.clock.to_ticks(params_.propagation_cycles);
+  const sim::Tick prop = kLinkClock.to_ticks(kPropagationCycles);
   if (fault::Injector* inj = kernel_.fault_injector()) {
     if (inj->drop_packet(kernel_, params_.fault_lane, pkt.serial)) {
       // The packet is lost on the wire. The receiver's buffer slot was

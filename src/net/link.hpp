@@ -23,12 +23,15 @@
 
 namespace sv::net {
 
+/// The 80 MHz Arctic link clock; the routers run at it too.
+inline constexpr sim::Clock kLinkClock{12500};
+
 class Link : public sim::SimObject {
  public:
+  static constexpr std::uint32_t kBytesPerCycle = 2;   // 16-bit channel
+  static constexpr sim::Cycles kPropagationCycles = 3;  // wire + synchronizer
+
   struct Params {
-    sim::Clock clock{12500};        // 80 MHz link clock
-    std::uint32_t bytes_per_cycle = 2;  // 16-bit channel
-    sim::Cycles propagation_cycles = 3; // wire + synchronizer
     std::uint32_t credits_per_priority = 2;  // receiver buffer slots
     std::uint32_t fault_lane = 0;  // fault::Injector stream this link draws
   };
@@ -52,11 +55,11 @@ class Link : public sim::SimObject {
     return credits_[priority];
   }
 
-  [[nodiscard]] sim::Cycles serialize_cycles(std::size_t bytes) const {
-    return (bytes + params_.bytes_per_cycle - 1) / params_.bytes_per_cycle;
+  [[nodiscard]] static constexpr sim::Cycles serialize_cycles(
+      std::size_t bytes) {
+    return (bytes + kBytesPerCycle - 1) / kBytesPerCycle;
   }
 
-  [[nodiscard]] const sim::Counter& packets_sent() const { return packets_; }
   [[nodiscard]] const sim::Counter& bytes_sent() const { return bytes_; }
   /// Packets lost to injected faults on this link.
   [[nodiscard]] const sim::Counter& packets_dropped() const {

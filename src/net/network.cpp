@@ -5,6 +5,7 @@
 
 #include "ckpt/stats_io.hpp"
 #include "fault/fault.hpp"
+#include "net/link.hpp"
 
 namespace sv::net {
 
@@ -89,11 +90,9 @@ sim::Co<void> IdealNetwork::inject(Packet pkt) {
 
   auto& port = *inject_ports_[pkt.src];
   co_await port.acquire();
-  const sim::Cycles ser_cycles =
-      (pkt.wire_bytes() + params_.bytes_per_cycle - 1) /
-      params_.bytes_per_cycle;
   const sim::Tick ser_start = k.now();
-  co_await sim::delay(k, params_.link_clock.to_ticks(ser_cycles));
+  co_await sim::delay(
+      k, kLinkClock.to_ticks(Link::serialize_cycles(pkt.wire_bytes())));
   if (trace::Tracer* tr = k.tracer(); tr != nullptr) {
     trace::TrackId& track = wire_tracks_[pkt.src];
     if (track == trace::kNoTrack) {

@@ -123,8 +123,6 @@ class IdealNetwork final : public Network {
   struct Params {
     std::size_t nodes = 2;
     sim::Tick latency = 500 * sim::kNanosecond;
-    sim::Clock link_clock{12500};
-    std::uint32_t bytes_per_cycle = 2;
   };
 
   /// Single-domain layout: every node simulated by `kernel`.

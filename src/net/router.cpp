@@ -93,17 +93,16 @@ sim::Co<void> Router::output_process(unsigned out) {
       // storm monopolizing the crossbar.
       if (const std::uint32_t stall =
               inj->router_stall_cycles(kernel_, params_.fault_lane)) {
-        co_await sim::delay(kernel_, params_.clock.to_ticks(stall));
+        co_await sim::delay(kernel_, kLinkClock.to_ticks(stall));
       }
       if (prio == kPriorityLow) {
         if (const std::uint32_t starve =
                 inj->starvation_cycles(kernel_, params_.fault_lane)) {
-          co_await sim::delay(kernel_, params_.clock.to_ticks(starve));
+          co_await sim::delay(kernel_, kLinkClock.to_ticks(starve));
         }
       }
     }
-    co_await sim::delay(kernel_,
-                        params_.clock.to_ticks(params_.fall_through_cycles));
+    co_await sim::delay(kernel_, kLinkClock.to_ticks(kFallThroughCycles));
     if (trace::Tracer* tr = kernel_.tracer(); tr != nullptr) {
       if (trace_track_ == trace::kNoTrack) {
         trace_track_ = tr->track_for(name(), "router");

@@ -25,11 +25,12 @@ namespace sv::net {
 
 class Router : public sim::SimObject {
  public:
+  /// Header decode + crossbar, in cycles of kLinkClock.
+  static constexpr sim::Cycles kFallThroughCycles = 3;
+
   struct Params {
     unsigned num_inputs = 8;
     unsigned num_outputs = 8;
-    sim::Clock clock{12500};
-    sim::Cycles fall_through_cycles = 3;  // header decode + crossbar
     std::uint32_t fault_lane = 0;  // fault::Injector stream this router draws
   };
 

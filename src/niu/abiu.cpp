@@ -24,12 +24,11 @@ OpClass classify(mem::BusOp op) {
 }
 
 ABiu::ABiu(sim::Kernel& kernel, std::string name, Ctrl& ctrl,
-           mem::MemBus& bus, Params params)
+           mem::MemBus& bus)
     : sim::SimObject(kernel, std::move(name)),
       ctrl_(ctrl),
       bus_(bus),
       bus_id_(bus.attach(this)),
-      params_(params),
       numa_ops_(kernel),
       scoma_ops_(kernel),
       reflect_ops_(kernel) {
@@ -77,7 +76,7 @@ bool ABiu::in_niu_window(mem::Addr a) const {
 }
 
 bool ABiu::in_numa(mem::Addr a) const {
-  return a >= params_.numa_base && a < params_.numa_base + params_.numa_size;
+  return a >= kNumaBase && a < kNumaBase + kNumaSize;
 }
 
 mem::SnoopResult ABiu::bus_snoop(const mem::BusRequest& req) {
@@ -105,29 +104,29 @@ mem::SnoopResult ABiu::snoop_niu_window(const mem::BusRequest& req) {
   const mem::Addr off = req.addr - kNiuBase;
   if (off < kAsramWindowOffset + ctrl_.sram(SramBank::kASram).size()) {
     const bool read = mem::op_reads_data(req.op);
-    return {mem::SnoopAction::kAccept, read ? params_.sram_read_latency
-                                            : params_.sram_write_latency};
+    return {mem::SnoopAction::kAccept,
+            read ? kSramReadLatency : kSramWriteLatency};
   }
   if (off >= kExpressTxWindowOffset && off < kExpressRxWindowOffset) {
     if (req.op == mem::BusOp::kWriteSingle) {
-      return {mem::SnoopAction::kAccept, params_.sram_write_latency};
+      return {mem::SnoopAction::kAccept, kSramWriteLatency};
     }
     return {};
   }
   if (off >= kExpressRxWindowOffset && off < kPtrWindowOffset) {
     if (req.op == mem::BusOp::kReadSingle) {
-      return {mem::SnoopAction::kAccept, params_.express_rx_latency};
+      return {mem::SnoopAction::kAccept, kExpressRxLatency};
     }
     return {};
   }
   if (off >= kPtrWindowOffset && off < kSysRegWindowOffset) {
     if (req.op == mem::BusOp::kWriteSingle) {
-      return {mem::SnoopAction::kAccept, params_.sram_write_latency};
+      return {mem::SnoopAction::kAccept, kSramWriteLatency};
     }
     return {};
   }
   if (off >= kSysRegWindowOffset && off < kNiuWindowSpan) {
-    return {mem::SnoopAction::kAccept, params_.regop_latency};
+    return {mem::SnoopAction::kAccept, kRegopLatency};
   }
   return {};
 }
@@ -141,7 +140,7 @@ mem::SnoopResult ABiu::snoop_numa(const mem::BusRequest& req) {
     auto it = numa_pending_.find(line);
     if (it != numa_pending_.end() && it->second.ready) {
       // Firmware supplied the data: stop retrying, we respond.
-      return {mem::SnoopAction::kAccept, params_.supplied_load_latency};
+      return {mem::SnoopAction::kAccept, kSuppliedLoadLatency};
     }
     if (r.forward && it == numa_pending_.end()) {
       PendingLoad pl;
@@ -156,7 +155,7 @@ mem::SnoopResult ABiu::snoop_numa(const mem::BusRequest& req) {
     }
     // Misconfigured table (load neither retried nor supplied): absorb and
     // return zeros rather than leaving the bus unanswered.
-    return {mem::SnoopAction::kAccept, params_.supplied_load_latency};
+    return {mem::SnoopAction::kAccept, kSuppliedLoadLatency};
   }
 
   // Stores / writebacks: optionally retried; otherwise absorbed (posted)
@@ -165,7 +164,7 @@ mem::SnoopResult ABiu::snoop_numa(const mem::BusRequest& req) {
     stats_.numa_retries.inc();
     return {mem::SnoopAction::kRetry, 0};
   }
-  return {mem::SnoopAction::kAccept, params_.sram_write_latency};
+  return {mem::SnoopAction::kAccept, kSramWriteLatency};
 }
 
 mem::SnoopResult ABiu::snoop_scoma(const mem::BusRequest& req) {
@@ -344,11 +343,8 @@ void ABiu::bus_read_data(const mem::BusRequest& req,
     return;
   }
   if (off >= kSysRegWindowOffset && off < kNiuWindowSpan) {
-    std::uint64_t v = 0;
-    if (params_.ap_sysreg_access) {
-      const auto reg = static_cast<SysReg>((off - kSysRegWindowOffset) / 8);
-      v = ctrl_.read_reg(reg);
-    }
+    // The system registers are the sP's: the aP reads zero.
+    const std::uint64_t v = 0;
     std::memcpy(out.data(), &v, std::min<std::size_t>(out.size(), 8));
     return;
   }
@@ -408,15 +404,8 @@ void ABiu::bus_write_data(const mem::BusRequest& req,
     }
     return;
   }
-  if (off >= kSysRegWindowOffset && off < kNiuWindowSpan) {
-    if (params_.ap_sysreg_access) {
-      std::uint64_t v = 0;
-      std::memcpy(&v, in.data(), std::min<std::size_t>(in.size(), 8));
-      const auto reg = static_cast<SysReg>((off - kSysRegWindowOffset) / 8);
-      ctrl_.write_reg(reg, v);
-    }
-    return;
-  }
+  // Anything else, the system-register window included, is ignored: the
+  // system registers are the sP's.
 }
 
 // --- Bus mastering (ApBusPort) ------------------------------------------------------

@@ -74,19 +74,14 @@ struct ABiuStats {
 
 class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
  public:
-  struct Params {
-    mem::Addr numa_base = kNumaBase;
-    mem::Addr numa_size = kNumaSize;
-    bool ap_sysreg_access = false;  // aP may touch system registers
-    sim::Cycles sram_read_latency = 3;
-    sim::Cycles sram_write_latency = 1;
-    sim::Cycles express_rx_latency = 4;
-    sim::Cycles regop_latency = 2;
-    sim::Cycles supplied_load_latency = 2;
-  };
+  // Snoop-accept latencies, in bus cycles.
+  static constexpr sim::Cycles kSramReadLatency = 3;
+  static constexpr sim::Cycles kSramWriteLatency = 1;
+  static constexpr sim::Cycles kExpressRxLatency = 4;
+  static constexpr sim::Cycles kRegopLatency = 2;
+  static constexpr sim::Cycles kSuppliedLoadLatency = 2;
 
-  ABiu(sim::Kernel& kernel, std::string name, Ctrl& ctrl, mem::MemBus& bus,
-       Params params);
+  ABiu(sim::Kernel& kernel, std::string name, Ctrl& ctrl, mem::MemBus& bus);
 
   // --- BusDevice --------------------------------------------------------------
   [[nodiscard]] std::string_view device_name() const override {
@@ -170,7 +165,6 @@ class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
   sim::Channel<FwdOp>& reflect_ops() { return reflect_ops_; }
 
   [[nodiscard]] ABiuStats& stats() { return stats_; }
-  [[nodiscard]] const Params& params() const { return params_; }
 
   /// S-COMA default cls-bit encodings (the firmware protocol's choice).
   enum ClsState : std::uint8_t {
@@ -197,7 +191,6 @@ class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
   Ctrl& ctrl_;
   mem::MemBus& bus_;
   int bus_id_;
-  Params params_;
 
   struct ReflectRange {
     mem::Addr base = 0;

@@ -207,8 +207,7 @@ sim::Co<void> BlockEngines::block_diff_tx(Command cmd) {
 sim::Co<void> BlockEngines::block_xfer(Command cmd) {
   check_block_bounds(cmd, cmd.addr);
   check_block_bounds(cmd, cmd.dest_addr);
-  const std::uint32_t chunk =
-      std::min(ctrl_.params().block_chunk_bytes, cmd.len);
+  const std::uint32_t chunk = std::min(Ctrl::kBlockChunkBytes, cmd.len);
 
   struct Staged {
     std::uint32_t buf;

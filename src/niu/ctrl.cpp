@@ -35,11 +35,10 @@ const char* cmd_name(CmdOp op) {
 }  // namespace
 
 Ctrl::Ctrl(sim::Kernel& kernel, std::string name, sim::NodeId node,
-           Params params, mem::DualPortedSram& asram,
-           mem::DualPortedSram& ssram, mem::ClsSram& cls)
+           mem::DualPortedSram& asram, mem::DualPortedSram& ssram,
+           mem::ClsSram& cls)
     : sim::SimObject(kernel, std::move(name)),
       node_(node),
-      params_(params),
       asram_(asram),
       ssram_(ssram),
       cls_(cls),
@@ -225,12 +224,12 @@ sim::Co<std::optional<XlatEntry>> Ctrl::translate(std::uint16_t and_mask,
   stats_.xlat_lookups.inc();
   const std::uint16_t idx = static_cast<std::uint16_t>(
       (vdest & and_mask) | or_mask);
-  if (idx >= params_.xlat_entries) {
+  if (idx >= xlat_entries_) {
     co_return std::nullopt;
   }
   co_await ibus_access(SramBank::kSSram, XlatEntry::kBytes);
   std::byte raw[XlatEntry::kBytes];
-  ssram_.read(params_.xlat_base + idx * XlatEntry::kBytes, raw);
+  ssram_.read(xlat_base_ + idx * XlatEntry::kBytes, raw);
   const XlatEntry e = XlatEntry::decode(raw);
   if (!e.valid) {
     co_return std::nullopt;
@@ -585,8 +584,7 @@ sim::Co<void> Ctrl::command_loop(sim::Channel<Command>& chan,
                                  sim::Counter& counter) {
   for (;;) {
     Command cmd = co_await chan.pop();
-    co_await sim::delay(kernel_,
-                        params_.clock.to_ticks(params_.cmd_dispatch_cycles));
+    co_await sim::delay(kernel_, mem::kBusClock.to_ticks(kCmdDispatchCycles));
     if (cmd.fence) {
       while (blocks_->outstanding() != 0) {
         co_await blocks_->drained();
@@ -803,9 +801,9 @@ std::uint64_t Ctrl::read_reg(SysReg r) const {
     case SysReg::kInterruptEnable:
       return intr_enable_;
     case SysReg::kTranslationBase:
-      return params_.xlat_base;
+      return xlat_base_;
     case SysReg::kTranslationSize:
-      return params_.xlat_entries;
+      return xlat_entries_;
     case SysReg::kShutdownStatus: {
       std::uint64_t v = 0;
       for (unsigned q = 0; q < kNumTxQueues; ++q) {
@@ -839,10 +837,10 @@ void Ctrl::write_reg(SysReg r, std::uint64_t v) {
       intr_enable_ = v;
       break;
     case SysReg::kTranslationBase:
-      params_.xlat_base = static_cast<std::uint32_t>(v);
+      xlat_base_ = static_cast<std::uint32_t>(v);
       break;
     case SysReg::kTranslationSize:
-      params_.xlat_entries = static_cast<std::uint32_t>(v);
+      xlat_entries_ = static_cast<std::uint32_t>(v);
       break;
     case SysReg::kShutdownStatus:
       // Writing a bit re-enables the corresponding shut-down queue.

@@ -77,16 +77,13 @@ struct CtrlStats {
 
 class Ctrl : public sim::SimObject {
  public:
-  struct Params {
-    sim::Clock clock{15000};              // CTRL runs at bus clock
-    sim::Cycles cmd_dispatch_cycles = 2;  // per-command decode overhead
-    sim::Cycles pointer_update_cycles = 1;
-    std::uint32_t xlat_base = 0;          // sSRAM offset of the table
-    std::uint32_t xlat_entries = 256;
-    std::uint32_t block_chunk_bytes = 2048;  // block-xfer double buffering
-  };
+  /// Per-command decode overhead, in cycles of mem::kBusClock (CTRL runs
+  /// at bus clock).
+  static constexpr sim::Cycles kCmdDispatchCycles = 2;
+  /// Block-transfer double-buffering chunk.
+  static constexpr std::uint32_t kBlockChunkBytes = 2048;
 
-  Ctrl(sim::Kernel& kernel, std::string name, sim::NodeId node, Params params,
+  Ctrl(sim::Kernel& kernel, std::string name, sim::NodeId node,
        mem::DualPortedSram& asram, mem::DualPortedSram& ssram,
        mem::ClsSram& cls);
   ~Ctrl() override;
@@ -98,7 +95,6 @@ class Ctrl : public sim::SimObject {
   void start();
 
   [[nodiscard]] sim::NodeId node() const { return node_; }
-  [[nodiscard]] const Params& params() const { return params_; }
 
   // --- Queue state (configuration is privileged: sP / OS code) -------------
   TxQueueState& txq(unsigned q) { return txq_.at(q); }
@@ -186,8 +182,6 @@ class Ctrl : public sim::SimObject {
 
   /// Pulsed whenever a message lands in any rx queue.
   sim::Signal& rx_arrival() { return rx_arrival_; }
-  /// Pulsed whenever tx or rx queue space frees up.
-  sim::Signal& queue_space() { return queue_space_; }
 
   [[nodiscard]] CtrlStats& stats() { return stats_; }
   [[nodiscard]] const CtrlStats& stats() const { return stats_; }
@@ -238,7 +232,6 @@ class Ctrl : public sim::SimObject {
   void trace_rx_consumed(unsigned q, unsigned count);
 
   sim::NodeId node_;
-  Params params_;
   std::uint64_t flow_seq_ = 0;  // per-node flow ids for traced packets
   mem::DualPortedSram& asram_;
   mem::DualPortedSram& ssram_;
@@ -263,10 +256,14 @@ class Ctrl : public sim::SimObject {
   sim::Semaphore net_port_;
   sim::Signal tx_work_;
   sim::Signal rx_arrival_;
-  sim::Signal queue_space_;
+  sim::Signal queue_space_;  // pulsed whenever tx or rx queue space frees up
   sim::Signal sp_intr_;
   std::uint64_t intr_status_ = 0;
   std::uint64_t intr_enable_ = ~std::uint64_t{0};
+  // kTranslationBase / kTranslationSize: the table's sSRAM offset and
+  // entry count.
+  std::uint32_t xlat_base_ = 0;
+  std::uint32_t xlat_entries_ = 256;
 
   CtrlStats stats_;
   bool started_ = false;

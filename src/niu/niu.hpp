@@ -17,24 +17,10 @@ namespace sv::niu {
 
 class Niu {
  public:
-  struct Params {
-    Ctrl::Params ctrl;
-    ABiu::Params abiu;
-    SBiu::Params sbiu;
-    TxU::Params txu;
-    RxU::Params rxu;
-    mem::DualPortedSram::Params asram;
-    mem::DualPortedSram::Params ssram;
-    mem::ClsSram::Params cls;  // region must cover the node's S-COMA range
-
-    Params() {
-      cls.region_base = kScomaBase;
-      cls.region_size = kScomaDefaultSize;
-    }
-  };
-
+  /// `cls` must cover the node's S-COMA range.
   Niu(sim::Kernel& kernel, const std::string& name, sim::NodeId node,
-      mem::MemBus& ap_bus, net::Network& network, Params params);
+      mem::MemBus& ap_bus, net::Network& network, mem::Addr asram_bytes,
+      mem::Addr ssram_bytes, mem::ClsSram::Params cls);
 
   /// Spawn all NIU processes. Call once after construction.
   void start();

@@ -3,7 +3,7 @@
 // In the real NIU the sP reaches CTRL, the SRAMs and the aBIU over its own
 // 604 bus through this FPGA. The sP is the only master on that bus, so we
 // model the sP bus as a constant-latency port: every sBIU operation charges
-// a configurable number of sP-bus cycles and then performs the access. This
+// a fixed number of sP-bus cycles and then performs the access. This
 // preserves what the paper's evaluation cares about — firmware occupancy —
 // without simulating a second snooping bus with a single master.
 #pragma once
@@ -17,14 +17,11 @@ namespace sv::niu {
 
 class SBiu : public sim::SimObject {
  public:
-  struct Params {
-    sim::Clock sp_bus_clock{15000};  // the sP's 60x bus also runs at 66 MHz
-    sim::Cycles uncached_op_cycles = 3;  // one uncached load/store
-    sim::Cycles sram_word_cycles = 1;    // per extra 8 bytes of sSRAM data
-  };
+  // Costs in cycles of the sP's 60x bus, which runs at mem::kBusClock.
+  static constexpr sim::Cycles kUncachedOpCycles = 3;  // one load/store
+  static constexpr sim::Cycles kSramWordCycles = 1;  // per 8 bytes of sSRAM
 
-  SBiu(sim::Kernel& kernel, std::string name, Ctrl& ctrl, ABiu& abiu,
-       Params params);
+  SBiu(sim::Kernel& kernel, std::string name, Ctrl& ctrl, ABiu& abiu);
 
   [[nodiscard]] Ctrl& ctrl() { return ctrl_; }
   [[nodiscard]] ABiu& abiu() { return abiu_; }
@@ -60,7 +57,6 @@ class SBiu : public sim::SimObject {
 
   Ctrl& ctrl_;
   ABiu& abiu_;
-  Params params_;
 };
 
 }  // namespace sv::niu

@@ -6,8 +6,8 @@
 
 namespace sv::niu {
 
-TxU::TxU(sim::Kernel& kernel, std::string name, Ctrl& ctrl, Params params)
-    : sim::SimObject(kernel, std::move(name)), ctrl_(ctrl), params_(params) {}
+TxU::TxU(sim::Kernel& kernel, std::string name, Ctrl& ctrl)
+    : sim::SimObject(kernel, std::move(name)), ctrl_(ctrl) {}
 
 void TxU::start() {
   if (started_) {
@@ -24,18 +24,16 @@ sim::Co<void> TxU::loop() {
       co_await ctrl_.tx_work();
       continue;
     }
-    co_await sim::delay(kernel_,
-                        params_.clock.to_ticks(params_.per_message_cycles));
+    co_await sim::delay(kernel_, mem::kBusClock.to_ticks(kPerMessageCycles));
     co_await ctrl_.tx_launch(static_cast<unsigned>(q));
   }
 }
 
 RxU::RxU(sim::Kernel& kernel, std::string name, Ctrl& ctrl,
-         net::Network& network, Params params)
+         net::Network& network)
     : sim::SimObject(kernel, std::move(name)),
       ctrl_(ctrl),
       network_(network),
-      params_(params),
       arrived_(kernel) {}
 
 void RxU::start() {
@@ -73,8 +71,7 @@ sim::Co<void> RxU::loop() {
       continue;
     }
 
-    co_await sim::delay(kernel_,
-                        params_.clock.to_ticks(params_.per_message_cycles));
+    co_await sim::delay(kernel_, mem::kBusClock.to_ticks(kPerMessageCycles));
     co_await ctrl_.rx_deliver(std::move(pkt));
     // Credit back to the fabric only once CTRL has accepted the packet.
     network_.consume_done(ctrl_.node(), prio);

@@ -21,12 +21,10 @@ namespace sv::niu {
 
 class TxU : public sim::SimObject {
  public:
-  struct Params {
-    sim::Clock clock{15000};
-    sim::Cycles per_message_cycles = 2;  // formatting overhead
-  };
+  /// Formatting overhead per message, in cycles of mem::kBusClock.
+  static constexpr sim::Cycles kPerMessageCycles = 2;
 
-  TxU(sim::Kernel& kernel, std::string name, Ctrl& ctrl, Params params);
+  TxU(sim::Kernel& kernel, std::string name, Ctrl& ctrl);
 
   /// Spawn the transmit process.
   void start();
@@ -35,19 +33,16 @@ class TxU : public sim::SimObject {
   sim::Co<void> loop();
 
   Ctrl& ctrl_;
-  Params params_;
   bool started_ = false;
 };
 
 class RxU : public sim::SimObject {
  public:
-  struct Params {
-    sim::Clock clock{15000};
-    sim::Cycles per_message_cycles = 2;
-  };
+  /// Per-message overhead, in cycles of mem::kBusClock.
+  static constexpr sim::Cycles kPerMessageCycles = 2;
 
   RxU(sim::Kernel& kernel, std::string name, Ctrl& ctrl,
-      net::Network& network, Params params);
+      net::Network& network);
 
   /// Register with the network and spawn the receive process.
   void start();
@@ -62,7 +57,6 @@ class RxU : public sim::SimObject {
 
   Ctrl& ctrl_;
   net::Network& network_;
-  Params params_;
   std::array<std::deque<net::Packet>, net::kNumPriorities> vq_;
   sim::Signal arrived_;
   bool started_ = false;

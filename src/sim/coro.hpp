@@ -366,7 +366,6 @@ class Channel {
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
   struct Waiter {

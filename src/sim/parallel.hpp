@@ -118,10 +118,6 @@ class ParallelKernel {
   /// O(1): the active list is exactly the set of non-idle domains.
   [[nodiscard]] bool idle() const { return active_.empty(); }
 
-  /// Domains on the active list (run every epoch). Parked domains are
-  /// the remainder. Valid only at a barrier.
-  [[nodiscard]] std::size_t active_domains() const { return active_.size(); }
-
  private:
   void worker_main(unsigned id);
 

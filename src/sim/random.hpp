@@ -60,18 +60,13 @@ class Rng {
 
   bool chance(double p) { return uniform() < p; }
 
-  /// Raw xoshiro state, for checkpointing: a restored stream continues the
-  /// exact draw sequence of the saved one (DESIGN.md §14).
+  /// Raw xoshiro state, for checkpointing: a snapshot digests the draw
+  /// cursor of every stream (DESIGN.md §14).
   struct State {
     std::uint64_t s[4];
   };
   [[nodiscard]] State state() const {
     return {{state_[0], state_[1], state_[2], state_[3]}};
-  }
-  void set_state(const State& st) {
-    for (int i = 0; i < 4; ++i) {
-      state_[i] = st.s[i];
-    }
   }
 
  private:

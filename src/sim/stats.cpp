@@ -8,7 +8,11 @@
 namespace sv::sim {
 
 void Histogram::sample(std::uint64_t v) {
-  acc_.sample(static_cast<double>(v));
+  const auto d = static_cast<double>(v);
+  ++count_;
+  sum_ += d;
+  min_ = std::min(min_, d);
+  max_ = std::max(max_, d);
   const std::size_t bucket =
       v <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(v - 1));
   if (bucket >= buckets_.size()) {
@@ -18,7 +22,7 @@ void Histogram::sample(std::uint64_t v) {
 }
 
 std::uint64_t Histogram::percentile(double p) const {
-  if (acc_.count() == 0) {
+  if (count_ == 0) {
     return 0;
   }
   p = std::clamp(p, 0.0, 100.0);
@@ -26,7 +30,7 @@ std::uint64_t Histogram::percentile(double p) const {
     return min();
   }
   const auto target = static_cast<std::uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(acc_.count())));
+      std::ceil(p / 100.0 * static_cast<double>(count_)));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];

@@ -27,55 +27,21 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Accumulates samples: count / sum / min / max / mean.
-class Accumulator {
- public:
-  void sample(double v) {
-    ++count_;
-    sum_ += v;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-
-  void reset() { *this = Accumulator{}; }
-
-  /// Fold another accumulator into this one. Merging is order-sensitive for
-  /// the double sum, so callers that need reproducible aggregates must
-  /// merge shards in a fixed order (e.g. node id order).
-  void merge(const Accumulator& o) {
-    count_ += o.count_;
-    sum_ += o.sum_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Power-of-two bucketed histogram for latencies / sizes.
+/// Power-of-two bucketed histogram for latencies / sizes, with the
+/// count, mean, min and max of its samples.
 class Histogram {
  public:
   void sample(std::uint64_t v);
 
-  [[nodiscard]] std::uint64_t count() const { return acc_.count(); }
-  [[nodiscard]] double mean() const { return acc_.mean(); }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] double mean() const {
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  }
   [[nodiscard]] std::uint64_t min() const {
-    return static_cast<std::uint64_t>(acc_.min());
+    return count_ ? static_cast<std::uint64_t>(min_) : 0;
   }
   [[nodiscard]] std::uint64_t max() const {
-    return static_cast<std::uint64_t>(acc_.max());
+    return count_ ? static_cast<std::uint64_t>(max_) : 0;
   }
 
   /// Bucket i counts samples in [2^(i-1), 2^i), bucket 0 counts v==0..1.
@@ -86,15 +52,14 @@ class Histogram {
   /// Approximate p-th percentile (0..100) from the bucket boundaries.
   [[nodiscard]] std::uint64_t percentile(double p) const;
 
-  void reset() {
-    acc_.reset();
-    buckets_.clear();
-  }
-
-  /// Fold another histogram into this one (bucket-wise). Same ordering
-  /// caveat as Accumulator::merge.
+  /// Fold another histogram into this one (bucket-wise). Merging is
+  /// order-sensitive for the double sum, so callers that need reproducible
+  /// aggregates must merge shards in a fixed order (e.g. node id order).
   void merge(const Histogram& o) {
-    acc_.merge(o.acc_);
+    count_ += o.count_;
+    sum_ += o.sum_;
+    min_ = std::min(min_, o.min_);
+    max_ = std::max(max_, o.max_);
     if (o.buckets_.size() > buckets_.size()) {
       buckets_.resize(o.buckets_.size(), 0);
     }
@@ -104,7 +69,11 @@ class Histogram {
   }
 
  private:
-  Accumulator acc_;
+  // Samples are summed and compared as doubles.
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
   std::vector<std::uint64_t> buckets_;
 };
 

@@ -38,7 +38,6 @@ Machine::Machine(Params params) : params_(params) {
     net::FatTreeNetwork::Params np;
     np.nodes = params_.nodes;
     np.radix = params_.radix;
-    np.link = params_.link;
     network_ =
         std::make_unique<net::FatTreeNetwork>(*domains_.front(), "net", np);
   } else {
@@ -48,7 +47,7 @@ Machine::Machine(Params params) : params_(params) {
     std::vector<sim::Kernel*> raw;
     raw.reserve(params_.nodes);
     for (sim::NodeId i = 0; i < params_.nodes; ++i) {
-      raw.push_back(&domain_for_node(i));
+      raw.push_back(&domain(i));
     }
     const sim::DomainMap map =
         partitioned ? sim::DomainMap(std::move(raw))
@@ -61,7 +60,7 @@ Machine::Machine(Params params) : params_(params) {
 
   nodes_.reserve(params_.nodes);
   for (sim::NodeId i = 0; i < params_.nodes; ++i) {
-    nodes_.push_back(std::make_unique<Node>(domain_for_node(i),
+    nodes_.push_back(std::make_unique<Node>(domain(i),
                                             'n' + std::to_string(i), i,
                                             *network_, node_params));
   }

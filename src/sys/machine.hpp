@@ -32,7 +32,6 @@ class Machine {
     std::size_t nodes = 2;
     NetKind net = NetKind::kFatTree;
     unsigned radix = 4;
-    net::Link::Params link;
     sim::Tick ideal_latency = 500 * sim::kNanosecond;
     Node::Params node;  // template applied to every node
     /// Fault-injection plan. Default-constructed => no injector is ever
@@ -111,10 +110,6 @@ class Machine {
   [[nodiscard]] fault::Injector* fault_injector() { return fault_.get(); }
 
  private:
-  [[nodiscard]] sim::Kernel& domain_for_node(sim::NodeId i) {
-    return domains_.size() > 1 ? *domains_[i] : *domains_.front();
-  }
-
   Params params_;
   // Kernels are declared first so every object holding a Kernel& is
   // destroyed before its domain; sched_ last so worker threads join first.

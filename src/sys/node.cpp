@@ -19,52 +19,37 @@ Node::Node(sim::Kernel& kernel, const std::string& name, sim::NodeId id,
   dram_ = std::make_unique<mem::DramCtrl>(kernel, name + ".dram", dram);
   bus_->attach(dram_.get());
 
-  cache_ = std::make_unique<mem::SnoopingCache>(kernel, name + ".L2", *bus_,
-                                                params.cache);
-  ap_ = std::make_unique<cpu::Processor>(kernel, name + ".aP", *bus_,
-                                         cache_.get(), params.ap);
+  cache_ = std::make_unique<mem::SnoopingCache>(
+      kernel, name + ".L2", *bus_, mem::SnoopingCache::Params{});
+  ap_ = std::make_unique<cpu::Processor>(
+      kernel, name + ".aP", *bus_, cache_.get(),
+      cpu::Processor::Params{cpu::kApClock});
 
-  niu::Niu::Params np = params.niu;
-  np.cls.region_base = niu::kScomaBase;
-  np.cls.region_size = params.scoma_size;
-  // The standard layout (queues + DMA staging) sizes the banks.
-  np.asram.size = 128 * 1024;
-  np.ssram.size = 256 * 1024;
-  niu_ = std::make_unique<niu::Niu>(kernel, name + ".NIU", id, *bus_,
-                                    network, np);
+  niu_ = std::make_unique<niu::Niu>(
+      kernel, name + ".NIU", id, *bus_, network, kASramBytes, kSSramBytes,
+      mem::ClsSram::Params{niu::kScomaBase, params.scoma_size});
 
   // The sP runs uncached out of its own space; it reaches the node through
   // the sBIU only, so it is not attached to the aP bus.
-  sp_ = std::make_unique<cpu::Processor>(kernel, name + ".sP", *bus_,
-                                         nullptr, params.sp);
+  sp_ = std::make_unique<cpu::Processor>(
+      kernel, name + ".sP", *bus_, nullptr,
+      cpu::Processor::Params{cpu::kSpClock});
 
   auto& sbiu = niu_->sbiu();
-  fw::DmaEngine::Params dp;
-  dp.staging_offset = kDmaStagingBase;
-  dp.queues = params.fw_queues;
   dma_ = std::make_unique<fw::DmaEngine>(kernel, name + ".fw.dma", *sp_,
-                                         sbiu, dp, params.fw_costs);
-  fw::NumaEngine::Params fnp;
-  fnp.queues = params.fw_queues;
-  fnp.num_nodes = params.num_nodes;
-  numa_ = std::make_unique<fw::NumaEngine>(kernel, name + ".fw.numa", *sp_,
-                                           sbiu, fnp, params.fw_costs);
+                                         sbiu);
+  numa_ = std::make_unique<fw::NumaEngine>(
+      kernel, name + ".fw.numa", *sp_, sbiu,
+      fw::NumaEngine::Params{params.num_nodes});
   if (params.enable_scoma) {
-    fw::ScomaEngine::Params spp;
-    spp.queues = params.fw_queues;
-    spp.num_nodes = params.num_nodes;
-    spp.size = params.scoma_size;
-    spp.page_bytes = params.scoma_page_bytes;
-    scoma_ = std::make_unique<fw::ScomaEngine>(kernel, name + ".fw.scoma",
-                                               *sp_, sbiu, spp,
-                                               params.fw_costs);
+    scoma_ = std::make_unique<fw::ScomaEngine>(
+        kernel, name + ".fw.scoma", *sp_, sbiu,
+        fw::ScomaEngine::Params{params.num_nodes});
   }
   miss_ = std::make_unique<fw::MissService>(kernel, name + ".fw.miss", *sp_,
-                                            sbiu, params.fw_queues,
-                                            params.fw_costs);
-  chunk_ = std::make_unique<fw::ChunkOpener>(
-      kernel, name + ".fw.chunk", *sp_, sbiu, params.fw_queues,
-      niu::ABiu::kClsReadWrite, params.fw_costs);
+                                            sbiu);
+  chunk_ = std::make_unique<fw::ChunkOpener>(kernel, name + ".fw.chunk", *sp_,
+                                             sbiu, niu::ABiu::kClsReadWrite);
 }
 
 void Node::setup_tx_queues() {
@@ -134,24 +119,23 @@ void Node::setup_rx_queues() {
        kUserSlots, niu::kBasicSlotBytes, false);
 
   // Firmware queues live in sSRAM.
-  const auto& q = params_.fw_queues;
   auto fw_bind = [&](unsigned hwq, net::QueueId logical) {
     bind(hwq, logical, niu::SramBank::kSSram,
          kFwQueueBase + (hwq - 8) * kFwQueueStride, kFwSlots,
          niu::kBasicSlotBytes, false);
   };
-  fw_bind(q.dma_req, fw::kDmaReqL);
-  fw_bind(q.numa_req, fw::kNumaReqL);
-  fw_bind(q.numa_rsp, fw::kNumaRspL);
-  fw_bind(q.scoma_req, fw::kScomaReqL);
-  fw_bind(q.scoma_rsp, fw::kScomaRspL);
-  fw_bind(q.chunk_arrival, niu::kChunkArrivalQueue);
-  fw_bind(q.fw_done, fw::kFwDoneL);
+  fw_bind(fw::kDmaReqQ, fw::kDmaReqL);
+  fw_bind(fw::kNumaReqQ, fw::kNumaReqL);
+  fw_bind(fw::kNumaRspQ, fw::kNumaRspL);
+  fw_bind(fw::kScomaReqQ, fw::kScomaReqL);
+  fw_bind(fw::kScomaRspQ, fw::kScomaRspL);
+  fw_bind(fw::kChunkArrivalQ, niu::kChunkArrivalQueue);
+  fw_bind(fw::kFwDoneQ, fw::kFwDoneL);
   // The miss queue has no logical binding: it catches lookup misses.
-  auto& miss = ctrl.rxq(q.miss);
+  auto& miss = ctrl.rxq(niu::kMissRxQueue);
   miss.enabled = true;
   miss.bank = niu::SramBank::kSSram;
-  miss.base = kFwQueueBase + (q.miss - 8) * kFwQueueStride;
+  miss.base = kFwQueueBase + (niu::kMissRxQueue - 8) * kFwQueueStride;
   miss.slots = kFwSlots;
   miss.slot_bytes = niu::kBasicSlotBytes;
   miss.logical = niu::RxQueueState::kLogicalNone;

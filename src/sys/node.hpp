@@ -29,23 +29,15 @@ class Node {
     mem::Addr dram_size = niu::kApDramDefaultSize;
     mem::Addr scoma_size = niu::kScomaDefaultSize;
     mem::Addr numa_backing_size = 64ull * 1024 * 1024;
-
     mem::MemBus::Params bus;
-    mem::SnoopingCache::Params cache;
-    cpu::Processor::Params ap;       // 166 MHz
-    cpu::Processor::Params sp;       // 100 MHz
-    niu::Niu::Params niu;
-
-    fw::FwService::Costs fw_costs;
-    fw::FwQueueMap fw_queues;
-    std::uint32_t scoma_page_bytes = 4096;
-
     bool enable_scoma = true;
-
-    Params() { sp.clock = sim::Clock{10000}; }
   };
 
-  // --- Standard queue plan (user side; firmware queues in fw::FwQueueMap) --
+  // The standard layout (queues + DMA staging) sizes the NIU's banks.
+  static constexpr mem::Addr kASramBytes = 128 * 1024;
+  static constexpr mem::Addr kSSramBytes = 256 * 1024;
+
+  // --- Standard queue plan (user side; firmware queues in fw/firmware.hpp) --
   // Hardware tx queues:
   static constexpr unsigned kTxUser0 = 0;    // basic, translated
   static constexpr unsigned kTxExpress = 1;  // express, translated
@@ -93,15 +85,12 @@ class Node {
   static constexpr std::uint32_t kSpCopyStaging = 0x11000;
   // The old copy a value-diff block transfer compares a 4 KB page against.
   static constexpr std::uint32_t kDiffCopyBase = 0x18000;
-  // DMA firmware: two areas of two block-xfer buffers, its scratch slot
-  // just below.
-  static constexpr std::uint32_t kDmaStagingBase = 0x20000;
   // Approaches 4/5: one block transfer's two staging buffers.
   static constexpr std::uint32_t kA45StagingBase = 0x24000;
 
   /// Every fixed region, that is all but the translation table. The
-  /// firmware scratch slots (the landing area of FwService::read_ap) are
-  /// the engines' own constants.
+  /// firmware scratch slots (the landing area of FwService::read_ap) and
+  /// the DMA staging areas are the engines' own constants.
   static constexpr SsramRegion kSsramRegions[] = {
       {"NUMA scratch", fw::NumaEngine::kScratch, 64},
       {"S-COMA scratch", fw::ScomaEngine::kScratch, 64},
@@ -113,8 +102,8 @@ class Node {
       {"sP-copy scratch", kSpCopyScratch, 64},
       {"sP-copy staging", kSpCopyStaging, 64},
       {"diff copy", kDiffCopyBase, 0x1000},
-      {"DMA scratch", fw::DmaEngine::scratch_offset(kDmaStagingBase), 64},
-      {"DMA staging", kDmaStagingBase, 0x2000},
+      {"DMA scratch", fw::DmaEngine::kScratch, 64},
+      {"DMA staging", fw::DmaEngine::kStaging, 0x2000},
       {"approach 4/5 staging", kA45StagingBase, 0x1000},
   };
 
@@ -156,11 +145,12 @@ class Node {
   [[nodiscard]] cpu::Processor& ap() { return *ap_; }
   [[nodiscard]] cpu::Processor& sp() { return *sp_; }
   [[nodiscard]] niu::Niu& niu() { return *niu_; }
-  [[nodiscard]] fw::DmaEngine* dma() { return dma_.get(); }
-  [[nodiscard]] fw::NumaEngine* numa() { return numa_.get(); }
+  [[nodiscard]] fw::DmaEngine& dma() { return *dma_; }
+  [[nodiscard]] fw::NumaEngine& numa() { return *numa_; }
+  /// Null when Params::enable_scoma is false.
   [[nodiscard]] fw::ScomaEngine* scoma() { return scoma_.get(); }
-  [[nodiscard]] fw::MissService* miss_service() { return miss_.get(); }
-  [[nodiscard]] fw::ChunkOpener* chunk_opener() { return chunk_.get(); }
+  [[nodiscard]] fw::MissService& miss_service() { return *miss_; }
+  [[nodiscard]] fw::ChunkOpener& chunk_opener() { return *chunk_; }
   [[nodiscard]] const Params& params() const { return params_; }
 
   /// Library configuration for a user endpoint on this node.

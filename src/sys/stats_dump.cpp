@@ -124,11 +124,11 @@ sim::StatRegistry collect_stats(Machine& machine) {
               static_cast<double>(scoma->stats().grants.value()));
     }
     reg.set(p + "numa.remote_loads",
-            static_cast<double>(node.numa()->remote_loads().value()));
+            static_cast<double>(node.numa().remote_loads().value()));
     reg.set(p + "numa.remote_stores",
-            static_cast<double>(node.numa()->remote_stores().value()));
+            static_cast<double>(node.numa().remote_stores().value()));
     reg.set(p + "miss_service.serviced",
-            static_cast<double>(node.miss_service()->serviced().value()));
+            static_cast<double>(node.miss_service().serviced().value()));
   }
   return reg;
 }

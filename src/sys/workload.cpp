@@ -739,7 +739,7 @@ std::unique_ptr<Run> start_rxq(Machine& machine, const Args& a) {
     fw::DramQueueDesc desc;
     desc.base = 0x400000 + q * 0x4000;
     desc.slots = 64;
-    rx.miss_service()->register_queue(
+    rx.miss_service().register_queue(
         static_cast<net::QueueId>(kRxqFirst + q), desc);
     queues->emplace_back(rx.ap(), desc);
   }
@@ -985,7 +985,7 @@ std::unique_ptr<Run> start_diff(Machine& machine, const Args& a) {
   if (mode != "tracked") {
     cmd.bank = niu::SramBank::kSSram;
     cmd.sram_offset =
-        mode == "full" ? Node::kDmaStagingBase : Node::kDiffCopyBase;
+        mode == "full" ? fw::DmaEngine::kStaging : Node::kDiffCopyBase;
   }
   if (mode == "value") {
     // The old copy equals the page, so only the dirtied lines differ.

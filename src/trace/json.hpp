@@ -30,12 +30,9 @@ class Json {
   static Json parse(std::string_view text);
 
   [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
-  [[nodiscard]] bool as_bool() const { return bool_; }
   [[nodiscard]] double as_number() const { return num_; }
   [[nodiscard]] const std::string& as_string() const { return str_; }
   [[nodiscard]] const Array& as_array() const { return arr_; }
-  [[nodiscard]] const Object& as_object() const { return obj_; }
 
   /// Object member lookup; returns a shared null value when absent.
   [[nodiscard]] const Json& operator[](const std::string& key) const;

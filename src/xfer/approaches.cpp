@@ -26,7 +26,7 @@ BlockTransferHarness::BlockTransferHarness(sys::Machine& machine)
     SpCopyEngine::bind_queues(node);
     sp_copy_.push_back(std::make_unique<SpCopyEngine>(
         machine_.kernel(), 'n' + std::to_string(n) + ".fw.spcopy",
-        node.sp(), node.niu().sbiu(), node.params().fw_costs));
+        node.sp(), node.niu().sbiu()));
     sp_copy_.back()->start();
     // Approaches 4/5: cls state kClsBlockPending retries without invoking
     // the S-COMA protocol.
@@ -143,7 +143,7 @@ sim::Co<void> BlockTransferHarness::a45_sender(const TransferSpec& spec,
   {
     auto& rsp = rx_node.sp();
     co_await rsp.acquire();
-    co_await rsp.work(rx_node.params().fw_costs.handler);
+    co_await rsp.work(fw::FwService::kHandlerCycles);
     niu::Command close;
     close.op = niu::CmdOp::kWriteClsState;
     close.addr = spec.dst;
@@ -198,7 +198,7 @@ sim::Co<void> BlockTransferHarness::a45_sender(const TransferSpec& spec,
     }
 
     co_await tsp.acquire();
-    co_await tsp.work(tx_node.params().fw_costs.handler);
+    co_await tsp.work(fw::FwService::kHandlerCycles);
     co_await sbiu.post(/*cmdq=*/1, std::move(cmd));
     tsp.release();
 

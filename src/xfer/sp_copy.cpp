@@ -3,9 +3,9 @@
 namespace sv::xfer {
 
 SpCopyEngine::SpCopyEngine(sim::Kernel& kernel, std::string name,
-                           cpu::Processor& sp, niu::SBiu& sbiu, Costs costs)
+                           cpu::Processor& sp, niu::SBiu& sbiu)
     : FwService(kernel, std::move(name), sp, sbiu, kSpCopyReqQ,
-                sys::Node::kSpCopyScratch, costs) {}
+                sys::Node::kSpCopyScratch) {}
 
 void SpCopyEngine::bind_queues(sys::Node& node) {
   auto& ctrl = node.niu().ctrl();
@@ -33,7 +33,7 @@ sim::Co<void> SpCopyEngine::request_loop() {
   for (;;) {
     co_await wait_msg();
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     fw::RxMsg msg = co_await read_msg();
     const auto req = msg.as<SpCopyRequest>();
 
@@ -47,7 +47,7 @@ sim::Co<void> SpCopyEngine::request_loop() {
     constexpr std::size_t kWindow = 8;
     for (std::uint32_t off = 0; off < req.len; off += kSpCopyChunk) {
       const std::uint32_t n = std::min(kSpCopyChunk, req.len - off);
-      co_await sp_.work(costs_.handler);
+      co_await sp_.work(kHandlerCycles);
 
       while (co_await sbiu_.cmd_depth(kCmdQ) >= kWindow) {
         sp_.release();
@@ -91,7 +91,7 @@ sim::Co<void> SpCopyEngine::data_loop() {
       co_await ctrl.rx_arrival();
     }
     co_await sp_.acquire();
-    co_await sp_.work(costs_.dispatch);
+    co_await sp_.work(kDispatchCycles);
     auto& rq = ctrl.rxq(q);
     const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + sizeof(SpCopyDataHdr) +
@@ -106,7 +106,7 @@ sim::Co<void> SpCopyEngine::data_loop() {
     const std::uint32_t n =
         desc.length - static_cast<std::uint32_t>(sizeof(SpCopyDataHdr));
 
-    co_await sp_.work(costs_.handler);
+    co_await sp_.work(kHandlerCycles);
     niu::Command wr;
     wr.op = niu::CmdOp::kWriteApDram;
     wr.addr = hdr.dst;

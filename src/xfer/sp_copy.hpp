@@ -44,7 +44,7 @@ struct SpCopyDataHdr {
 class SpCopyEngine final : public fw::FwService {
  public:
   SpCopyEngine(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-               niu::SBiu& sbiu, Costs costs = {});
+               niu::SBiu& sbiu);
 
   /// Bind the engine's two receive queues on a node (call once per node,
   /// any time after Node::setup()).

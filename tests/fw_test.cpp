@@ -35,7 +35,7 @@ TEST_F(FwTest, MissServiceSpillsToDramQueue) {
   fw::DramQueueDesc desc;
   desc.base = 0x50000;
   desc.slots = 16;
-  machine.node(1).miss_service()->register_queue(kSpill, desc);
+  machine.node(1).miss_service().register_queue(kSpill, desc);
 
   auto payload = test::pattern_bytes(24, 9);
   machine.node(0).ap().run(eps[0]->send_raw(1, kSpill, payload));
@@ -52,7 +52,7 @@ TEST_F(FwTest, MissServiceSpillsToDramQueue) {
         *done = true;
       }(&dq, &payload, &got));
   drive_until([&] { return got; });
-  EXPECT_EQ(machine.node(1).miss_service()->serviced().value(), 1u);
+  EXPECT_EQ(machine.node(1).miss_service().serviced().value(), 1u);
 }
 
 TEST_F(FwTest, MissServiceHandlesBurstAcrossWrap) {
@@ -60,7 +60,7 @@ TEST_F(FwTest, MissServiceHandlesBurstAcrossWrap) {
   fw::DramQueueDesc desc;
   desc.base = 0x58000;
   desc.slots = 4;  // tiny: forces wrap handling
-  machine.node(1).miss_service()->register_queue(kSpill, desc);
+  machine.node(1).miss_service().register_queue(kSpill, desc);
 
   constexpr int kCount = 10;
   machine.node(0).ap().run(
@@ -89,14 +89,14 @@ TEST_F(FwTest, MissServiceHandlesBurstAcrossWrap) {
       }(&dq, &received, &ordered));
   drive_until([&] { return received == kCount; });
   EXPECT_TRUE(ordered);
-  EXPECT_EQ(machine.node(1).miss_service()->overflowed().value(), 0u);
+  EXPECT_EQ(machine.node(1).miss_service().overflowed().value(), 0u);
 }
 
 TEST_F(FwTest, MissServiceCountsUnregisteredQueues) {
   const auto payload = test::pattern_bytes(8);  // outlives the lazy send
   machine.node(0).ap().run(eps[0]->send_raw(1, 0x0BBB, payload));
   drive_until([&] {
-    return machine.node(1).miss_service()->unregistered().value() == 1;
+    return machine.node(1).miss_service().unregistered().value() == 1;
   });
 }
 
@@ -196,7 +196,7 @@ TEST_F(FwTest, ChunkOpenerOpensLinesOnArrival) {
   });
   // Lines beyond the written chunk stay closed.
   EXPECT_EQ(cls1.peek(niu::kScomaBase + 0x8040), xfer::kClsBlockPending);
-  EXPECT_EQ(machine.node(1).chunk_opener()->chunks_opened().value(), 1u);
+  EXPECT_EQ(machine.node(1).chunk_opener().chunks_opened().value(), 1u);
 }
 
 TEST_F(FwTest, FirmwareOccupancyAccrues) {

@@ -37,7 +37,7 @@ TEST(LinkTest, SerializationTimeMatchesBandwidth) {
   test::run_co(kernel, link.send(make_packet(0, 1, 88)));
   kernel.run();
   ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0], (48 + 3) * link.params().clock.period());
+  EXPECT_EQ(arrivals[0], (48 + 3) * kLinkClock.period());
   EXPECT_EQ(link.bytes_sent().value(), 96u);
 }
 

@@ -349,7 +349,7 @@ TEST_F(CtrlTest, BlockXferChainsReadAndTx) {
   cmd.dest_addr = 0x6000;
   cmd.len = 4096;
   cmd.bank = niu::SramBank::kSSram;
-  cmd.sram_offset = sys::Node::kDmaStagingBase;
+  cmd.sram_offset = fw::DmaEngine::kStaging;
   cmd.dest_node = 1;
   ctrl(0).post_command(0, cmd);
 
@@ -424,6 +424,27 @@ TEST_F(CtrlTest, TxPriorityClassesDrainHighFirst) {
   auto& r0 = ctrl(1).rxq(sys::Node::kRxUser0);
   drive_until([&] { return r1.occupancy() == 4 && r0.occupancy() == 4; });
   SUCCEED();
+}
+
+TEST_F(CtrlTest, ApCannotReachSystemRegisters) {
+  // The aBIU decodes a system-register window in the aP's NIU space, but
+  // the registers are the sP's: an aP store there changes nothing and an
+  // aP load reads zero.
+  const mem::Addr reg = niu::kNiuBase + niu::kSysRegWindowOffset +
+                        8 * static_cast<mem::Addr>(niu::SysReg::kTxPriority);
+  const std::uint64_t before = ctrl(0).read_reg(niu::SysReg::kTxPriority);
+  ASSERT_NE(before, ~std::uint64_t{0});
+  std::uint64_t loaded = 1;
+  test::run_co(machine.kernel(),
+               [](cpu::Processor* ap, mem::Addr a,
+                  std::uint64_t* out) -> sim::Co<void> {
+                 co_await ap->store_scalar(a, ~std::uint64_t{0},
+                                           /*cached=*/false);
+                 *out = co_await ap->load_scalar<std::uint64_t>(
+                     a, /*cached=*/false);
+               }(&machine.node(0).ap(), reg, &loaded));
+  EXPECT_EQ(ctrl(0).read_reg(niu::SysReg::kTxPriority), before);
+  EXPECT_EQ(loaded, 0u);
 }
 
 }  // namespace

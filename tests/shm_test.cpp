@@ -63,8 +63,8 @@ TEST_F(ShmTest, NumaRemoteHomeRoundTrip) {
   EXPECT_EQ(machine.node(1).dram().store().read_scalar<std::uint32_t>(
                 fw::kNumaBackingBase + off),
             0x5555AAAAu);
-  EXPECT_GE(machine.node(0).numa()->remote_loads().value(), 1u);
-  EXPECT_GE(machine.node(0).numa()->remote_stores().value(), 1u);
+  EXPECT_GE(machine.node(0).numa().remote_loads().value(), 1u);
+  EXPECT_GE(machine.node(0).numa().remote_stores().value(), 1u);
 }
 
 TEST_F(ShmTest, NumaCrossNodeVisibility) {
@@ -275,13 +275,12 @@ TEST_F(ShmTest4, ScomaAllNodesReadSharedLine) {
 }
 
 TEST_F(ShmTest4, NumaPagesInterleaveAcrossHomes) {
-  auto* numa = machine.node(0).numa();
-  ASSERT_NE(numa, nullptr);
-  EXPECT_EQ(numa->home_of(niu::kNumaBase + 0 * 4096), 0u);
-  EXPECT_EQ(numa->home_of(niu::kNumaBase + 1 * 4096), 1u);
-  EXPECT_EQ(numa->home_of(niu::kNumaBase + 2 * 4096), 2u);
-  EXPECT_EQ(numa->home_of(niu::kNumaBase + 3 * 4096), 3u);
-  EXPECT_EQ(numa->home_of(niu::kNumaBase + 4 * 4096), 0u);
+  auto& numa = machine.node(0).numa();
+  EXPECT_EQ(numa.home_of(niu::kNumaBase + 0 * 4096), 0u);
+  EXPECT_EQ(numa.home_of(niu::kNumaBase + 1 * 4096), 1u);
+  EXPECT_EQ(numa.home_of(niu::kNumaBase + 2 * 4096), 2u);
+  EXPECT_EQ(numa.home_of(niu::kNumaBase + 3 * 4096), 3u);
+  EXPECT_EQ(numa.home_of(niu::kNumaBase + 4 * 4096), 0u);
 }
 
 /// Property: random single-writer-per-line traffic across 2 nodes stays

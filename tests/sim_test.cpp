@@ -604,15 +604,7 @@ TEST(Semaphore, MutualExclusionAndFifoWakeup) {
   EXPECT_EQ(sem.available(), 1u);
 }
 
-TEST(Stats, AccumulatorAndHistogram) {
-  Accumulator a;
-  a.sample(1.0);
-  a.sample(3.0);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
-
+TEST(Stats, Histogram) {
   Histogram h;
   h.sample(1);
   h.sample(2);
