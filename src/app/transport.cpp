@@ -82,7 +82,7 @@ sim::Co<void> Transport::send(std::uint16_t src_rank, std::uint16_t dst_rank,
       data.empty() ? 1 : (data.size() + cap - 1) / cap);
   const std::uint16_t seq = next_seq_[src_rank * nranks_ + dst_rank]++;
   const auto dst_node =
-      static_cast<sim::NodeId>(dst_rank % node_.params().num_nodes);
+      static_cast<sim::NodeId>(dst_rank % node_.num_nodes());
 
   std::vector<std::byte> frame;
   for (std::uint16_t f = 0; f < nfrags; ++f) {
@@ -209,7 +209,7 @@ ReliableTransport::ReliableTransport(sys::Node& node, sim::Kernel& kernel,
 
 void ReliableTransport::start() {
   chan_.start();
-  const auto nnodes = static_cast<sim::NodeId>(node_.params().num_nodes);
+  const auto nnodes = static_cast<sim::NodeId>(node_.num_nodes());
   for (sim::NodeId peer = 0; peer < nnodes; ++peer) {
     if (peer != node_.id()) {
       node_.ap().run(rx_loop(peer));

@@ -10,8 +10,8 @@
 // machine states produce bit-identical snapshots.
 //
 // Captures are only meaningful at an epoch boundary: that is the one
-// instant where every domain agrees on the time, the parallel scheduler's
-// staged mailbox posts have been merged, and run_epochs_until() stops at
+// instant where every domain agrees on the time, the parallel scheduler
+// has filed every outbox into its mailbox, and run_epochs_until() stops at
 // identical boundaries for every threads= value. run_to_tick() drives the
 // machine to the first boundary at or after a target tick.
 #pragma once

@@ -52,8 +52,7 @@ IdealNetwork::IdealNetwork(const sim::DomainMap& domains, std::string name,
                            Params params)
     : Network(domains.of(0), std::move(name), params.nodes),
       domains_(domains),
-      params_(params),
-      pool_(domains.partitioned()) {
+      params_(params) {
   if (domains_.nodes() != params_.nodes) {
     throw std::invalid_argument(this->name() +
                                 ": domain map does not cover all nodes");
@@ -117,20 +116,15 @@ sim::Co<void> IdealNetwork::inject(Packet pkt) {
   // (when, src, seq) key — not the order domains reach this line — fixes
   // the delivery order, which is what keeps a partitioned run bit-identical
   // to the sequential one. With latency >= 1, `when` is always past the
-  // current epoch's boundary, satisfying the conservative lookahead.
+  // current epoch's boundary, satisfying the conservative lookahead. The
+  // post runs here, in the source domain, and the mail carries the packet
+  // by value: nothing on this path is shared with another domain.
   const sim::Tick when = k.now() + params_.latency;
   const std::uint64_t seq = next_post_seq(pkt.src);
-  // The packet parks in the pool (put here in the source domain, taken in
-  // the destination's — pool_ is constructed concurrent-safe when the
-  // machine is partitioned) so the mailbox event captures a handle, not a
-  // Packet.
-  const sim::NodeId src = pkt.src;
-  const sim::NodeId dest = pkt.dest;
-  const PacketPool::Handle h = pool_.put(std::move(pkt));
-  domains_.of(dest).post(when, src, seq, [this, h] {
-    Packet p = pool_.take(h);
-    count_delivery(domains_.of(p.dest), p);
-    endpoints_[p.dest](std::move(p));
+  sim::Kernel& dest = domains_.of(pkt.dest);
+  k.post(dest, when, pkt.src, seq, [this, pkt = std::move(pkt)]() mutable {
+    count_delivery(domains_.of(pkt.dest), pkt);
+    endpoints_[pkt.dest](std::move(pkt));
   });
 }
 

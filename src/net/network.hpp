@@ -6,9 +6,10 @@
 // Partitioning: IdealNetwork can span multiple event domains (one per
 // node, see sim::ParallelKernel) — every per-packet action runs in the
 // *source* node's domain, delivery crosses into the destination domain
-// through the kernel mailbox, and all bookkeeping is sharded per node so
-// no two domains ever touch the same counter. FatTreeNetwork models shared
-// routers and therefore requires the whole machine in one domain.
+// through the kernel mailbox (the packet rides in the mail by value), and
+// all bookkeeping is sharded per node so no two domains ever touch the
+// same counter. FatTreeNetwork models shared routers and therefore
+// requires the whole machine in one domain.
 #pragma once
 
 #include <functional>
@@ -143,9 +144,6 @@ class IdealNetwork final : public Network {
  private:
   sim::DomainMap domains_;
   Params params_;
-  // In-flight packets between fault checks and delivery; concurrent iff
-  // the machine is partitioned (put in source domain, take in dest's).
-  PacketPool pool_;
   std::vector<Deliver> endpoints_;
   std::vector<std::unique_ptr<sim::Semaphore>> inject_ports_;
   // Per-source wire track, cached lazily; slot n is only touched by the

@@ -8,10 +8,11 @@
 // The payload lives *inside* the Packet (Payload: a fixed 88-byte buffer
 // plus a length), not in a heap vector: packets are built, moved through
 // router/NIU queues and retired without ever touching the allocator. A
-// Packet is ~120 bytes and trivially movable. When a packet must ride
-// through a scheduled event (link propagation, cross-domain delivery), it
-// parks in a PacketPool and the event captures the 4-byte handle — the
-// whole steady-state packet path is allocation-free (DESIGN.md §11).
+// Packet is 120 bytes and trivially movable. When a packet must ride
+// through a scheduled event (link propagation), it parks in a PacketPool
+// and the event captures the 4-byte handle; across domains it rides in the
+// kernel's mail by value. The whole steady-state packet path is
+// allocation-free (DESIGN.md §11).
 #pragma once
 
 #include <cassert>
@@ -19,7 +20,6 @@
 #include <cstring>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -122,44 +122,15 @@ struct Packet {
 /// in sim::InlineFunc's inline buffer). Slots recycle through a freelist;
 /// steady state allocates nothing.
 ///
-/// A pool is per-domain by construction when owned by a single SimObject
-/// (net::Link). A pool whose packets cross event domains (IdealNetwork
-/// under the parallel kernel: put() in the source node's domain, take() in
-/// the destination's) must be constructed with concurrent=true, which
-/// guards the freelist with a mutex.
+/// A pool belongs to one event domain: its owner (net::Link) puts and
+/// takes from that domain's events only. Packets that cross domains ride
+/// in the kernel's mail instead (sim::Kernel::Mail holds one by value).
 class PacketPool {
  public:
   using Handle = std::uint32_t;
 
-  explicit PacketPool(bool concurrent = false) : concurrent_(concurrent) {}
-
   /// Park a packet; returns the handle to fetch it back.
   Handle put(Packet&& pkt) {
-    if (concurrent_) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      return put_locked(std::move(pkt));
-    }
-    return put_locked(std::move(pkt));
-  }
-
-  /// Fetch and release. Each handle is good for exactly one take().
-  Packet take(Handle h) {
-    if (concurrent_) {
-      std::unique_lock<std::mutex> lock(mu_);
-      Packet p = std::move(slots_[h]);
-      free_.push_back(h);
-      return p;
-    }
-    Packet p = std::move(slots_[h]);
-    free_.push_back(h);
-    return p;
-  }
-
-  /// Slots ever created (high-water mark of in-flight packets).
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-
- private:
-  Handle put_locked(Packet&& pkt) {
     if (free_.empty()) {
       slots_.push_back(std::move(pkt));
       return static_cast<Handle>(slots_.size() - 1);
@@ -170,10 +141,19 @@ class PacketPool {
     return h;
   }
 
+  /// Fetch and release. Each handle is good for exactly one take().
+  Packet take(Handle h) {
+    Packet p = std::move(slots_[h]);
+    free_.push_back(h);
+    return p;
+  }
+
+  /// Slots ever created (high-water mark of in-flight packets).
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+ private:
   std::deque<Packet> slots_;  // deque: handles stay stable as it grows
   std::vector<Handle> free_;
-  std::mutex mu_;
-  bool concurrent_;
 };
 
 }  // namespace sv::net

@@ -15,7 +15,7 @@
 // list, uncapped: a 1024-node machine keeps thousands of transient frames
 // of one class live per epoch, and a cap sends the excess through malloc
 // every time. The lists stay bounded because domain placement is fixed —
-// domain d always runs on worker d % threads — so a thread's list never
+// domain d always runs on executor d % threads — so a thread's list never
 // holds more than that thread's peak number of live frames.
 //
 // New blocks are cut from 64 KiB slabs of one class, so the frames a run
@@ -25,7 +25,7 @@
 // slab's blocks serve every thread, and a frame may outlive the thread
 // that allocated it. When a thread exits, its lists go to the
 // process-wide lists, and the next thread to run short (the next
-// machine's workers) takes them from there: no pooled block is stranded.
+// machine's helpers) takes them from there: no pooled block is stranded.
 // AddressSanitizer builds give every block its own ::operator new instead:
 // a slab keeps LeakSanitizer from reporting a leaked frame while any
 // other block of its slab is reachable, and hides the redzones between
@@ -104,7 +104,7 @@ class FramePool {
     /// A list of kBatch blocks of class `cls`: blocks exited threads
     /// left first, then new blocks (cut from the class's slab in address
     /// order). A batch, not the whole list, so that no thread hoards what
-    /// the other workers of its machine need.
+    /// the other threads of its machine need.
     void* take(std::size_t cls) {
       const std::lock_guard<std::mutex> lock(mu_);
       const std::size_t size = cls * kGranule;

@@ -7,11 +7,13 @@
 // scheduled event. At tens of millions of events per second that malloc
 // traffic is the single largest kernel overhead (see DESIGN.md §11).
 //
-// InlineFunc stores the callable in a 48-byte inline buffer, full stop:
-// there is no heap fallback. A capture that does not fit is a compile
-// error, which turns "audit every scheduling site" into something the
-// compiler enforces. Sites that want to move bulky state (a net::Packet)
-// through an event capture a pool handle instead (net::PacketPool).
+// BasicInlineFunc<Capacity> stores the callable in a Capacity-byte inline
+// buffer, full stop: there is no heap fallback. A capture that does not
+// fit is a compile error, which turns "audit every scheduling site" into
+// something the compiler enforces. Events are InlineFunc (48 bytes); sites
+// that want to move bulky state (a net::Packet) through an event capture
+// a pool handle instead (net::PacketPool). Cross-domain mail is
+// Kernel::Mail (128 bytes), which holds a whole Packet by value.
 //
 // Move-only, like the events it carries (captures may own resources).
 #pragma once
@@ -24,31 +26,31 @@
 
 namespace sv::sim {
 
-class InlineFunc {
+template <std::size_t Capacity>
+class BasicInlineFunc {
  public:
-  /// Inline capture capacity. sizeof(InlineFunc) == kCapacity + two
-  /// pointers == 64. Every current capture is at most a few pointers and
-  /// integers; the static_assert below flags any site that outgrows this.
-  static constexpr std::size_t kCapacity = 48;
+  /// Inline capture capacity; sizeof is kCapacity plus two pointers. The
+  /// static_assert in construct() flags any capture that outgrows it.
+  static constexpr std::size_t kCapacity = Capacity;
   static constexpr std::size_t kAlign = alignof(std::max_align_t);
 
-  InlineFunc() = default;
+  BasicInlineFunc() = default;
 
   template <typename F,
             typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFunc> &&
+            typename = std::enable_if_t<!std::is_same_v<D, BasicInlineFunc> &&
                                         std::is_invocable_r_v<void, D&>>>
-  InlineFunc(F&& f) {  // NOLINT(google-explicit-constructor)
+  BasicInlineFunc(F&& f) {  // NOLINT(google-explicit-constructor)
     construct<D>(std::forward<F>(f));
   }
 
   /// Replace the held callable with `f`, built directly in this buffer.
   /// The event queue builds each callback in its slab slot this way
   /// instead of relocating a temporary InlineFunc into it (DESIGN.md
-  /// §11.2). An InlineFunc argument is moved in.
+  /// §11.2). A BasicInlineFunc argument of the same capacity is moved in.
   template <typename F, typename D = std::decay_t<F>>
   void emplace(F&& f) {
-    if constexpr (std::is_same_v<D, InlineFunc>) {
+    if constexpr (std::is_same_v<D, BasicInlineFunc>) {
       *this = std::forward<F>(f);
     } else {
       reset();
@@ -56,7 +58,7 @@ class InlineFunc {
     }
   }
 
-  InlineFunc(InlineFunc&& o) noexcept
+  BasicInlineFunc(BasicInlineFunc&& o) noexcept
       : invoke_(o.invoke_), manage_(o.manage_) {
     if (invoke_ != nullptr) {
       if (manage_ != nullptr) {
@@ -69,7 +71,7 @@ class InlineFunc {
     }
   }
 
-  InlineFunc& operator=(InlineFunc&& o) noexcept {
+  BasicInlineFunc& operator=(BasicInlineFunc&& o) noexcept {
     if (this != &o) {
       reset();
       invoke_ = o.invoke_;
@@ -87,10 +89,10 @@ class InlineFunc {
     return *this;
   }
 
-  InlineFunc(const InlineFunc&) = delete;
-  InlineFunc& operator=(const InlineFunc&) = delete;
+  BasicInlineFunc(const BasicInlineFunc&) = delete;
+  BasicInlineFunc& operator=(const BasicInlineFunc&) = delete;
 
-  ~InlineFunc() { reset(); }
+  ~BasicInlineFunc() { reset(); }
 
   void operator()() { invoke_(storage_); }
 
@@ -142,6 +144,9 @@ class InlineFunc {
   alignas(kAlign) unsigned char storage_[kCapacity];
 };
 
+/// The event callback: two function pointers and 48 bytes of capture,
+/// one cache line per callable.
+using InlineFunc = BasicInlineFunc<48>;
 static_assert(sizeof(InlineFunc) == 64, "one cache line per callable");
 
 }  // namespace sv::sim

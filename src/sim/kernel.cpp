@@ -9,31 +9,12 @@ namespace sv::sim {
 
 void Kernel::throw_past(const char* what) { throw std::logic_error(what); }
 
-void Kernel::post(Tick when, std::uint32_t src, std::uint64_t seq,
-                  EventQueue::Callback fn) {
-  if (deferred_mailbox_) {
-    bool was_empty;
-    {
-      const std::lock_guard<std::mutex> lock(staged_mu_);
-      was_empty = staged_.empty();
-      staged_.push_back(CrossMsg{when, src, seq, std::move(fn)});
-    }
-    // First arrival since the last commit: tell the coordinator (outside
-    // staged_mu_, so its own lock never nests under ours).
-    if (was_empty && post_notify_) {
-      post_notify_();
-    }
-    return;
-  }
-  mailbox_.push(CrossMsg{when, src, seq, std::move(fn)});
-}
-
-void Kernel::commit_mailbox() {
-  const std::lock_guard<std::mutex> lock(staged_mu_);
-  for (auto& m : staged_) {
-    mailbox_.push(std::move(m));
-  }
-  staged_.clear();
+void Kernel::deliver(std::uint32_t slot) {
+  // Move the callback out first: it may file mail to this domain, which
+  // can grow mail_ under it.
+  Mail fn = std::move(mail_[slot]);
+  free_mail_.push_back(slot);
+  fn();
 }
 
 bool Kernel::dispatch_one(Tick bound) {
@@ -68,8 +49,9 @@ bool Kernel::dispatch_one(Tick bound) {
       // posted, which is the property that keeps single-domain and
       // partitioned runs identical.
       do {
-        events_.push(next, std::move(mailbox_.top().fn));
+        const std::uint32_t slot = mailbox_.top().slot;
         mailbox_.pop();
+        events_.push(next, [this, slot] { deliver(slot); });
       } while (!mailbox_.empty() && mailbox_.top().when == next);
     }
     EventQueue::Popped ev = events_.pop();
@@ -111,11 +93,10 @@ void Kernel::ckpt_save(ckpt::Writer& w) const {
   w.tick(now_);
   events_.ckpt_save(w);
   // Mailbox keys in canonical (when, src, seq) order. The callbacks are
-  // closures and restore by replay, like the event queue's. staged_ is
-  // intentionally not captured: at an epoch barrier it has been committed
-  // and is empty.
+  // closures and restore by replay, like the event queue's. The outbox is
+  // not captured: at an epoch barrier it has been filed and is empty.
   struct Expose : Mailbox {
-    static const std::vector<CrossMsg>& container(const Mailbox& q) {
+    static const std::vector<MailKey>& container(const Mailbox& q) {
       return q.*&Expose::c;
     }
   };
@@ -131,7 +112,7 @@ void Kernel::ckpt_save(ckpt::Writer& w) const {
     }
   };
   std::vector<Key> keys;
-  for (const CrossMsg& m : Expose::container(mailbox_)) {
+  for (const MailKey& m : Expose::container(mailbox_)) {
     keys.push_back(Key{m.when, m.src, m.seq});
   }
   std::sort(keys.begin(), keys.end());

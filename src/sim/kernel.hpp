@@ -22,13 +22,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim/inline_func.hpp"
 #include "sim/types.hpp"
 
 namespace sv::ckpt {
@@ -45,7 +45,12 @@ class Injector;
 
 namespace sv::sim {
 
-class Kernel {
+// Cache-line aligned: a partitioned machine allocates its domains one
+// after another, and neighbouring domains run on different threads
+// (domain d on executor d % threads). Unaligned, the tail of one Kernel
+// and the head of the next shared a line that both threads wrote on every
+// event.
+class alignas(64) Kernel {
  public:
   Kernel() = default;
   Kernel(const Kernel&) = delete;
@@ -96,36 +101,36 @@ class Kernel {
   /// decide which phases of a bypassed operation have already "happened".
   [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
 
-  /// Cross-domain mailbox: deliver `fn` at absolute time `when`, ordered by
-  /// (when, src, seq) against every other posted message regardless of the
-  /// order post() calls arrive in. `seq` must be monotone per `src` (the
-  /// sender's own deterministic send order). `when` must be strictly ahead
-  /// of the sender's epoch — the conservative lookahead guarantee.
+  /// Cross-domain mail: a callable of up to 128 bytes, room for a whole
+  /// net::Packet by value (DESIGN.md §11.1).
+  using Mail = BasicInlineFunc<128>;
+
+  /// Cross-domain mailbox, called on the *sending* domain: deliver `fn` in
+  /// domain `dest` at absolute time `when`, ordered by (when, src, seq)
+  /// against every other message `dest` receives, whatever order the
+  /// post() calls happen in. `seq` must be monotone per `src` (the
+  /// sender's own deterministic send order).
   ///
-  /// Thread-safe in deferred mode (see set_deferred_mailbox); in immediate
-  /// mode it may only be called from this domain's executing events.
-  void post(Tick when, std::uint32_t src, std::uint64_t seq,
-            EventQueue::Callback fn);
-
-  /// Deferred mode (parallel execution): post() stages messages in a locked
-  /// side buffer, and they only become runnable when the epoch coordinator
-  /// calls commit_mailbox() at a barrier. Immediate mode (the default,
-  /// sequential execution): post() files messages directly.
-  void set_deferred_mailbox(bool on) { deferred_mailbox_ = on; }
-
-  /// Arrival hook for the O(active-domains) barrier: in deferred mode,
-  /// `fn` fires once per staged_ empty-to-nonempty transition — i.e. at
-  /// most once between commits — telling the epoch coordinator this
-  /// domain has mail and must be committed and woken at the next barrier.
-  /// Called from whichever worker thread posted, outside staged_mu_; the
-  /// callee must do its own locking.
-  void set_post_notify(std::function<void()> fn) {
-    post_notify_ = std::move(fn);
+  /// A post to this domain itself (every post of a single-domain machine)
+  /// is filed into the mailbox at once. A post to another domain waits in
+  /// this domain's outbox until the ParallelKernel barrier files it, so
+  /// `when` must lie past the sender's epoch — the conservative lookahead
+  /// guarantee. Either way post() touches only this domain's state, so it
+  /// needs no lock.
+  template <typename F>
+  void post(Kernel& dest, Tick when, std::uint32_t src, std::uint64_t seq,
+            F&& fn) {
+    if (&dest == this) {
+      file(when, src, seq, std::forward<F>(fn));
+      return;
+    }
+    Outgoing& m = outbox_.emplace_back();
+    m.dest = &dest;
+    m.when = when;
+    m.src = src;
+    m.seq = seq;
+    m.fn.emplace(std::forward<F>(fn));
   }
-
-  /// Move staged messages into the runnable mailbox. Call only while no
-  /// worker is executing this domain (i.e. at an epoch barrier).
-  void commit_mailbox();
 
   /// Run until the event queue and mailbox drain. Returns the final time.
   Tick run();
@@ -142,7 +147,7 @@ class Kernel {
   }
 
   /// Time of the next pending event or mailbox message, or kTickInvalid
-  /// when idle. Staged (uncommitted) messages are not considered.
+  /// when idle. Mail still in a sender's outbox is not considered.
   [[nodiscard]] Tick next_event_time() const {
     const Tick qt = events_.empty() ? kTickInvalid : events_.next_time();
     const Tick mt = mailbox_.empty() ? kTickInvalid : mailbox_.top().when;
@@ -177,22 +182,22 @@ class Kernel {
 
   /// Append the domain's snapshot state to `w`: clock, the event queue's
   /// floor, next sequence number and pending keys (EventQueue::ckpt_save),
-  /// and every
-  /// pending cross-domain mailbox key in (when, src, seq) order. Must be
-  /// called while no event is executing and staged_ is empty — i.e. at an
-  /// epoch boundary (DESIGN.md §14).
+  /// and every pending cross-domain mailbox key in (when, src, seq) order.
+  /// Must be called while no event is executing and every outbox has been
+  /// filed — i.e. at an epoch boundary (DESIGN.md §14).
   void ckpt_save(ckpt::Writer& w) const;
 
  private:
-  struct CrossMsg {
+  friend class ParallelKernel;
+
+  /// A filed message's key; its callback waits in mail_[slot].
+  struct MailKey {
     Tick when;
     std::uint32_t src;
+    std::uint32_t slot;
     std::uint64_t seq;
-    // Mutable so the callback can be moved out of the priority queue's
-    // const top(); ordering never inspects it.
-    mutable EventQueue::Callback fn;
 
-    bool operator>(const CrossMsg& o) const {
+    bool operator>(const MailKey& o) const {
       if (when != o.when) {
         return when > o.when;
       }
@@ -203,7 +208,46 @@ class Kernel {
     }
   };
   using Mailbox =
-      std::priority_queue<CrossMsg, std::vector<CrossMsg>, std::greater<>>;
+      std::priority_queue<MailKey, std::vector<MailKey>, std::greater<>>;
+
+  /// A message posted to another domain, waiting for the barrier.
+  struct Outgoing {
+    Kernel* dest;
+    Tick when;
+    std::uint32_t src;
+    std::uint64_t seq;
+    Mail fn;
+  };
+
+  /// Add a message to this domain's mailbox. Its callback takes a slot of
+  /// mail_, recycled when the message is delivered.
+  template <typename F>
+  void file(Tick when, std::uint32_t src, std::uint64_t seq, F&& fn) {
+    if (free_mail_.empty()) {
+      free_mail_.push_back(static_cast<std::uint32_t>(mail_.size()));
+      mail_.emplace_back();
+    }
+    const std::uint32_t slot = free_mail_.back();
+    mail_[slot].emplace(std::forward<F>(fn));
+    free_mail_.pop_back();  // only now: a throwing constructor leaks no slot
+    mailbox_.push(MailKey{when, src, slot, seq});
+  }
+
+  /// Barrier side of post(): file every message in this domain's outbox
+  /// into its destination's mailbox, calling `filed(dest)` for each. Only
+  /// while no domain executes.
+  template <typename F>
+  void file_outbox(F&& filed) {
+    for (Outgoing& m : outbox_) {
+      m.dest->file(m.when, m.src, m.seq, std::move(m.fn));
+      filed(*m.dest);
+    }
+    outbox_.clear();
+  }
+
+  /// The event a message becomes at its tick: frees the slot, then runs
+  /// the callback (which may file more mail).
+  void deliver(std::uint32_t slot);
 
   /// Execute the earliest event no later than `bound`, first injecting any
   /// mailbox messages due at its tick. Returns false when nothing <= bound
@@ -214,10 +258,13 @@ class Kernel {
 
   EventQueue events_;
   Mailbox mailbox_;
-  std::vector<CrossMsg> staged_;
-  std::mutex staged_mu_;
-  std::function<void()> post_notify_;
-  bool deferred_mailbox_ = false;
+  // Callbacks of filed messages by slot, recycled through free_mail_.
+  std::vector<Mail> mail_;
+  std::vector<std::uint32_t> free_mail_;
+  std::vector<Outgoing> outbox_;
+  // This domain's index in its ParallelKernel, which sets it; the barrier
+  // reads it off an outgoing message's destination to re-admit that domain.
+  std::uint32_t domain_ = 0;
   Tick now_ = 0;
   std::uint64_t current_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -14,128 +14,122 @@ ParallelKernel::ParallelKernel(std::vector<Kernel*> domains, unsigned threads,
   if (lookahead_ == 0) {
     throw std::invalid_argument("ParallelKernel: lookahead must be >= 1");
   }
+  threads_ = std::clamp<unsigned>(threads, 1U,
+                                  static_cast<unsigned>(domains_.size()));
   active_.reserve(domains_.size());
-  woken_.reserve(domains_.size());
+  listed_.assign(domains_.size(), 0);
+  errors_.resize(threads_);
   for (std::size_t d = 0; d < domains_.size(); ++d) {
-    domains_[d]->set_deferred_mailbox(true);
-    domains_[d]->set_post_notify([this, d] {
-      // At most one firing per domain per epoch (the staged buffer only
-      // empties at a barrier), so the wake list needs no deduplication.
-      const std::lock_guard<std::mutex> lock(wake_mu_);
-      woken_.push_back(d);
-    });
+    domains_[d]->domain_ = static_cast<std::uint32_t>(d);
+    // Mail posted before the machine was partitioned is filed now, as in
+    // a single domain.
+    domains_[d]->file_outbox([](const Kernel&) {});
     // Everyone starts active: nodes schedule their service loops during
     // construction, and a truly idle domain parks after the first epoch.
     active_.push_back(d);
   }
-  const unsigned n = std::clamp<unsigned>(
-      threads, 1U, static_cast<unsigned>(domains_.size()));
-  workers_.reserve(n);
-  for (unsigned id = 0; id < n; ++id) {
-    workers_.emplace_back([this, id] { worker_main(id); });
+  helpers_.reserve(threads_ - 1);
+  try {
+    for (unsigned stripe = 1; stripe < threads_; ++stripe) {
+      helpers_.emplace_back([this, stripe] { helper_main(stripe); });
+    }
+  } catch (...) {
+    stop_helpers();  // join the helpers that did start
+    throw;
   }
 }
 
-ParallelKernel::~ParallelKernel() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& w : workers_) {
-    w.join();
+ParallelKernel::~ParallelKernel() { stop_helpers(); }
+
+void ParallelKernel::stop_helpers() noexcept {
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  for (auto& h : helpers_) {
+    h.join();
   }
 }
 
-void ParallelKernel::worker_main(unsigned id) {
-  std::uint64_t seen = 0;
+std::exception_ptr ParallelKernel::run_stripe(unsigned stripe) noexcept {
+  // Executors partition the active list by the fixed rule "domain d runs
+  // on executor d % threads", so any per-thread effect stays reproducible.
+  try {
+    for (const std::size_t d : active_) {
+      if (d % threads_ == stripe) {
+        domains_[d]->run_until(epoch_end_);
+      }
+    }
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+void ParallelKernel::helper_main(unsigned stripe) {
+  std::uint32_t seen = 0;
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) {
-        return;
-      }
-      seen = generation_;
+    // The acquire pairs with run_epoch's release bump: active_ and
+    // epoch_end_ (or stop_) were written before it.
+    generation_.wait(seen, std::memory_order_acquire);
+    seen = generation_.load(std::memory_order_acquire);
+    if (stop_) {
+      return;
     }
-    // Outside the lock: workers partition the active list by the fixed
-    // rule "domain d runs on worker d % threads" — the same assignment
-    // the run-everything scheme used, so any per-thread effect stays
-    // reproducible — and active_/epoch_end_ were published under mu_
-    // before generation_ bumped.
-    std::exception_ptr err;
-    try {
-      const std::size_t stride = workers_.size();
-      for (const std::size_t d : active_) {
-        if (d % stride == id) {
-          domains_[d]->run_until(epoch_end_);
-        }
-      }
-    } catch (...) {
-      err = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (err && !error_) {
-        error_ = err;
-      }
-      if (--running_ == 0) {
-        done_cv_.notify_one();
-      }
+    errors_[stripe] = run_stripe(stripe);
+    // Release: the caller reads this stripe's domains and errors_ slot
+    // once it sees the count reach zero.
+    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      running_.notify_one();
     }
   }
 }
 
 void ParallelKernel::run_epoch() {
   epoch_end_ = epoch_start_ + lookahead_ - 1;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    running_ = static_cast<unsigned>(workers_.size());
-    ++generation_;
-    start_cv_.notify_all();
-    done_cv_.wait(lock, [&] { return running_ == 0; });
-    if (error_) {
-      auto err = error_;
-      error_ = nullptr;
+  if (!helpers_.empty()) {
+    running_.store(static_cast<std::uint32_t>(helpers_.size()),
+                   std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+  }
+  errors_[0] = run_stripe(0);
+  for (std::uint32_t n = running_.load(std::memory_order_acquire); n != 0;
+       n = running_.load(std::memory_order_acquire)) {
+    running_.wait(n, std::memory_order_acquire);
+  }
+  // Every helper has finished the epoch, whatever any stripe threw. Each
+  // stripe rewrites its slot every epoch, so no error outlives its epoch.
+  for (const std::exception_ptr& err : errors_) {
+    if (err) {
       std::rethrow_exception(err);
     }
   }
-  // All workers are parked (the wait above is the happens-before edge), so
-  // the coordinator may touch every domain. Only domains that ran this
-  // epoch or received mail can have changed state: commit exactly those
-  // mailboxes and rebuild the active list from them — O(active + woken),
-  // never O(domains).
-  std::vector<std::size_t> woken;
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    woken.swap(woken_);
-  }
-  std::sort(woken.begin(), woken.end());
-
-  std::vector<std::size_t> next;
-  next.reserve(active_.size() + woken.size());
-  auto a = active_.begin();
-  auto w = woken.begin();
-  const auto visit = [&](std::size_t d) {
-    domains_[d]->commit_mailbox();
-    if (!domains_[d]->idle()) {
-      next.push_back(d);
-    }
-  };
-  while (a != active_.end() || w != woken.end()) {
-    if (w == woken.end() || (a != active_.end() && *a <= *w)) {
-      if (w != woken.end() && *w == *a) {
-        ++w;  // active domain that also got mail: visit once
-      }
-      visit(*a++);
-    } else {
-      visit(*w++);
-    }
-  }
-  active_.swap(next);
-
+  barrier();
   now_ = epoch_end_;
   epoch_start_ += lookahead_;
+}
+
+void ParallelKernel::barrier() {
+  // Only the domains that ran this epoch can have posted. Filing their
+  // outboxes re-admits every destination: O(active + filed messages),
+  // never O(domains).
+  const std::size_t ran = active_.size();
+  for (std::size_t i = 0; i < ran; ++i) {
+    listed_[active_[i]] = 1;
+  }
+  for (std::size_t i = 0; i < ran; ++i) {
+    domains_[active_[i]]->file_outbox([this](const Kernel& dest) {
+      if (listed_[dest.domain_] == 0) {
+        listed_[dest.domain_] = 1;
+        active_.push_back(dest.domain_);
+      }
+    });
+  }
+  std::sort(active_.begin(), active_.end());
+  std::erase_if(active_, [this](std::size_t d) {
+    listed_[d] = 0;
+    return domains_[d]->idle();
+  });
 }
 
 void ParallelKernel::quiesce() {
@@ -151,10 +145,14 @@ void ParallelKernel::quiesce() {
 bool ParallelKernel::run_epochs_until(const std::function<bool()>& pred,
                                       Tick deadline) {
   // Between calls, callers may have scheduled work directly onto a parked
-  // domain's kernel (drivers starting coroutines do exactly that) — the
-  // post-notify hook only covers cross-domain post(). One O(domains)
-  // rescan per call (not per epoch) re-admits them; mid-run, parked
-  // domains are only ever reachable via post(), which the hook covers.
+  // domain's kernel (drivers starting coroutines do exactly that), or
+  // posted from outside any epoch. One O(domains) rescan per call (not
+  // per epoch) files every outbox and re-admits every busy domain;
+  // mid-run, a parked domain is only reachable through a post, which the
+  // barrier files.
+  for (Kernel* k : domains_) {
+    k->file_outbox([](const Kernel&) {});
+  }
   active_.clear();
   for (std::size_t d = 0; d < domains_.size(); ++d) {
     if (!domains_[d]->idle()) {

@@ -1,41 +1,42 @@
 // Conservative parallel scheduling of multiple event domains.
 //
-// ParallelKernel runs one Kernel per node on a fixed pool of worker threads,
-// synchronizing in epochs of `lookahead` ticks — the minimum latency of any
-// domain-crossing link. Within an epoch every domain advances independently;
-// anything it sends to another domain is timestamped at least one full
-// lookahead ahead, so it cannot affect the current epoch and is staged in the
-// destination's mailbox. At the epoch barrier the coordinator commits every
-// mailbox and the next epoch begins. This is the classic
-// Chandy–Misra–Bryant-style conservative scheme with the link latency as
-// lookahead (cf. SimBricks): no rollbacks, no null messages — just a global
-// epoch barrier.
+// ParallelKernel runs one Kernel per node on a fixed set of executor
+// threads — the calling thread and threads - 1 helpers — synchronizing in
+// epochs of `lookahead` ticks, the minimum latency of any domain-crossing
+// link. Within an epoch every domain advances independently; anything it
+// sends to another domain is timestamped at least one full lookahead ahead,
+// so it cannot affect the current epoch, and it waits in the sender's own
+// outbox. At the epoch barrier the calling thread files every outbox into
+// its destinations' mailboxes and the next epoch begins. This is the
+// classic Chandy–Misra–Bryant-style conservative scheme with the link
+// latency as lookahead (cf. SimBricks): no rollbacks, no null messages —
+// just a global epoch barrier. Nothing inside an epoch takes a lock: each
+// executor touches only its own domains, outboxes included.
 //
 // Determinism: the mailbox injection rule in Kernel orders cross-domain
-// messages by (tick, source, sequence) regardless of which worker staged
+// messages by (tick, source, sequence) regardless of which executor filed
 // them first, so the result of a run is independent of thread count and
 // bit-identical to a single-domain sequential run that routes the same
 // messages through the same rule.
 //
 // Scalability: the barrier is O(active domains), not O(domains). A domain
 // whose event queue and mailbox drain parks: it leaves the active list,
-// workers skip it, and the barrier neither runs it nor commits its (empty)
-// mailbox. It rejoins only when another domain posts to it — Kernel's
-// post-notify hook fires on the staged buffer's empty-to-nonempty
-// transition and enqueues the domain on the coordinator's wake list. A
-// 1024-node machine with 8 talkative nodes does 8 domains' worth of
-// barrier work per epoch. Parked domains' local clocks lag (nothing runs
-// them); quiesce() — called whenever run_epochs_until hands control back —
-// advances every lagging idle domain to the global epoch boundary, so
-// externally observable state (checkpoints, per-domain now()) stays
-// byte-identical to the run-everyone-every-epoch scheme.
+// executors skip it, and the barrier neither runs it nor files anything for
+// it. It rejoins only when another domain posts to it: the barrier files
+// the outboxes of the domains that ran, and every destination it files to
+// re-joins the active list. A 1024-node machine with 8 talkative nodes does
+// 8 domains' worth of barrier work per epoch. Parked domains' local clocks
+// lag (nothing runs them); quiesce() — called whenever run_epochs_until
+// hands control back — advances every lagging idle domain to the global
+// epoch boundary, so externally observable state (checkpoints, per-domain
+// now()) stays byte-identical to the run-everyone-every-epoch scheme.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -75,11 +76,12 @@ class DomainMap {
 /// has no meaning across concurrently-advancing domains.
 class ParallelKernel {
  public:
-  /// `domains` must outlive this object. `threads` worker threads are
-  /// started immediately (clamped to [1, domains.size()]); domain d is
-  /// always run by worker d % threads, so the assignment — and therefore
-  /// any per-thread effect — is reproducible. Every domain is switched to
-  /// deferred-mailbox mode. `lookahead` must be >= 1 tick.
+  /// `domains` must outlive this object. `threads`, clamped to
+  /// [1, domains.size()], is the number of executors: the thread that
+  /// calls run_epoch is executor 0, and threads - 1 helper threads start
+  /// immediately. Domain d always runs on executor d % threads, so the
+  /// assignment — and therefore any per-thread effect — is reproducible.
+  /// `lookahead` must be >= 1 tick.
   ParallelKernel(std::vector<Kernel*> domains, unsigned threads,
                  Tick lookahead);
   ~ParallelKernel();
@@ -90,11 +92,14 @@ class ParallelKernel {
   /// Run whole epochs until `pred` holds at an epoch boundary, every domain
   /// is idle, or the next epoch would start past `deadline`. Returns the
   /// final value of `pred`. The predicate is only evaluated at barriers
-  /// (with all workers parked), so it may freely inspect machine state.
+  /// (with every helper waiting), so it may freely inspect machine state.
   bool run_epochs_until(const std::function<bool()>& pred, Tick deadline);
 
-  /// Advance exactly one epoch (all active domains to the next boundary,
-  /// then commit the mailboxes of active and newly-woken domains).
+  /// Advance exactly one epoch: the calling thread and the helpers run
+  /// their stripes of the active domains to the next boundary, then the
+  /// caller files every outbox. An exception from any stripe is rethrown
+  /// (the lowest stripe's, if several throw) only after every helper has
+  /// finished the epoch; nothing is filed then.
   void run_epoch();
 
   /// Advance every parked domain's local clock to now(). Call at a
@@ -110,42 +115,49 @@ class ParallelKernel {
   [[nodiscard]] Tick now() const { return now_; }
 
   [[nodiscard]] Tick lookahead() const { return lookahead_; }
-  [[nodiscard]] unsigned threads() const {
-    return static_cast<unsigned>(workers_.size());
-  }
+  /// Executors: the calling thread plus the helper threads.
+  [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// True when no domain has pending work (valid only at a barrier).
   /// O(1): the active list is exactly the set of non-idle domains.
   [[nodiscard]] bool idle() const { return active_.empty(); }
 
  private:
-  void worker_main(unsigned id);
+  void helper_main(unsigned stripe);
+  /// End and join every helper; the destructor's work, and the
+  /// constructor's when starting a helper throws.
+  void stop_helpers() noexcept;
+  /// Run stripe `stripe` of the active domains to the epoch bound.
+  [[nodiscard]] std::exception_ptr run_stripe(unsigned stripe) noexcept;
+  /// File the outboxes of the domains that ran, then rebuild the active
+  /// list from them and every domain they filed to.
+  void barrier();
 
   std::vector<Kernel*> domains_;
   Tick lookahead_;
   Tick epoch_start_ = 0;  // first tick of the next epoch to run
-  Tick epoch_end_ = 0;    // inclusive bound handed to workers
+  Tick epoch_end_ = 0;    // inclusive bound handed to the stripes
   Tick now_ = 0;
+  unsigned threads_ = 1;
 
-  /// Sorted indices of domains with pending work. Written by the
-  /// coordinator at barriers (workers parked); read by workers during an
-  /// epoch. The mu_ handshake that releases workers is the
-  /// happens-before edge.
+  /// Sorted indices of domains with pending work. Written by the calling
+  /// thread at barriers; read by the helpers during an epoch, after the
+  /// generation_ bump that releases them.
   std::vector<std::size_t> active_;
-  /// Wake list: domains whose staged mailbox went nonempty this epoch.
-  /// Appended by whichever worker thread posted (via Kernel's post-notify
-  /// hook), drained by the coordinator at the barrier.
-  std::vector<std::size_t> woken_;
-  std::mutex wake_mu_;
+  /// Barrier scratch: listed_[d] is set while d is on the list being
+  /// rebuilt, so a domain that receives many messages is listed once.
+  std::vector<std::uint8_t> listed_;
 
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;  // bumped to release workers into an epoch
-  unsigned running_ = 0;          // workers still inside the current epoch
+  /// One slot per stripe: the exception it threw this epoch, if any.
+  std::vector<std::exception_ptr> errors_;
+  /// Bumped (release) by the caller to start an epoch or, with stop_
+  /// set, to end the helpers; each helper waits for it to move.
+  std::atomic<std::uint32_t> generation_{0};
+  /// Helpers still inside the current epoch; the last one to finish
+  /// wakes the caller.
+  std::atomic<std::uint32_t> running_{0};
   bool stop_ = false;
-  std::exception_ptr error_;  // first failure from any worker
+  std::vector<std::thread> helpers_;  // last: started once the rest exists
 };
 
 }  // namespace sv::sim

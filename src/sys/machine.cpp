@@ -55,14 +55,11 @@ Machine::Machine(Params params) : params_(params) {
     network_ = std::make_unique<net::IdealNetwork>(map, "net", np);
   }
 
-  Node::Params node_params = params_.node;
-  node_params.num_nodes = params_.nodes;
-
   nodes_.reserve(params_.nodes);
   for (sim::NodeId i = 0; i < params_.nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(domain(i),
                                             'n' + std::to_string(i), i,
-                                            *network_, node_params));
+                                            *network_, params_.node));
   }
   const msg::AddressMap map = addr_map();
   const std::vector<std::byte> xlat = Node::encode_translation_table(map);

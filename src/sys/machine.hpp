@@ -38,7 +38,8 @@ class Machine {
     /// created, so a fault-free machine is bit-identical to one built
     /// before the fault subsystem existed.
     fault::Plan fault;
-    /// Worker threads for partitioned execution; 0 = classic sequential
+    /// Threads that run domains in partitioned execution (the calling
+    /// thread and threads - 1 helpers); 0 = classic sequential
     /// single-domain machine. Any value > 0 partitions into one domain per
     /// node (requires NetKind::kIdeal) and gives identical results for
     /// every thread count.
@@ -112,7 +113,7 @@ class Machine {
  private:
   Params params_;
   // Kernels are declared first so every object holding a Kernel& is
-  // destroyed before its domain; sched_ last so worker threads join first.
+  // destroyed before its domain; sched_ last so helper threads join first.
   std::vector<std::unique_ptr<sim::Kernel>> domains_;
   std::unique_ptr<fault::Injector> fault_;
   std::vector<std::unique_ptr<trace::Tracer>> tracers_;

@@ -9,7 +9,7 @@ namespace sv::sys {
 
 Node::Node(sim::Kernel& kernel, const std::string& name, sim::NodeId id,
            net::Network& network, Params params)
-    : id_(id), params_(params) {
+    : id_(id), num_nodes_(network.num_nodes()), params_(params) {
   bus_ = std::make_unique<mem::MemBus>(kernel, name + ".bus", params.bus);
 
   mem::DramCtrl::Params dram;
@@ -40,11 +40,11 @@ Node::Node(sim::Kernel& kernel, const std::string& name, sim::NodeId id,
                                          sbiu);
   numa_ = std::make_unique<fw::NumaEngine>(
       kernel, name + ".fw.numa", *sp_, sbiu,
-      fw::NumaEngine::Params{params.num_nodes});
+      fw::NumaEngine::Params{num_nodes_});
   if (params.enable_scoma) {
     scoma_ = std::make_unique<fw::ScomaEngine>(
         kernel, name + ".fw.scoma", *sp_, sbiu,
-        fw::ScomaEngine::Params{params.num_nodes});
+        fw::ScomaEngine::Params{num_nodes_});
   }
   miss_ = std::make_unique<fw::MissService>(kernel, name + ".fw.miss", *sp_,
                                             sbiu);

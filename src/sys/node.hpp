@@ -25,7 +25,6 @@ namespace sv::sys {
 class Node {
  public:
   struct Params {
-    std::size_t num_nodes = 2;
     mem::Addr dram_size = niu::kApDramDefaultSize;
     mem::Addr scoma_size = niu::kScomaDefaultSize;
     mem::Addr numa_backing_size = 64ull * 1024 * 1024;
@@ -139,6 +138,8 @@ class Node {
   void start();
 
   [[nodiscard]] sim::NodeId id() const { return id_; }
+  /// Nodes in the machine: the network's count.
+  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] mem::MemBus& bus() { return *bus_; }
   [[nodiscard]] mem::DramCtrl& dram() { return *dram_; }
   [[nodiscard]] mem::SnoopingCache& cache() { return *cache_; }
@@ -174,6 +175,7 @@ class Node {
                                std::span<const std::byte> table);
 
   sim::NodeId id_;
+  std::size_t num_nodes_;
   Params params_;
   std::unique_ptr<mem::MemBus> bus_;
   std::unique_ptr<mem::DramCtrl> dram_;

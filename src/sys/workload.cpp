@@ -148,7 +148,7 @@ const KeyTable& machine_keys() {
                    "network (default fattree; ideal when threads>0)"),
         uint_key("radix", 4, 2, 16, "fat-tree router radix"),
         uint_key("threads", 0, 0, 64,
-                 "worker threads; >0 runs one event domain per node"),
+                 "threads running domains; >0: one domain per node"),
         uint_key("dram_mb", 16, 8, 1024, "aP DRAM per node, MiB"),
         uint_key("scoma_mb", 2, 1, 64, "S-COMA DRAM per node, MiB"),
         bool_key("scoma", "1", "S-COMA firmware and region"),

@@ -193,9 +193,8 @@ TEST(SsramLayout, RegionsAreDisjointAndEveryRouteDecodes) {
     SCOPED_TRACE("nodes=" + std::to_string(nodes));
     sim::Kernel kernel;
     net::IdealNetwork net(kernel, "net", {.nodes = nodes});
-    sys::Node::Params params =
+    const sys::Node::Params params =
         test::small_machine_params(nodes, sys::Machine::NetKind::kIdeal).node;
-    params.num_nodes = nodes;
     sys::Node node(kernel, "n0", 0, net, params);
     const msg::AddressMap map{nodes};
     node.setup(map, sys::Node::encode_translation_table(map));

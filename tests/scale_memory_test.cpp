@@ -28,7 +28,10 @@ std::atomic<std::uint64_t> g_bytes{0};
 // Counting global allocator: cumulative requested bytes. Frees are not
 // tracked — construction cost is what the budgets bound, and a transient
 // buffer counts against it like a retained one (both are peak pressure).
-void* operator new(std::size_t n) {
+// None of these is inlined: at -O3, g++ 12 would see malloc() inlined on
+// one side of a new/delete pair and free() on the other, and report a
+// mismatched deallocation (-Wmismatched-new-delete) that cannot happen.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) {
     return p;
@@ -36,14 +39,18 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
   g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

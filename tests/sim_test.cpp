@@ -12,6 +12,7 @@
 #include "sim/config.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 
@@ -396,10 +397,10 @@ TEST(Kernel, MailboxOrdersByTickSourceSequence) {
   // (when, src, seq) key alone.
   Kernel k;
   std::vector<int> order;
-  k.post(20, /*src=*/1, /*seq=*/2, [&] { order.push_back(3); });
-  k.post(10, /*src=*/2, /*seq=*/1, [&] { order.push_back(2); });
-  k.post(10, /*src=*/0, /*seq=*/9, [&] { order.push_back(0); });
-  k.post(10, /*src=*/1, /*seq=*/5, [&] { order.push_back(1); });
+  k.post(k, 20, /*src=*/1, /*seq=*/2, [&] { order.push_back(3); });
+  k.post(k, 10, /*src=*/2, /*seq=*/1, [&] { order.push_back(2); });
+  k.post(k, 10, /*src=*/0, /*seq=*/9, [&] { order.push_back(0); });
+  k.post(k, 10, /*src=*/1, /*seq=*/5, [&] { order.push_back(1); });
   k.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(k.now(), 20u);
@@ -416,25 +417,37 @@ TEST(Kernel, MailboxInjectsAfterQueuedBeforeScheduledDuring) {
     order.push_back(0);
     k.schedule(0, [&] { order.push_back(2); });
   });
-  k.post(10, 0, 1, [&] { order.push_back(1); });
+  k.post(k, 10, 0, 1, [&] { order.push_back(1); });
   k.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Kernel, DeferredMailboxInvisibleUntilCommit) {
-  Kernel k;
-  bool fired = false;
-  k.set_deferred_mailbox(true);
-  k.post(10, 0, 1, [&] { fired = true; });
-  EXPECT_TRUE(k.idle());  // staged messages are not pending work yet
-  k.run();
-  EXPECT_FALSE(fired);
-  k.commit_mailbox();
-  EXPECT_FALSE(k.idle());
-  EXPECT_EQ(k.next_event_time(), 10u);
-  k.run();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(k.now(), 10u);
+TEST(Kernel, PostWaitsInSendersOutboxUntilTheBarrier) {
+  // Domain 0 posts to domain 1 at t=10 for t=150. The message waits in
+  // domain 0's outbox, invisible to domain 1, until the epoch barrier
+  // files it; then domain 1 runs it at its tick. One executor, so the
+  // events may inspect the other domain.
+  constexpr Tick kLookahead = 100;
+  std::vector<Kernel> ks(2);
+  Tick fired_at = 0;
+  bool seen_before_barrier = true;
+  ks[0].schedule(10, [&] {
+    ks[0].post(ks[1], 150, /*src=*/0, /*seq=*/1,
+               [&] { fired_at = ks[1].now(); });
+    seen_before_barrier = !ks[1].idle();
+  });
+  ks[0].schedule(90, [&] { seen_before_barrier |= !ks[1].idle(); });
+  ParallelKernel pk({&ks[0], &ks[1]}, 1, kLookahead);
+
+  pk.run_epoch();
+  EXPECT_FALSE(seen_before_barrier);
+  EXPECT_FALSE(ks[1].idle());  // filed at the barrier
+  EXPECT_EQ(ks[1].next_event_time(), 150u);
+  EXPECT_EQ(fired_at, 0u);
+
+  pk.run_epoch();
+  EXPECT_EQ(fired_at, 150u);
+  EXPECT_TRUE(pk.idle());
 }
 
 TEST(Clock, CycleConversions) {
