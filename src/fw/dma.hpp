@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "fw/firmware.hpp"
 #include "niu/block_ops.hpp"
@@ -64,7 +64,7 @@ class DmaEngine final : public FwService {
   sim::Co<void> handle(DmaRequest req);
   sim::Co<void> wait_done(std::uint32_t tag);
 
-  std::deque<std::uint32_t> completed_tags_;
+  std::vector<std::uint32_t> completed_tags_;  // tags leave from the middle
   sim::Signal done_seen_;
   std::uint32_t next_tag_ = 0x40000000;
 };

@@ -2,10 +2,18 @@
 //
 // Timing lives in the bus/controller models; BackingStore is purely
 // functional so every simulated data movement is real and checkable.
+//
+// Pages can be shared between stores: adopt() hands another store's whole
+// pages to this one instead of copying them, so the 1024 nodes of a
+// machine hold one copy of their common translation table. A shared page
+// is immutable: whichever holder writes it first copies it into a page of
+// its own, so sharing never shows in what any store reads.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +52,14 @@ class BackingStore {
   /// Fill a range with a byte value.
   void fill(Addr addr, std::size_t len, std::byte value);
 
+  /// Make [addr, addr + len) hold what `src` holds there, exactly as
+  /// writing src's bytes would, but share every whole page of the range
+  /// that `src` has instead of copying it. Partial pages at either end,
+  /// and pages `src` never wrote, are written as write() would. From then
+  /// on the shared pages are immutable in both stores: the first write
+  /// through either copies the page.
+  void adopt(const BackingStore& src, Addr addr, std::size_t len);
+
   [[nodiscard]] std::size_t allocated_pages() const { return pages_.size(); }
 
   /// Snapshot digest: page count plus a CRC-32 over (index, bytes) of every
@@ -51,20 +67,29 @@ class BackingStore {
   /// order is host-dependent, so the digest sorts first — a snapshot must
   /// be a pure function of simulated state (DESIGN.md §14). Bulk payload is
   /// digested rather than dumped raw; a single flipped byte still fails
-  /// restore verification.
+  /// restore verification. Shared and owned pages digest alike.
   void ckpt_save(ckpt::Writer& w) const;
 
  private:
-  using Page = std::vector<std::byte>;
+  struct Page {
+    /// Set when a second store adopts the page, and never cleared: the
+    /// bytes are then immutable (see writable_page).
+    bool shared = false;
+    std::array<std::byte, kPageBytes> bytes{};
+  };
 
   [[nodiscard]] const Page* find_page(Addr page_index) const;
-  Page& get_page(Addr page_index);
+  /// The page's bytes, ready to write: created zeroed if absent, copied
+  /// into a page this store owns if shared.
+  std::byte* writable_page(Addr page_index);
 
-  std::unordered_map<Addr, Page> pages_;
+  std::unordered_map<Addr, std::shared_ptr<Page>> pages_;
   // One-entry lookup cache: accesses are overwhelmingly sequential, so
-  // most hash lookups repeat the previous page. Node pointers are stable
-  // under insertion and nothing erases, so the cache never goes stale
-  // (mutable: caching inside const read() is not observable).
+  // most hash lookups repeat the previous page. Pages live on the heap and
+  // only adopt() and a copy-on-write replace one, both of which refresh
+  // the cache, so it never goes stale (mutable: caching inside const
+  // read() is not observable). The write path rechecks the page's shared
+  // flag, because another store's adopt() may set it at any time.
   mutable Addr last_index_ = ~Addr{0};
   mutable Page* last_page_ = nullptr;
 };

@@ -29,18 +29,18 @@ SnoopingCache::SnoopingCache(sim::Kernel& kernel, std::string name,
       bus_(bus),
       bus_id_(bus.attach(this)),
       params_(params),
+      num_sets_(std::max<std::size_t>(
+          1, params.size_bytes / kLineBytes / params.ways)),
       op_mutex_(kernel, 1) {
-  const std::size_t lines = params_.size_bytes / kLineBytes;
-  const std::size_t num_sets = std::max<std::size_t>(1, lines / params_.ways);
   // Sets materialize lazily (see materialize_set): a 512KB cache is ~0.75MB
   // of Line storage, which dominates an idle node's footprint at scale. An
   // empty set reads as all-invalid everywhere (find_line and ckpt_save
   // iterate what exists), so laziness is invisible to behavior and digests.
-  sets_.resize(num_sets);
+  directory_.resize((num_sets_ + kSetsPerChunk - 1) / kSetsPerChunk);
 }
 
 std::size_t SnoopingCache::set_index(Addr addr) const {
-  return static_cast<std::size_t>((addr / kLineBytes) % sets_.size());
+  return static_cast<std::size_t>((addr / kLineBytes) % num_sets_);
 }
 
 std::size_t SnoopingCache::chunk_count(Addr addr, std::size_t size) {
@@ -407,7 +407,7 @@ void SnoopingCache::ckpt_save(ckpt::Writer& w) const {
   w.u64(lru_clock_);
   std::uint64_t valid = 0;
   std::uint32_t crc = 0;
-  for (std::size_t si = 0; si < sets_.size(); ++si) {
+  for (std::size_t si = 0; si < num_sets_; ++si) {
     const std::span<const Line> set = ways(si);
     for (std::size_t way = 0; way < set.size(); ++way) {
       const Line& line = set[way];

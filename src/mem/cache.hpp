@@ -98,8 +98,13 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   /// the idle-node footprint on this.
   [[nodiscard]] std::size_t sets_materialized() const {
     std::size_t n = 0;
-    for (const Set& s : sets_) {
-      n += s ? 1 : 0;
+    for (const auto& chunk : directory_) {
+      if (chunk == nullptr) {
+        continue;
+      }
+      for (const Set& s : *chunk) {
+        n += s ? 1 : 0;
+      }
     }
     return n;
   }
@@ -145,21 +150,32 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
     std::array<std::byte, kLineBytes> data{};
     bool push_pending = false;  // a snoop-push flush has been scheduled
   };
-  /// One set's ways, or null until the set's first fill: the directory
-  /// holds one pointer per set, 8 bytes where a vector took 24.
+  /// One set's ways, or null until the set's first fill.
   using Set = std::unique_ptr<Line[]>;
+  /// The directory holds a pointer per chunk of kSetsPerChunk sets, null
+  /// until the first fill of one of them: an idle 2 048-set cache costs a
+  /// 256-byte table, and a node that touches a few dozen sets a few chunks.
+  static constexpr std::size_t kSetsPerChunk = 64;
+  using Chunk = std::array<Set, kSetsPerChunk>;
 
   [[nodiscard]] std::size_t set_index(Addr addr) const;
-  /// The ways of `set`; empty while the set does not exist.
+  /// The ways of `set`; empty while the set (or its chunk) does not exist.
   [[nodiscard]] std::span<Line> ways(std::size_t set) const {
-    Line* s = sets_[set].get();
+    const Chunk* c = directory_[set / kSetsPerChunk].get();
+    Line* s = c == nullptr ? nullptr : (*c)[set % kSetsPerChunk].get();
     return {s, s == nullptr ? 0 : params_.ways};
   }
-  /// Allocate a set's ways on first line-creating access. All lines start
-  /// invalid, which is indistinguishable from the set never existing.
+  /// Allocate a set's ways (and its chunk) on first line-creating access.
+  /// All lines start invalid, which is indistinguishable from the set never
+  /// existing.
   void materialize_set(std::size_t set) {
-    if (!sets_[set]) {
-      sets_[set] = std::make_unique<Line[]>(params_.ways);
+    std::unique_ptr<Chunk>& c = directory_[set / kSetsPerChunk];
+    if (!c) {
+      c = std::make_unique<Chunk>();
+    }
+    Set& s = (*c)[set % kSetsPerChunk];
+    if (!s) {
+      s = std::make_unique<Line[]>(params_.ways);
     }
   }
   [[nodiscard]] Line* find_line(Addr addr);
@@ -175,7 +191,8 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   MemBus& bus_;
   int bus_id_;
   Params params_;
-  std::vector<Set> sets_;
+  std::size_t num_sets_;
+  std::vector<std::unique_ptr<Chunk>> directory_;
   std::uint64_t lru_clock_ = 0;
   sim::Semaphore op_mutex_;  // one processor-side operation at a time
   CacheStats stats_;

@@ -36,6 +36,14 @@ void DualPortedSram::write(Addr offset, std::span<const std::byte> in) {
   store_.write(offset, in);
 }
 
+void DualPortedSram::adopt(const BackingStore& src, Addr offset,
+                           std::size_t len) {
+  if (offset + len > params_.size) {
+    throw std::out_of_range(name() + ": SRAM write out of range");
+  }
+  store_.adopt(src, offset, len);
+}
+
 void DualPortedSram::ckpt_save(ckpt::Writer& w) const {
   ckpt::save(w, busy_[0]);
   ckpt::save(w, busy_[1]);

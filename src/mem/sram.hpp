@@ -41,6 +41,9 @@ class DualPortedSram : public sim::SimObject {
   /// Functional storage (offsets are bank-relative).
   void read(Addr offset, std::span<std::byte> out) const;
   void write(Addr offset, std::span<const std::byte> in);
+  /// Backdoor write of what `src` holds at [offset, offset + len), sharing
+  /// its whole pages (BackingStore::adopt).
+  void adopt(const BackingStore& src, Addr offset, std::size_t len);
 
   template <typename T>
   [[nodiscard]] T read_scalar(Addr offset) const {

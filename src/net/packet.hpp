@@ -18,7 +18,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -152,7 +151,7 @@ class PacketPool {
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
  private:
-  std::deque<Packet> slots_;  // deque: handles stay stable as it grows
+  std::vector<Packet> slots_;  // handles are indices, so slots may move
   std::vector<Handle> free_;
 };
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "sim/coro.hpp"
+#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 
@@ -57,7 +57,7 @@ class Router : public sim::SimObject {
 
  private:
   struct InPort {
-    std::array<std::deque<Packet>, kNumPriorities> vq;
+    std::array<sim::Fifo<Packet>, kNumPriorities> vq;
     Link* upstream = nullptr;
   };
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <optional>
 
@@ -28,6 +27,7 @@
 #include "niu/queues.hpp"
 #include "niu/regs.hpp"
 #include "sim/coro.hpp"
+#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 #include "trace/trace.hpp"
@@ -281,7 +281,7 @@ class Ctrl : public sim::SimObject {
     std::uint64_t flow;
     sim::Tick since;
   };
-  std::array<std::deque<RxResident>, kNumRxQueues> rx_resident_;
+  std::array<sim::Fifo<RxResident>, kNumRxQueues> rx_resident_;
 };
 
 }  // namespace sv::niu

@@ -10,11 +10,11 @@
 #pragma once
 
 #include <array>
-#include <deque>
 
 #include "net/network.hpp"
 #include "niu/ctrl.hpp"
 #include "sim/coro.hpp"
+#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 
 namespace sv::niu {
@@ -57,7 +57,7 @@ class RxU : public sim::SimObject {
 
   Ctrl& ctrl_;
   net::Network& network_;
-  std::array<std::deque<net::Packet>, net::kNumPriorities> vq_;
+  std::array<sim::Fifo<net::Packet>, net::kNumPriorities> vq_;
   sim::Signal arrived_;
   bool started_ = false;
 };

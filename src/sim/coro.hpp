@@ -20,13 +20,13 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/kernel.hpp"
 #include "sim/types.hpp"
@@ -374,8 +374,8 @@ class Channel {
   };
 
   Kernel* kernel_;
-  std::deque<T> items_;
-  std::deque<Waiter*> waiters_;
+  Fifo<T> items_;
+  Fifo<Waiter*> waiters_;
 };
 
 // ---------------------------------------------------------------------------
@@ -469,7 +469,7 @@ class Semaphore {
  private:
   Kernel* kernel_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace sv::sim

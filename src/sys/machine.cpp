@@ -62,7 +62,7 @@ Machine::Machine(Params params) : params_(params) {
                                             *network_, params_.node));
   }
   const msg::AddressMap map = addr_map();
-  const std::vector<std::byte> xlat = Node::encode_translation_table(map);
+  const mem::BackingStore xlat = Node::encode_translation_table(map);
   for (auto& n : nodes_) {
     n->setup(map, xlat);
     n->start();

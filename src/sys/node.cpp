@@ -157,7 +157,7 @@ std::vector<Node::SsramRegion> Node::ssram_regions(
   return regions;
 }
 
-std::vector<std::byte> Node::encode_translation_table(
+mem::BackingStore Node::encode_translation_table(
     const msg::AddressMap& map) {
   std::vector<std::byte> table(map.table_entries() * niu::XlatEntry::kBytes);
   const std::size_t stride = map.stride();
@@ -192,7 +192,9 @@ std::vector<std::byte> Node::encode_translation_table(
     }
     e.encode(table.data() + v * niu::XlatEntry::kBytes);
   }
-  return table;
+  mem::BackingStore store;
+  store.write(translation_table_region(map).base, table);
+  return store;
 }
 
 void Node::check_ssram_layout(std::span<const SsramRegion> regions,
@@ -221,13 +223,8 @@ void Node::check_ssram_layout(std::span<const SsramRegion> regions,
 }
 
 void Node::write_translation_table(const msg::AddressMap& map,
-                                   std::span<const std::byte> table) {
+                                   const mem::BackingStore& table) {
   const SsramRegion region = translation_table_region(map);
-  if (table.size() != region.bytes) {
-    throw std::logic_error("Node::setup: translation table of " +
-                           std::to_string(table.size()) + " bytes, want " +
-                           std::to_string(region.bytes));
-  }
   check_ssram_layout(ssram_regions(map),
                      static_cast<std::uint32_t>(niu_->ssram().size()));
 
@@ -239,11 +236,11 @@ void Node::write_translation_table(const msg::AddressMap& map,
   // queue's OR mask (sections are power-of-two aligned).
   ctrl.txq(kTxExpress).or_mask = map.express_section();
 
-  niu_->ssram().write(region.base, table);
+  niu_->ssram().adopt(table, region.base, region.bytes);
 }
 
 void Node::setup(const msg::AddressMap& map,
-                 std::span<const std::byte> xlat_table) {
+                 const mem::BackingStore& xlat_table) {
   if (setup_done_) {
     throw std::logic_error("Node::setup called twice");
   }

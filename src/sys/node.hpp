@@ -114,9 +114,12 @@ class Node {
   [[nodiscard]] static std::vector<SsramRegion> ssram_regions(
       const msg::AddressMap& map);
 
-  /// `map`'s translation table as sSRAM bytes. Every node holds the same
-  /// table, so a machine encodes it once and hands it to each setup().
-  [[nodiscard]] static std::vector<std::byte> encode_translation_table(
+  /// `map`'s translation table, written into a store at the sSRAM offset
+  /// translation_table_region(map) gives it. Every node holds the same
+  /// table, so a machine encodes it once and each setup() adopts its
+  /// whole pages (mem::BackingStore::adopt): above 64 nodes the table
+  /// fills whole pages, which the nodes then share until one writes them.
+  [[nodiscard]] static mem::BackingStore encode_translation_table(
       const msg::AddressMap& map);
 
   /// Throws std::invalid_argument naming both regions if two of `regions`
@@ -131,8 +134,7 @@ class Node {
   /// boot"). `xlat_table` is encode_translation_table(map). Throws
   /// std::invalid_argument if the sSRAM regions overlap. Call once before
   /// start().
-  void setup(const msg::AddressMap& map,
-             std::span<const std::byte> xlat_table);
+  void setup(const msg::AddressMap& map, const mem::BackingStore& xlat_table);
 
   /// Spawn NIU and firmware processes.
   void start();
@@ -172,7 +174,7 @@ class Node {
   void setup_tx_queues();
   void setup_rx_queues();
   void write_translation_table(const msg::AddressMap& map,
-                               std::span<const std::byte> table);
+                               const mem::BackingStore& table);
 
   sim::NodeId id_;
   std::size_t num_nodes_;

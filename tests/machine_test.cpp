@@ -235,6 +235,31 @@ TEST(SsramLayout, RegionsAreDisjointAndEveryRouteDecodes) {
   }
 }
 
+// Every node of a machine shares the pages of one translation table until
+// it writes them. At 128 nodes the table is 4 KiB and fills the page at
+// 0x28000 exactly, so all 128 nodes start on one page: a backdoor write to
+// node 0's entry for node 5 must give node 0 its own copy and leave node
+// 1's entry as it was.
+TEST(SsramLayout, NodesShareTheTableUntilOneWritesIt) {
+  sys::Machine machine(
+      test::small_machine_params(128, sys::Machine::NetKind::kIdeal));
+  const msg::AddressMap map = machine.addr_map();
+  const sys::Node::SsramRegion table =
+      sys::Node::translation_table_region(map);
+  ASSERT_EQ(table.base, 0x28000u);
+  ASSERT_EQ(table.bytes, mem::BackingStore::kPageBytes);
+  const mem::Addr entry = table.base + 5 * niu::XlatEntry::kBytes;
+  auto read_entry = [&](sim::NodeId n) {
+    return machine.node(n).niu().ssram().read_scalar<std::uint64_t>(entry);
+  };
+  const std::uint64_t before = read_entry(1);
+  EXPECT_EQ(read_entry(0), before);
+  machine.node(0).niu().ssram().write_scalar<std::uint64_t>(entry, ~before);
+  EXPECT_EQ(read_entry(0), ~before);
+  EXPECT_EQ(read_entry(1), before);
+  EXPECT_EQ(read_entry(127), before);
+}
+
 TEST(SsramLayout, OverlapIsRejectedNamingBothRegions) {
   // The table placed at 0x0000 regardless of size, as it once was: at 128
   // nodes its 4 KiB run into the NUMA scratch slot at 0x0F00.

@@ -41,6 +41,106 @@ TEST(BackingStore, FillRange) {
   EXPECT_EQ(s.read_scalar<std::uint8_t>(30), 0x00);
 }
 
+std::vector<std::byte> ckpt_bytes(const BackingStore& s) {
+  ckpt::Writer w;
+  s.ckpt_save(w);
+  return w.data();
+}
+
+std::vector<std::byte> read_bytes(const BackingStore& s, Addr addr,
+                                  std::size_t len) {
+  std::vector<std::byte> out(len);
+  s.read(addr, out);
+  return out;
+}
+
+// A source holding three whole pages (and a stray byte outside the range),
+// as a machine's encoded translation table holds its pages.
+constexpr Addr kRangeBase = 5 * BackingStore::kPageBytes;
+constexpr std::size_t kRangeBytes = 3 * BackingStore::kPageBytes;
+
+BackingStore range_only() {
+  BackingStore s;
+  s.write(kRangeBase, test::pattern_bytes(kRangeBytes));
+  return s;
+}
+
+BackingStore filled_source() {
+  BackingStore src = range_only();
+  src.write_scalar<std::uint8_t>(0x100, 0x77);  // outside: never adopted
+  return src;
+}
+
+TEST(BackingStore, AdoptedPagesMatchAByteByByteCopy) {
+  const BackingStore src = filled_source();
+  for (const auto& [addr, len] : std::vector<std::pair<Addr, std::size_t>>{
+           {kRangeBase, kRangeBytes},            // whole pages only
+           {kRangeBase + 100, kRangeBytes - 300},  // partial at both ends
+           {kRangeBase - 64, kRangeBytes + 128},   // reaches unwritten pages
+           // Past the range's end: a whole page the source never wrote.
+           {kRangeBase, kRangeBytes + BackingStore::kPageBytes},
+       }) {
+    SCOPED_TRACE("addr " + std::to_string(addr) + " len " +
+                 std::to_string(len));
+    BackingStore copied;
+    copied.write_scalar<std::uint32_t>(kRangeBase + 8, 0xAAAAAAAA);
+    copied.write(addr, read_bytes(src, addr, len));
+    BackingStore adopted;
+    adopted.write_scalar<std::uint32_t>(kRangeBase + 8, 0xAAAAAAAA);
+    adopted.adopt(src, addr, len);
+    EXPECT_EQ(read_bytes(adopted, 0, 10 * BackingStore::kPageBytes),
+              read_bytes(copied, 0, 10 * BackingStore::kPageBytes));
+    EXPECT_EQ(adopted.allocated_pages(), copied.allocated_pages());
+    EXPECT_EQ(ckpt_bytes(adopted), ckpt_bytes(copied));
+  }
+}
+
+TEST(BackingStore, WriteToAnAdoptedPageCopiesIt) {
+  BackingStore src = filled_source();
+  const auto src_ckpt = ckpt_bytes(src);
+  BackingStore a;
+  BackingStore b;
+  a.adopt(src, kRangeBase, kRangeBytes);
+  b.adopt(src, kRangeBase, kRangeBytes);
+  // Read first, so the one-entry page cache holds the shared page when
+  // the write comes.
+  const Addr at = kRangeBase + BackingStore::kPageBytes + 40;
+  const auto before = a.read_scalar<std::uint64_t>(at);
+  a.write_scalar<std::uint64_t>(at, ~before);
+  EXPECT_EQ(a.read_scalar<std::uint64_t>(at), ~before);
+  EXPECT_EQ(b.read_scalar<std::uint64_t>(at), before);
+  EXPECT_EQ(src.read_scalar<std::uint64_t>(at), before);
+  EXPECT_EQ(ckpt_bytes(src), src_ckpt);
+  EXPECT_EQ(ckpt_bytes(b), ckpt_bytes(range_only()));
+  // The source's own writes copy too: the page stays what b adopted.
+  src.write_scalar<std::uint64_t>(at, 0);
+  EXPECT_EQ(b.read_scalar<std::uint64_t>(at), before);
+  EXPECT_EQ(a.allocated_pages(), 3u);
+}
+
+TEST(BackingStore, AdoptCopiesPartialPagesAtEitherEnd) {
+  BackingStore src = filled_source();
+  BackingStore dst;
+  // Starts 100 bytes into the first page and ends 200 bytes short of the
+  // third: only the middle page is whole.
+  dst.adopt(src, kRangeBase + 100, kRangeBytes - 300);
+  ASSERT_EQ(dst.allocated_pages(), 3u);
+  // Bytes outside the range on the partial pages were not taken.
+  EXPECT_EQ(dst.read_scalar<std::uint8_t>(kRangeBase + 99), 0);
+  EXPECT_EQ(dst.read_scalar<std::uint8_t>(kRangeBase + kRangeBytes - 200),
+            0);
+  // The partial pages are copies: writing the source's changes nothing
+  // in dst, and writing dst's changes nothing in the source.
+  const Addr first = kRangeBase + 100;
+  const Addr last = kRangeBase + kRangeBytes - 201;
+  const auto first_val = dst.read_scalar<std::uint8_t>(first);
+  const auto last_val = dst.read_scalar<std::uint8_t>(last);
+  src.write_scalar<std::uint8_t>(first, first_val ^ 0xFF);
+  dst.write_scalar<std::uint8_t>(last, last_val ^ 0xFF);
+  EXPECT_EQ(dst.read_scalar<std::uint8_t>(first), first_val);
+  EXPECT_EQ(src.read_scalar<std::uint8_t>(last), last_val);
+}
+
 /// A scriptable bus device for protocol tests.
 class FakeDevice : public BusDevice {
  public:

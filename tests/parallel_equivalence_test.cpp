@@ -6,6 +6,7 @@
 // parallel mode has silently become a different simulator.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,8 @@ const std::uint64_t kSeeds[] = {sim::Rng::kDefaultSeed,
 /// byte-identical stats and span dumps. The spec's net must be kIdeal
 /// (partitioning requires it) and its tracer must be big enough that
 /// nothing is dropped — a wrapped ring would hide divergence.
-void expect_bit_identical_across_threads(test::RunSpec spec) {
+void expect_bit_identical_across_threads(
+    test::RunSpec spec, std::span<const unsigned> sweep = kThreadSweep) {
   spec.net = sys::Machine::NetKind::kIdeal;
   spec.trace_capacity = kTraceCapacity;
 
@@ -36,7 +38,7 @@ void expect_bit_identical_across_threads(test::RunSpec spec) {
   ASSERT_FALSE(seq.stats_json.empty());
   ASSERT_FALSE(seq.span_dump.empty());
 
-  for (const unsigned threads : kThreadSweep) {
+  for (const unsigned threads : sweep) {
     spec.threads = threads;
     const test::RunResult par = test::run_machine_and_dump_stats(spec);
     ASSERT_TRUE(par.completed) << "threads=" << threads;
@@ -132,6 +134,18 @@ TEST(ParallelEquivalence, MechanismDriversMatchSequential) {
     spec.check_conservation = run.back().rfind("background=", 0) != 0;
     expect_bit_identical_across_threads(spec);
   }
+}
+
+TEST(ParallelEquivalence, SharedTranslationPages128) {
+  // Above 64 nodes the translation table fills whole sSRAM pages, and
+  // every node's sSRAM shares them (mem::BackingStore::adopt), so here
+  // helper threads read one page at once for every translated send. 128
+  // nodes is the smallest such machine; two messages a node keep it quick
+  // enough for the TSan lane.
+  test::RunSpec spec("msg", {"count=2", "bytes=32"});
+  spec.nodes = 128;
+  const unsigned threads[] = {2, 4};
+  expect_bit_identical_across_threads(spec, threads);
 }
 
 TEST(ParallelEquivalence, OversubscribedThreadsStillIdentical) {

@@ -7,8 +7,8 @@
 // cache sets and no clsSRAM chunks.
 //
 // The 128-node cases run in every lane; the 1024-node case is gated on
-// SV_SCALE_SLOW=1 (the CI scale-smoke job sets it). Time budgets are per
-// node and generous enough for sanitizer lanes.
+// SV_SCALE_SLOW=1 (CI's "1024-node suites" step sets it). Time budgets are
+// per node and generous enough for sanitizer lanes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,12 +92,14 @@ BuildCost measure_build(std::unique_ptr<sys::Machine>& out,
   };
 }
 
-// Budgets. The lazy-state work (cache sets, clsSRAM chunks, sparse
-// backing pages) put measured cost around 200KB and well under 0.5ms per
-// node; the budgets leave ~4x headroom so they catch a regression to
-// eager allocation (a 512KB cache alone would blow the byte budget)
-// without flaking on slow hosts or sanitizer lanes.
-constexpr std::uint64_t kBytesPerNodeBudget = 768ull * 1024;
+// Budgets. Lazy state (cache sets and directory chunks, clsSRAM chunks,
+// sparse backing pages), queues that allocate on first push and one
+// translation table shared by every node put the measured cost at 27-31
+// KB per node, at 128 and at 1024 nodes, and well under 0.5ms. The byte
+// budget leaves 3x headroom and still catches any return to eager state:
+// with a deque per queue and a private table copy per node it read 117 KB
+// at 128 nodes and 130 KB at 1024, and a 512KB cache alone would blow it.
+constexpr std::uint64_t kBytesPerNodeBudget = 96ull * 1024;
 constexpr double kMsPerNodeBudget = 10.0;
 
 TEST(ScaleMemory, IdleNodesStayLazy) {
@@ -130,11 +132,14 @@ TEST(ScaleMemory, ConstructionBudgets1024) {
   EXPECT_LE(c.bytes_per_node, kBytesPerNodeBudget);
   EXPECT_LE(c.ms_per_node, kMsPerNodeBudget);
   // Per-node cost must not grow with machine size (the O(nodes^2) trap):
-  // compare against a small machine built the same way.
+  // compare against a small machine built the same way, within 1.5x.
+  // Measured 1.01x; a private copy of the 32 KiB table per node would
+  // read about 2.3x.
   std::unique_ptr<sys::Machine> small;
   const BuildCost s =
       measure_build(small, 64, sys::Machine::NetKind::kFatTree);
-  EXPECT_LE(c.bytes_per_node, s.bytes_per_node * 3)
+  RecordProperty("bytes_per_node_64", static_cast<int>(s.bytes_per_node));
+  EXPECT_LE(c.bytes_per_node * 2, s.bytes_per_node * 3)
       << "per-node allocation grows superlinearly with machine size";
 }
 

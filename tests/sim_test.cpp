@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "ckpt/io.hpp"
 #include "sim/config.hpp"
 #include "sim/coro.hpp"
+#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/parallel.hpp"
 #include "sim/random.hpp"
@@ -615,6 +617,89 @@ TEST(Semaphore, MutualExclusionAndFifoWakeup) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(k.now(), 30u);
   EXPECT_EQ(sem.available(), 1u);
+}
+
+TEST(Fifo, OrderHoldsAcrossGrowthWhileWrapped) {
+  Fifo<int> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  int next_in = 0;
+  int next_out = 0;
+  q.push_back(next_in++);
+  const std::size_t cap = q.capacity();
+  while (q.size() < cap) {
+    q.push_back(next_in++);
+  }
+  // Pop and push so the front moves off slot 0: the ring wraps.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop_front();
+    q.push_back(next_in++);
+  }
+  ASSERT_EQ(q.capacity(), cap);
+  // A full, wrapped ring grows twice; order survives both moves.
+  while (q.capacity() < 4 * cap) {
+    q.push_back(next_in++);
+  }
+  EXPECT_TRUE(std::has_single_bit(q.capacity()));
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(q.capacity(), 4 * cap);  // popping keeps the capacity
+}
+
+TEST(Fifo, HoldsMoveOnlyElements) {
+  Fifo<std::unique_ptr<int>> q;
+  for (int i = 0; i < 9; ++i) {
+    q.push_back(std::make_unique<int>(i));
+  }
+  Fifo<std::unique_ptr<int>> moved(std::move(q));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_NE(moved.front(), nullptr);
+    EXPECT_EQ(*moved.front(), i);
+    moved.pop_front();
+  }
+}
+
+/// Counts live instances: constructions (including moves) minus
+/// destructions.
+struct Counted {
+  static inline int live = 0;
+  int v;
+  explicit Counted(int x) : v(x) { ++live; }
+  Counted(Counted&& o) noexcept : v(o.v) { ++live; }
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() { --live; }
+};
+
+TEST(Fifo, DestroysEveryLiveElementExactlyOnce) {
+  Counted::live = 0;
+  {
+    Fifo<Counted> a;
+    for (int i = 0; i < 11; ++i) {  // grows through 4, 8, 16
+      a.push_back(Counted(i));
+    }
+    for (int i = 0; i < 5; ++i) {
+      a.pop_front();
+    }
+    EXPECT_EQ(Counted::live, 6);
+    Fifo<Counted> b;
+    for (int i = 0; i < 3; ++i) {
+      b.push_back(Counted(100 + i));
+    }
+    EXPECT_EQ(Counted::live, 9);
+    b = std::move(a);  // b's three are destroyed, a's six move over
+    EXPECT_EQ(Counted::live, 6);
+    EXPECT_EQ(b.front().v, 5);
+    b = Fifo<Counted>();
+    EXPECT_EQ(Counted::live, 0);
+    a.push_back(Counted(7));  // a moved-from Fifo is usable again
+    EXPECT_EQ(Counted::live, 1);
+  }
+  EXPECT_EQ(Counted::live, 0);
 }
 
 TEST(Stats, Histogram) {
