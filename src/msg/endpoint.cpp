@@ -22,36 +22,28 @@ mem::Addr asram_addr(std::uint32_t offset) {
 Endpoint::Endpoint(cpu::Processor& ap, Config config)
     : ap_(ap),
       config_(config),
-      tx_gate_(ap.kernel()),
-      rx_gate_(ap.kernel()),
-      extx_gate_(ap.kernel()),
-      raw_gate_(ap.kernel()) {}
+      tx_(ap.kernel()),
+      extx_(ap.kernel()),
+      raw_(ap.kernel()),
+      rx_gate_(ap.kernel(), 1) {}
 
-sim::Co<void> Endpoint::wait_tx_space() {
-  const auto& q = config_.tx;
-  while (static_cast<std::uint16_t>(tx_producer_ - tx_consumer_seen_) >=
+sim::Co<void> Endpoint::wait_space(TxCursor& c, const QueueConfig& q) {
+  while (static_cast<std::uint16_t>(c.producer - c.consumer_seen) >=
          q.slots) {
-    tx_consumer_seen_ = static_cast<std::uint16_t>(
+    c.consumer_seen = static_cast<std::uint16_t>(
         co_await ap_.load_scalar<std::uint32_t>(
             asram_addr(niu::tx_consumer_shadow(q.hwq)), /*cached=*/false));
   }
 }
 
-sim::Co<void> Endpoint::send(std::uint16_t vdest,
-                             std::span<const std::byte> data) {
-  if (data.size() > niu::kBasicMaxData) {
-    throw std::invalid_argument("Endpoint::send: message too large");
-  }
-  co_await tx_gate_.enter();
-  co_await wait_tx_space();
+sim::Co<void> Endpoint::launch(TxCursor& c, const QueueConfig& q,
+                               niu::MsgDescriptor d,
+                               std::span<const std::byte> data) {
+  co_await c.gate.acquire();
+  co_await wait_space(c, q);
 
-  const auto& q = config_.tx;
   const std::uint32_t slot =
-      q.base + static_cast<std::uint32_t>(tx_producer_ % q.slots) *
-                   q.slot_bytes;
-
-  niu::MsgDescriptor d;
-  d.vdest = vdest;
+      q.base + static_cast<std::uint32_t>(c.producer % q.slots) * q.slot_bytes;
   d.length = static_cast<std::uint8_t>(data.size());
   std::byte hdr[niu::kBasicHeaderBytes];
   d.encode(hdr);
@@ -65,12 +57,22 @@ sim::Co<void> Endpoint::send(std::uint16_t vdest,
                            niu::kBasicHeaderBytes + data.size());
 
   // Launch: a single uncached store to the pointer window.
-  ++tx_producer_;
+  ++c.producer;
   co_await ap_.store_scalar<std::uint32_t>(
       kNiuBase + kPtrWindowOffset +
           niu::ptr_window_addr(niu::PtrKind::kTxProducer, q.hwq),
-      tx_producer_, /*cached=*/false);
-  tx_gate_.leave();
+      c.producer, /*cached=*/false);
+  c.gate.release();
+}
+
+sim::Co<void> Endpoint::send(std::uint16_t vdest,
+                             std::span<const std::byte> data) {
+  if (data.size() > niu::kBasicMaxData) {
+    throw std::invalid_argument("Endpoint::send: message too large");
+  }
+  niu::MsgDescriptor d;
+  d.vdest = vdest;
+  co_await launch(tx_, config_.tx, d, data);
 }
 
 sim::Co<void> Endpoint::send_tagon(std::uint16_t vdest,
@@ -81,81 +83,29 @@ sim::Co<void> Endpoint::send_tagon(std::uint16_t vdest,
   if (data.size() + tagon_bytes > net::kMaxPayloadBytes) {
     throw std::invalid_argument("Endpoint::send_tagon: payload too large");
   }
-  co_await tx_gate_.enter();
-  co_await wait_tx_space();
-
-  const auto& q = config_.tx;
-  const std::uint32_t slot =
-      q.base + static_cast<std::uint32_t>(tx_producer_ % q.slots) *
-                   q.slot_bytes;
-
   niu::MsgDescriptor d;
   d.vdest = vdest;
-  d.length = static_cast<std::uint8_t>(data.size());
   d.flags = niu::MsgDescriptor::kFlagTagOn |
             (large ? niu::MsgDescriptor::kFlagTagOnLarge : 0);
   d.aux = sram_offset;
-  std::byte hdr[niu::kBasicHeaderBytes];
-  d.encode(hdr);
-
-  co_await ap_.store(asram_addr(slot), hdr);
-  if (!data.empty()) {
-    co_await ap_.store(asram_addr(slot + niu::kBasicHeaderBytes), data);
-  }
-  co_await ap_.flush_range(asram_addr(slot),
-                           niu::kBasicHeaderBytes + data.size());
-
-  ++tx_producer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kPtrWindowOffset +
-          niu::ptr_window_addr(niu::PtrKind::kTxProducer, q.hwq),
-      tx_producer_, /*cached=*/false);
-  tx_gate_.leave();
+  co_await launch(tx_, config_.tx, d, data);
 }
 
 sim::Co<void> Endpoint::send_raw(sim::NodeId dest, net::QueueId queue,
                                  std::span<const std::byte> data,
                                  bool high_priority) {
-  const auto& q = config_.raw_tx;
-  if (q.slots == 0) {
+  if (config_.raw_tx.slots == 0) {
     throw std::logic_error("Endpoint::send_raw: no raw queue configured");
   }
   if (data.size() > niu::kBasicMaxData) {
     throw std::invalid_argument("Endpoint::send_raw: message too large");
   }
-  co_await raw_gate_.enter();
-  while (static_cast<std::uint16_t>(raw_producer_ - raw_consumer_seen_) >=
-         q.slots) {
-    raw_consumer_seen_ = static_cast<std::uint16_t>(
-        co_await ap_.load_scalar<std::uint32_t>(
-            asram_addr(niu::tx_consumer_shadow(q.hwq)), /*cached=*/false));
-  }
-
-  const std::uint32_t slot =
-      q.base + static_cast<std::uint32_t>(raw_producer_ % q.slots) *
-                   q.slot_bytes;
   niu::MsgDescriptor d;
   d.vdest = static_cast<std::uint16_t>(dest);
-  d.length = static_cast<std::uint8_t>(data.size());
   d.flags = niu::MsgDescriptor::kFlagRaw |
             (high_priority ? niu::MsgDescriptor::kFlagHighPriority : 0);
   d.aux = queue;
-  std::byte hdr[niu::kBasicHeaderBytes];
-  d.encode(hdr);
-
-  co_await ap_.store(asram_addr(slot), hdr);
-  if (!data.empty()) {
-    co_await ap_.store(asram_addr(slot + niu::kBasicHeaderBytes), data);
-  }
-  co_await ap_.flush_range(asram_addr(slot),
-                           niu::kBasicHeaderBytes + data.size());
-
-  ++raw_producer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kPtrWindowOffset +
-          niu::ptr_window_addr(niu::PtrKind::kTxProducer, q.hwq),
-      raw_producer_, /*cached=*/false);
-  raw_gate_.leave();
+  co_await launch(raw_, config_.raw_tx, d, data);
 }
 
 sim::Co<void> Endpoint::stage(std::uint32_t sram_offset,
@@ -166,13 +116,13 @@ sim::Co<void> Endpoint::stage(std::uint32_t sram_offset,
 
 sim::Co<std::optional<Message>> Endpoint::try_recv() {
   const auto& q = config_.rx;
-  co_await rx_gate_.enter();
+  co_await rx_gate_.acquire();
   if (rx_consumer_ == rx_producer_seen_) {
     rx_producer_seen_ = static_cast<std::uint16_t>(
         co_await ap_.load_scalar<std::uint32_t>(
             asram_addr(niu::rx_producer_shadow(q.hwq)), /*cached=*/false));
     if (rx_consumer_ == rx_producer_seen_) {
-      rx_gate_.leave();
+      rx_gate_.release();
       co_return std::nullopt;
     }
   }
@@ -206,7 +156,7 @@ sim::Co<std::optional<Message>> Endpoint::try_recv() {
       kNiuBase + kPtrWindowOffset +
           niu::ptr_window_addr(niu::PtrKind::kRxConsumer, q.hwq),
       rx_consumer_, /*cached=*/false);
-  rx_gate_.leave();
+  rx_gate_.release();
   co_return msg;
 }
 
@@ -238,19 +188,14 @@ sim::Co<Message> Endpoint::recv_interrupt(sim::Cycles isr_cycles) {
 sim::Co<void> Endpoint::send_express(std::uint8_t vdest, std::uint8_t extra,
                                      std::uint32_t word) {
   const auto& q = config_.express_tx;
-  co_await extx_gate_.enter();
-  while (static_cast<std::uint16_t>(extx_producer_ - extx_consumer_seen_) >=
-         q.slots) {
-    extx_consumer_seen_ = static_cast<std::uint16_t>(
-        co_await ap_.load_scalar<std::uint32_t>(
-            asram_addr(niu::tx_consumer_shadow(q.hwq)), /*cached=*/false));
-  }
-  ++extx_producer_;
+  co_await extx_.gate.acquire();
+  co_await wait_space(extx_, q);
+  ++extx_.producer;
   co_await ap_.store_scalar<std::uint32_t>(
       kNiuBase + kExpressTxWindowOffset +
           niu::express_tx_addr(q.hwq, vdest, extra),
       word, /*cached=*/false);
-  extx_gate_.leave();
+  extx_.gate.release();
 }
 
 sim::Co<std::optional<ExpressMessage>> Endpoint::try_recv_express() {

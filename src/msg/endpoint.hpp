@@ -85,24 +85,6 @@ struct ExpressMessage {
   std::uint32_t word = 0;     // the 4 bytes carried on the data bus
 };
 
-/// Serializes one hardware queue's multi-step library protocol. Each send
-/// (or receive) is several bus operations with suspension points between
-/// them; two coroutines driving the same queue concurrently used to
-/// interleave those steps and compose into the same slot. The gate makes
-/// late arrivals queue behind the op in flight instead — back-to-back
-/// nonblocking sends from the app runtime are the first real client.
-/// Uncontended acquire/release never suspends and schedules nothing, so a
-/// single-user endpoint behaves exactly as before (bit-identical traces).
-class QueueGate {
- public:
-  explicit QueueGate(sim::Kernel& k) : sem_(k, 1) {}
-  [[nodiscard]] auto enter() { return sem_.acquire(); }
-  void leave() { sem_.release(); }
-
- private:
-  sim::Semaphore sem_;
-};
-
 class Endpoint {
  public:
   struct Config {
@@ -166,23 +148,39 @@ class Endpoint {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  /// Wait until the basic tx queue has a free slot.
-  sim::Co<void> wait_tx_space();
+  /// The library's side of one transmit queue. Each send is several bus
+  /// operations with suspension points between them; two coroutines
+  /// driving the same queue concurrently would interleave those steps and
+  /// compose into the same slot. The gate (one permit) makes late arrivals
+  /// queue behind the op in flight instead — back-to-back nonblocking
+  /// sends from the app runtime do exactly that. Uncontended
+  /// acquire/release never suspends and schedules nothing, so a
+  /// single-user endpoint runs as if there were no gate (bit-identical
+  /// traces). The receive side's gate follows the same rule.
+  struct TxCursor {
+    explicit TxCursor(sim::Kernel& k) : gate(k, 1) {}
+    sim::Semaphore gate;
+    std::uint16_t producer = 0;
+    std::uint16_t consumer_seen = 0;
+  };
+
+  /// Wait (holding c.gate) until queue `q` has a free slot, refreshing the
+  /// consumer from its aSRAM shadow with uncached loads.
+  sim::Co<void> wait_space(TxCursor& c, const QueueConfig& q);
+  /// Launch one Basic message on queue `q`: take the gate, wait for a free
+  /// slot, compose `d` (its length set from `data`) and `data` through the
+  /// cache, flush, and bump the producer with one uncached store.
+  sim::Co<void> launch(TxCursor& c, const QueueConfig& q,
+                       niu::MsgDescriptor d, std::span<const std::byte> data);
 
   cpu::Processor& ap_;
   Config config_;
-  QueueGate tx_gate_;    // basic tx (send / send_tagon)
-  QueueGate rx_gate_;    // basic rx (try_recv / recv)
-  QueueGate extx_gate_;  // express tx
-  QueueGate raw_gate_;   // raw tx
-  std::uint16_t tx_producer_ = 0;
-  std::uint16_t tx_consumer_seen_ = 0;
+  TxCursor tx_;    // basic tx (send / send_tagon)
+  TxCursor extx_;  // express tx
+  TxCursor raw_;   // raw tx
+  sim::Semaphore rx_gate_;  // basic rx (try_recv / recv)
   std::uint16_t rx_consumer_ = 0;
   std::uint16_t rx_producer_seen_ = 0;
-  std::uint16_t extx_producer_ = 0;
-  std::uint16_t extx_consumer_seen_ = 0;
-  std::uint16_t raw_producer_ = 0;
-  std::uint16_t raw_consumer_seen_ = 0;
 };
 
 }  // namespace sv::msg

@@ -17,14 +17,6 @@ std::uint64_t Network::packets_delivered() const {
   return n;
 }
 
-std::uint64_t Network::packets_injected() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    n += s.injected.value();
-  }
-  return n;
-}
-
 sim::Histogram Network::transit_ps() const {
   sim::Histogram h;
   for (const Shard& s : shards_) {
@@ -43,30 +35,16 @@ Network::Audit Network::audit() const {
   return a;
 }
 
-IdealNetwork::IdealNetwork(sim::Kernel& kernel, std::string name,
-                           Params params)
-    : IdealNetwork(sim::DomainMap(kernel, params.nodes), std::move(name),
-                   params) {}
-
-IdealNetwork::IdealNetwork(const sim::DomainMap& domains, std::string name,
-                           Params params)
-    : Network(domains.of(0), std::move(name), params.nodes),
-      domains_(domains),
+IdealNetwork::IdealNetwork(std::vector<sim::Kernel*> domains,
+                           std::string name, Params params)
+    : Network(*domains.at(0), std::move(name), domains.size()),
+      domains_(std::move(domains)),
       params_(params) {
-  if (domains_.nodes() != params_.nodes) {
-    throw std::invalid_argument(this->name() +
-                                ": domain map does not cover all nodes");
-  }
-  if (domains_.partitioned() && params_.latency == 0) {
-    throw std::invalid_argument(
-        this->name() + ": partitioned layout needs latency >= 1 (lookahead)");
-  }
-  endpoints_.resize(params_.nodes);
-  wire_tracks_.resize(params_.nodes, trace::kNoTrack);
-  inject_ports_.reserve(params_.nodes);
-  for (std::size_t i = 0; i < params_.nodes; ++i) {
-    inject_ports_.push_back(std::make_unique<sim::Semaphore>(
-        domains_.of(static_cast<sim::NodeId>(i)), 1));
+  endpoints_.resize(domains_.size());
+  wire_tracks_.resize(domains_.size(), trace::kNoTrack);
+  inject_ports_.reserve(domains_.size());
+  for (sim::Kernel* k : domains_) {
+    inject_ports_.push_back(std::make_unique<sim::Semaphore>(*k, 1));
   }
 }
 
@@ -75,12 +53,12 @@ void IdealNetwork::set_endpoint(sim::NodeId node, Deliver deliver) {
 }
 
 sim::Co<void> IdealNetwork::inject(Packet pkt) {
-  if (pkt.dest >= params_.nodes) {
+  if (pkt.dest >= domains_.size()) {
     throw std::out_of_range(name() + ": bad destination node");
   }
   assert(endpoints_[pkt.dest] && "destination endpoint not attached");
   // Everything up to delivery runs in the source node's domain.
-  sim::Kernel& k = domains_.of(pkt.src);
+  sim::Kernel& k = *domains_[pkt.src];
   pkt.inject_time = k.now();
   if (pkt.serial == 0) {
     pkt.serial = assign_serial(pkt.src);
@@ -121,9 +99,9 @@ sim::Co<void> IdealNetwork::inject(Packet pkt) {
   // by value: nothing on this path is shared with another domain.
   const sim::Tick when = k.now() + params_.latency;
   const std::uint64_t seq = next_post_seq(pkt.src);
-  sim::Kernel& dest = domains_.of(pkt.dest);
+  sim::Kernel& dest = *domains_[pkt.dest];
   k.post(dest, when, pkt.src, seq, [this, pkt = std::move(pkt)]() mutable {
-    count_delivery(domains_.of(pkt.dest), pkt);
+    count_delivery(*domains_[pkt.dest], pkt);
     endpoints_[pkt.dest](std::move(pkt));
   });
 }

@@ -3,9 +3,10 @@
 // Implementations: FatTreeNetwork (the Arctic fat tree) and IdealNetwork
 // (fixed-latency, used for unit tests and as an ablation baseline).
 //
-// Partitioning: IdealNetwork can span multiple event domains (one per
-// node, see sim::ParallelKernel) — every per-packet action runs in the
-// *source* node's domain, delivery crosses into the destination domain
+// Domains: IdealNetwork takes the event domain (sim::Kernel) of every
+// node — one kernel shared by all of them on a sequential machine, one each
+// on a partitioned one (sim::ParallelKernel). Every per-packet action runs
+// in the *source* node's domain, delivery goes to the destination's domain
 // through the kernel mailbox (the packet rides in the mail by value), and
 // all bookkeeping is sharded per node so no two domains ever touch the
 // same counter. FatTreeNetwork models shared routers and therefore
@@ -19,7 +20,6 @@
 #include "net/packet.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
-#include "sim/parallel.hpp"
 #include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -49,7 +49,6 @@ class Network : public sim::SimObject {
   // result is identical however the machine was partitioned. Call only
   // while no domain is executing (sequentially, or at an epoch barrier).
   [[nodiscard]] std::uint64_t packets_delivered() const;
-  [[nodiscard]] std::uint64_t packets_injected() const;
   [[nodiscard]] sim::Histogram transit_ps() const;
 
   /// Packet-conservation snapshot for the invariant checker: every packet
@@ -118,31 +117,28 @@ class Network : public sim::SimObject {
 /// Fixed-latency, contention-free network. Each source still serializes its
 /// own injections at link bandwidth (so bandwidth numbers stay meaningful),
 /// but the fabric itself is ideal. Per-(src,dst,priority) FIFO order holds.
-/// The latency is the domain-crossing lookahead when partitioned.
+/// The latency is the lookahead of the ParallelKernel that steps the
+/// machine, which rejects 0.
 class IdealNetwork final : public Network {
  public:
   struct Params {
-    std::size_t nodes = 2;
     sim::Tick latency = 500 * sim::kNanosecond;
   };
 
-  /// Single-domain layout: every node simulated by `kernel`.
-  IdealNetwork(sim::Kernel& kernel, std::string name, Params params);
-
-  /// Partition-aware layout: node n's injection runs in domains.of(n);
-  /// delivery crosses into domains.of(dest) through the mailbox.
-  IdealNetwork(const sim::DomainMap& domains, std::string name,
+  /// One node per entry of `domains`: node n's injection runs in
+  /// domains[n], and delivery reaches domains[dest] through the mailbox.
+  IdealNetwork(std::vector<sim::Kernel*> domains, std::string name,
                Params params);
 
   void set_endpoint(sim::NodeId node, Deliver deliver) override;
   sim::Co<void> inject(Packet pkt) override;
   void consume_done(sim::NodeId node, std::uint8_t priority) override;
   [[nodiscard]] std::size_t num_nodes() const override {
-    return params_.nodes;
+    return domains_.size();
   }
 
  private:
-  sim::DomainMap domains_;
+  std::vector<sim::Kernel*> domains_;
   Params params_;
   std::vector<Deliver> endpoints_;
   std::vector<std::unique_ptr<sim::Semaphore>> inject_ports_;

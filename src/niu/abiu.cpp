@@ -61,10 +61,6 @@ void ABiu::set_scoma_reaction(OpClass cls, std::uint8_t bits, Reaction r) {
   scoma_table_[static_cast<unsigned>(cls)][bits & 0x0F] = r;
 }
 
-Reaction ABiu::scoma_reaction(OpClass cls, std::uint8_t bits) const {
-  return scoma_table_[static_cast<unsigned>(cls)][bits & 0x0F];
-}
-
 void ABiu::set_numa_reaction(OpClass cls, Reaction r) {
   numa_table_[static_cast<unsigned>(cls)] = r;
 }
@@ -286,10 +282,6 @@ bool ABiu::in_tracked(mem::Addr a) const {
 
 sim::Co<void> ABiu::hw_miss_send(net::Packet pkt) {
   co_await ctrl_.inject(std::move(pkt));
-}
-
-void ABiu::scoma_complete(mem::Addr line) {
-  scoma_pending_.erase(mem::line_base(line));
 }
 
 void ABiu::cls_updated(mem::Addr addr, std::uint32_t len) {

@@ -115,10 +115,6 @@ class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
   sim::Channel<FwdOp>& numa_ops() { return numa_ops_; }
   sim::Channel<FwdOp>& scoma_ops() { return scoma_ops_; }
 
-  /// Firmware signals that the S-COMA transaction for `line` is complete;
-  /// further misses on that line may be forwarded again.
-  void scoma_complete(mem::Addr line);
-
   // --- Hardware miss send (paper section 5, "Extending Default
   // Mechanisms": "the aBIU can be modified to send a message to the home
   // site directly, rather than composing a message to the queue serviced
@@ -146,7 +142,6 @@ class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
 
   /// Reconfigure the S-COMA reaction table entry for (op class, cls bits).
   void set_scoma_reaction(OpClass cls, std::uint8_t bits, Reaction r);
-  [[nodiscard]] Reaction scoma_reaction(OpClass cls, std::uint8_t bits) const;
 
   /// Reconfigure the NUMA policy per op class.
   void set_numa_reaction(OpClass cls, Reaction r);

@@ -14,34 +14,9 @@ sim::Co<void> SBiu::immediate(Command cmd) {
   co_await ctrl_.exec_immediate(std::move(cmd));
 }
 
-sim::Co<std::uint64_t> SBiu::read_reg(SysReg r) {
-  co_await cost(kUncachedOpCycles);
-  co_return ctrl_.read_reg(r);
-}
-
-sim::Co<void> SBiu::write_reg(SysReg r, std::uint64_t v) {
-  co_await cost(kUncachedOpCycles);
-  ctrl_.write_reg(r, v);
-}
-
-sim::Co<std::uint16_t> SBiu::rx_producer(unsigned q) {
-  co_await cost(kUncachedOpCycles);
-  co_return ctrl_.rxq(q).producer;
-}
-
-sim::Co<std::uint16_t> SBiu::tx_consumer(unsigned q) {
-  co_await cost(kUncachedOpCycles);
-  co_return ctrl_.txq(q).consumer;
-}
-
 sim::Co<void> SBiu::rx_consumer_update(unsigned q, std::uint16_t v) {
   co_await cost(kUncachedOpCycles);
   ctrl_.rx_consumer_update(q, v);
-}
-
-sim::Co<void> SBiu::tx_producer_update(unsigned q, std::uint16_t v) {
-  co_await cost(kUncachedOpCycles);
-  ctrl_.tx_producer_update(q, v);
 }
 
 sim::Co<void> SBiu::post(unsigned cmdq, Command cmd) {
@@ -62,16 +37,6 @@ sim::Co<void> SBiu::read_ssram(std::uint32_t offset,
       .access(mem::DualPortedSram::Port::kBus,
               static_cast<std::uint32_t>(out.size()));
   ctrl_.sram(SramBank::kSSram).read(offset, out);
-}
-
-sim::Co<void> SBiu::write_ssram(std::uint32_t offset,
-                                std::span<const std::byte> in) {
-  const auto words = static_cast<sim::Cycles>((in.size() + 7) / 8);
-  co_await cost(kUncachedOpCycles + kSramWordCycles * words);
-  co_await ctrl_.sram(SramBank::kSSram)
-      .access(mem::DualPortedSram::Port::kBus,
-              static_cast<std::uint32_t>(in.size()));
-  ctrl_.sram(SramBank::kSSram).write(offset, in);
 }
 
 }  // namespace sv::niu

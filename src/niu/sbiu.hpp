@@ -28,14 +28,7 @@ class SBiu : public sim::SimObject {
 
   // --- Immediate command interface (read/update CTRL state synchronously) ---
   sim::Co<void> immediate(Command cmd);
-  sim::Co<std::uint64_t> read_reg(SysReg r);
-  sim::Co<void> write_reg(SysReg r, std::uint64_t v);
-
-  /// Read CTRL queue pointers (used by firmware polling loops).
-  sim::Co<std::uint16_t> rx_producer(unsigned q);
-  sim::Co<std::uint16_t> tx_consumer(unsigned q);
   sim::Co<void> rx_consumer_update(unsigned q, std::uint16_t v);
-  sim::Co<void> tx_producer_update(unsigned q, std::uint16_t v);
 
   // --- Ordered local command queues ---
   sim::Co<void> post(unsigned cmdq, Command cmd);
@@ -45,8 +38,6 @@ class SBiu : public sim::SimObject {
 
   // --- sSRAM access from the sP ---
   sim::Co<void> read_ssram(std::uint32_t offset, std::span<std::byte> out);
-  sim::Co<void> write_ssram(std::uint32_t offset,
-                            std::span<const std::byte> in);
 
   // --- aBIU-sBIU queues (the forwarded-operation path) ---
   [[nodiscard]] sim::Channel<FwdOp>& numa_ops() { return abiu_.numa_ops(); }

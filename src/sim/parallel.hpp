@@ -1,23 +1,26 @@
-// Conservative parallel scheduling of multiple event domains.
+// Conservative epoch scheduling of event domains: the one run loop of every
+// sys::Machine.
 //
-// ParallelKernel runs one Kernel per node on a fixed set of executor
-// threads — the calling thread and threads - 1 helpers — synchronizing in
-// epochs of `lookahead` ticks, the minimum latency of any domain-crossing
-// link. Within an epoch every domain advances independently; anything it
-// sends to another domain is timestamped at least one full lookahead ahead,
-// so it cannot affect the current epoch, and it waits in the sender's own
-// outbox. At the epoch barrier the calling thread files every outbox into
-// its destinations' mailboxes and the next epoch begins. This is the
-// classic Chandy–Misra–Bryant-style conservative scheme with the link
-// latency as lookahead (cf. SimBricks): no rollbacks, no null messages —
-// just a global epoch barrier. Nothing inside an epoch takes a lock: each
-// executor touches only its own domains, outboxes included.
+// ParallelKernel runs a set of Kernels — one per node of a partitioned
+// machine, or a sequential machine's single kernel — on a fixed set of
+// executor threads (the calling thread and threads - 1 helpers),
+// synchronizing in epochs of `lookahead` ticks, the minimum latency of any
+// domain-crossing link. Within an epoch every domain advances
+// independently; anything it sends to another domain is timestamped at
+// least one full lookahead ahead, so it cannot affect the current epoch,
+// and it waits in the sender's own outbox. At the epoch barrier the
+// calling thread files every outbox into its destinations' mailboxes and
+// the next epoch begins. This is the classic Chandy–Misra–Bryant-style
+// conservative scheme with the link latency as lookahead (cf. SimBricks):
+// no rollbacks, no null messages — just a global epoch barrier. Nothing
+// inside an epoch takes a lock: each executor touches only its own
+// domains, outboxes included.
 //
 // Determinism: the mailbox injection rule in Kernel orders cross-domain
 // messages by (tick, source, sequence) regardless of which executor filed
 // them first, so the result of a run is independent of thread count and
-// bit-identical to a single-domain sequential run that routes the same
-// messages through the same rule.
+// bit-identical to a one-domain run, which routes the same messages
+// through the same rule and stops at the same epoch boundaries.
 //
 // Scalability: the barrier is O(active domains), not O(domains). A domain
 // whose event queue and mailbox drain parks: it leaves the active list,
@@ -45,35 +48,9 @@
 
 namespace sv::sim {
 
-/// Maps a node id to the Kernel (event domain) that simulates it. The
-/// single-domain machine and the per-node partitioned machine both present
-/// this interface, so shared components (the network, helpers) can be
-/// written once against it.
-class DomainMap {
- public:
-  /// Classic sequential layout: every node lives in `kernel`.
-  DomainMap(Kernel& kernel, std::size_t nodes)
-      : domains_(nodes, &kernel), partitioned_(false) {}
-
-  /// Partitioned layout: node n lives in domains[n].
-  explicit DomainMap(std::vector<Kernel*> domains)
-      : domains_(std::move(domains)), partitioned_(true) {}
-
-  [[nodiscard]] Kernel& of(NodeId n) const { return *domains_[n]; }
-  [[nodiscard]] std::size_t nodes() const { return domains_.size(); }
-
-  /// True when nodes may live in distinct domains (so handoff between them
-  /// must use the mailbox with conservative lookahead).
-  [[nodiscard]] bool partitioned() const { return partitioned_; }
-
- private:
-  std::vector<Kernel*> domains_;
-  bool partitioned_;
-};
-
-/// Epoch-stepped coordinator over per-node Kernels. Not a Kernel itself:
-/// callers drive it in whole epochs (run_epochs_until); per-event stepping
-/// has no meaning across concurrently-advancing domains.
+/// Epoch-stepped coordinator over a machine's Kernels. Not a Kernel
+/// itself: callers drive it in whole epochs (run_epochs_until); per-event
+/// stepping has no meaning across concurrently-advancing domains.
 class ParallelKernel {
  public:
   /// `domains` must outlive this object. `threads`, clamped to
@@ -110,8 +87,7 @@ class ParallelKernel {
   void quiesce();
 
   /// Time up to which every domain has finished executing (the last epoch
-  /// boundary). Matches kernel.now() after the equivalent sequential
-  /// run_until.
+  /// boundary).
   [[nodiscard]] Tick now() const { return now_; }
 
   [[nodiscard]] Tick lookahead() const { return lookahead_; }

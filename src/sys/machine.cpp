@@ -41,18 +41,14 @@ Machine::Machine(Params params) : params_(params) {
     network_ =
         std::make_unique<net::FatTreeNetwork>(*domains_.front(), "net", np);
   } else {
-    net::IdealNetwork::Params np;
-    np.nodes = params_.nodes;
-    np.latency = params_.ideal_latency;
-    std::vector<sim::Kernel*> raw;
-    raw.reserve(params_.nodes);
+    std::vector<sim::Kernel*> per_node;
+    per_node.reserve(params_.nodes);
     for (sim::NodeId i = 0; i < params_.nodes; ++i) {
-      raw.push_back(&domain(i));
+      per_node.push_back(&domain(i));
     }
-    const sim::DomainMap map =
-        partitioned ? sim::DomainMap(std::move(raw))
-                    : sim::DomainMap(*domains_.front(), params_.nodes);
-    network_ = std::make_unique<net::IdealNetwork>(map, "net", np);
+    network_ = std::make_unique<net::IdealNetwork>(
+        std::move(per_node), "net",
+        net::IdealNetwork::Params{.latency = params_.ideal_latency});
   }
 
   nodes_.reserve(params_.nodes);
@@ -68,16 +64,13 @@ Machine::Machine(Params params) : params_(params) {
     n->start();
   }
 
-  if (partitioned) {
-    std::vector<sim::Kernel*> raw;
-    raw.reserve(domains_.size());
-    for (auto& d : domains_) {
-      raw.push_back(d.get());
-    }
-    sched_ = std::make_unique<sim::ParallelKernel>(std::move(raw),
-                                                   params_.threads,
-                                                   lookahead());
+  std::vector<sim::Kernel*> raw;
+  raw.reserve(domains_.size());
+  for (auto& d : domains_) {
+    raw.push_back(d.get());
   }
+  sched_ = std::make_unique<sim::ParallelKernel>(std::move(raw),
+                                                 params_.threads, lookahead());
 }
 
 std::uint64_t Machine::events_executed() const {
@@ -103,27 +96,7 @@ sim::Tick Machine::lookahead() const {
 
 bool Machine::run_epochs_until(const std::function<bool()>& pred,
                                sim::Tick deadline) {
-  if (sched_) {
-    return sched_->run_epochs_until(pred, deadline);
-  }
-  // Sequential twin of ParallelKernel::run_epochs_until: identical epoch
-  // boundaries, identical stopping rule, so predicates observe the two
-  // layouts at exactly the same instants.
-  const sim::Tick lk = lookahead();
-  if (pred()) {
-    return true;
-  }
-  while (epoch_start_ <= deadline) {
-    kernel().run_until(epoch_start_ + lk - 1);
-    epoch_start_ += lk;
-    if (pred()) {
-      return true;
-    }
-    if (kernel().idle()) {
-      return false;
-    }
-  }
-  return false;
+  return sched_->run_epochs_until(pred, deadline);
 }
 
 trace::Tracer& Machine::enable_tracing(std::size_t capacity) {

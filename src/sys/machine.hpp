@@ -1,17 +1,20 @@
 // The full StarT-Voyager machine: N nodes on the Arctic fat tree (or an
 // ideal network for unit tests / ablation).
 //
-// With Params::threads == 0 the whole machine lives in one event domain
-// (one sim::Kernel) and runs sequentially. With threads > 0 the machine is
-// partitioned into one domain per node (aP + bus + caches + NIU + sP)
-// scheduled by sim::ParallelKernel, with the network's fixed latency as the
-// conservative lookahead. Both layouts route cross-node deliveries through
-// the same deterministic kernel mailbox, so a partitioned run is
-// bit-identical to the sequential one — same stats, same traces, same
-// fault schedule. Partitioning requires NetKind::kIdeal: the fat tree
-// models shared routers, which have no home domain.
+// Every machine is a set of event domains (sim::Kernel) stepped in epochs
+// by one sim::ParallelKernel, with the network's minimum latency as the
+// conservative lookahead. With Params::threads == 0 the whole machine is
+// one domain and the calling thread runs it alone; with threads > 0 there
+// is one domain per node (aP + bus + caches + NIU + sP), run on that many
+// executor threads. Both layouts route cross-node deliveries through the
+// same deterministic kernel mailbox and stop at the same epoch boundaries,
+// so a partitioned run is bit-identical to the one-domain one — same
+// stats, same traces, same fault schedule. Partitioning requires
+// NetKind::kIdeal: the fat tree models shared routers, which have no home
+// domain.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -39,10 +42,10 @@ class Machine {
     /// before the fault subsystem existed.
     fault::Plan fault;
     /// Threads that run domains in partitioned execution (the calling
-    /// thread and threads - 1 helpers); 0 = classic sequential
-    /// single-domain machine. Any value > 0 partitions into one domain per
-    /// node (requires NetKind::kIdeal) and gives identical results for
-    /// every thread count.
+    /// thread and threads - 1 helpers); 0 = one domain for the whole
+    /// machine, run by the calling thread. Any value > 0 partitions into
+    /// one domain per node (requires NetKind::kIdeal) and gives identical
+    /// results for every thread count.
     unsigned threads = 0;
   };
 
@@ -66,9 +69,12 @@ class Machine {
   }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// Machine-wide simulated time: the last epoch boundary when driven by
-  /// run_epochs_until, or the single kernel's clock otherwise.
-  [[nodiscard]] sim::Tick now() { return sched_ ? sched_->now() : kernel().now(); }
+  /// Machine-wide simulated time: the last epoch boundary, or — on a
+  /// one-domain machine a driver stepped event by event past it
+  /// (sys::run_until) — that kernel's clock.
+  [[nodiscard]] sim::Tick now() {
+    return std::max(sched_->now(), kernel().now());
+  }
   /// Events executed across all domains (summed in domain order).
   [[nodiscard]] std::uint64_t events_executed() const;
 
@@ -86,9 +92,9 @@ class Machine {
   /// Drive the machine in whole epochs of lookahead() ticks until `pred`
   /// holds at an epoch boundary, everything is idle, or the next epoch
   /// would start past `deadline`. Returns the final value of `pred`.
-  /// Sequential and partitioned machines stop at identical boundaries —
-  /// use this (not kernel().run_until) wherever results are compared
-  /// across thread counts.
+  /// Every threads= value stops at identical boundaries — use this (not
+  /// kernel().run_until) wherever results are compared across thread
+  /// counts.
   bool run_epochs_until(const std::function<bool()>& pred,
                         sim::Tick deadline);
 
@@ -120,7 +126,6 @@ class Machine {
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<sim::ParallelKernel> sched_;
-  sim::Tick epoch_start_ = 0;  // sequential epoch runner's cursor
 };
 
 }  // namespace sv::sys

@@ -414,6 +414,8 @@ sim::Co<void> shm_program(Run* run, sim::NodeId self, std::uint64_t ops,
 }
 
 std::unique_ptr<Run> start_shm(Machine& machine, const Args& a, bool scoma) {
+  require(!scoma || machine.node(0).scoma() != nullptr, "scoma",
+          "the scoma workload needs scoma=1");
   auto run = std::make_unique<Run>(machine);
   const auto ops = a.u64("ops");
   const auto words = a.u64("words");
@@ -1021,6 +1023,10 @@ std::unique_ptr<Run> start_app(Machine& machine, const Args& a,
   wp.shm_region = a.text("app.shm") == "scoma"
                       ? app::ShmTransport::Region::kScoma
                       : app::ShmTransport::Region::kNuma;
+  require(wp.transport != app::TransportKind::kShm ||
+              wp.shm_region != app::ShmTransport::Region::kScoma ||
+              machine.node(0).scoma() != nullptr,
+          "scoma", "transport=shm app.shm=scoma needs scoma=1");
   wp.reliable = channel_params(a);
   auto run = std::make_unique<Run>(machine);
   run->world = std::make_unique<app::World>(machine, wp);

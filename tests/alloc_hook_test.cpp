@@ -266,7 +266,7 @@ TEST(AllocHook, LinkPacketHopIsAllocationFree) {
 
 TEST(AllocHook, IdealNetworkSteadyStateIsAllocationFree) {
   sim::Kernel k;
-  net::IdealNetwork net(k, "net", {.nodes = 2});
+  net::IdealNetwork net({&k, &k}, "net", {});
   std::uint64_t received = 0;
   net.set_endpoint(0, [&](net::Packet&&) {});
   net.set_endpoint(1, [&](net::Packet&&) { ++received; });
@@ -300,8 +300,7 @@ TEST(AllocHook, IdealNetworkSteadyStateIsAllocationFree) {
 TEST(AllocHook, PartitionedIdealNetworkSteadyStateIsAllocationFree) {
   constexpr sim::Tick kLatency = sim::kMicrosecond;
   std::vector<sim::Kernel> ks(2);
-  net::IdealNetwork net(sim::DomainMap({&ks[0], &ks[1]}), "net",
-                        {.nodes = 2, .latency = kLatency});
+  net::IdealNetwork net({&ks[0], &ks[1]}, "net", {.latency = kLatency});
   std::array<std::uint64_t, 2> received{};
   net.set_endpoint(0, [&](net::Packet&&) { ++received[0]; });
   net.set_endpoint(1, [&](net::Packet&&) { ++received[1]; });

@@ -192,7 +192,8 @@ TEST(SsramLayout, RegionsAreDisjointAndEveryRouteDecodes) {
   for (const std::size_t nodes : {64, 128, 256, 1024}) {
     SCOPED_TRACE("nodes=" + std::to_string(nodes));
     sim::Kernel kernel;
-    net::IdealNetwork net(kernel, "net", {.nodes = nodes});
+    net::IdealNetwork net(std::vector<sim::Kernel*>(nodes, &kernel), "net",
+                          {});
     const sys::Node::Params params =
         test::small_machine_params(nodes, sys::Machine::NetKind::kIdeal).node;
     sys::Node node(kernel, "n0", 0, net, params);

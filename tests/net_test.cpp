@@ -79,10 +79,7 @@ TEST(LinkTest, PrioritiesHaveIndependentCredits) {
 
 TEST(IdealNetworkTest, DeliversAfterFixedLatency) {
   sim::Kernel kernel;
-  IdealNetwork::Params p;
-  p.nodes = 2;
-  p.latency = 1000;
-  IdealNetwork net(kernel, "net", p);
+  IdealNetwork net({&kernel, &kernel}, "net", {.latency = 1000});
   std::vector<std::pair<sim::Tick, std::uint64_t>> got;
   net.set_endpoint(1, [&](Packet&& pkt) {
     got.emplace_back(kernel.now(), pkt.serial);

@@ -28,26 +28,6 @@ std::vector<Kernel*> ptrs(std::vector<Kernel>& ks) {
   return out;
 }
 
-TEST(DomainMap, SequentialMapsEveryNodeToOneKernel) {
-  Kernel k;
-  DomainMap map(k, 4);
-  EXPECT_FALSE(map.partitioned());
-  EXPECT_EQ(map.nodes(), 4u);
-  for (NodeId n = 0; n < 4; ++n) {
-    EXPECT_EQ(&map.of(n), &k);
-  }
-}
-
-TEST(DomainMap, PartitionedMapsNodeToItsDomain) {
-  std::vector<Kernel> ks(3);
-  DomainMap map(ptrs(ks));
-  EXPECT_TRUE(map.partitioned());
-  EXPECT_EQ(map.nodes(), 3u);
-  for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(&map.of(n), &ks[n]);
-  }
-}
-
 TEST(ParallelKernel, RejectsBadConfig) {
   std::vector<Kernel> ks(2);
   EXPECT_THROW(ParallelKernel({}, 1, kLookahead), std::invalid_argument);

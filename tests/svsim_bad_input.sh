@@ -48,6 +48,8 @@ check bytes "$svsim" xfer bytes=0
 check bytes "$svsim" reliable bytes=100000
 check net "$svsim" msg net=idael
 check app.shm "$svsim" app.stencil app.shm=scomaa
+check "needs scoma=1" "$svsim" scoma scoma=0
+check "needs scoma=1" "$svsim" app.stencil transport=shm app.shm=scoma scoma=0
 check stats_format "$svsim" msg stats_format=jsno
 check threads "$svsim" xfer threads=2
 check "trace: cannot open" "$svsim" msg trace="$dir/missing/t.json"

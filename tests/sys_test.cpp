@@ -1,5 +1,6 @@
 // System-harness tests: the experiment helper run_until, a run's
-// finishing tick and machine-wide statistics collection.
+// finishing tick, the machine's one epoch loop and clock, and machine-wide
+// statistics collection.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -44,6 +45,63 @@ TEST(RunTest, ElapsedEndsAtTheLastProgramsFinishingTick) {
   EXPECT_EQ(elapsed_ticks("dma", {"bytes=4096", "threads=0"}), 59'070'000u);
   EXPECT_EQ(elapsed_ticks("msg", {"nodes=4", "net=ideal", "threads=0"}),
             elapsed_ticks("msg", {"nodes=4", "net=ideal", "threads=2"}));
+}
+
+/// machine.now() at every predicate call `msg nodes=4 net=ideal` makes at
+/// `threads`, then after each of three calls: until the programs finish,
+/// until the machine idles, and once more on the idle machine.
+std::vector<sim::Tick> epoch_clock_seen(const std::string& threads) {
+  const sim::Config cfg =
+      sim::Config::from_args({"nodes=4", "net=ideal", "threads=" + threads});
+  Machine machine(machine_params(cfg));
+  const auto run = workload("msg").launch(machine, cfg);
+  std::vector<sim::Tick> seen;
+  const auto drive = [&](const std::function<bool()>& done) {
+    const bool held = machine.run_epochs_until(
+        [&] {
+          seen.push_back(machine.now());
+          return done();
+        },
+        machine.now() + 1000 * sim::kMillisecond);
+    seen.push_back(machine.now());
+    return held;
+  };
+  EXPECT_TRUE(drive([&] { return run->finished(); }));
+  EXPECT_FALSE(drive([] { return false; }));
+  EXPECT_FALSE(drive([] { return false; }));
+  return seen;
+}
+
+/// One epoch loop: the one-domain machine stops where the partitioned
+/// ones do, and on an idle machine its predicate sees the epoch it ran,
+/// not the kernel clock it has not moved.
+TEST(RunTest, EveryThreadCountSeesTheSameEpochClock) {
+  const std::vector<sim::Tick> one_domain = epoch_clock_seen("0");
+  ASSERT_GT(one_domain.size(), 4u);
+  EXPECT_EQ(epoch_clock_seen("1"), one_domain);
+  EXPECT_EQ(epoch_clock_seen("2"), one_domain);
+}
+
+/// A driver that steps a one-domain machine event by event (sys::run_until,
+/// as the xfer harness does) moves its clock past the epoch clock; now()
+/// reads that kernel, also after a run_epochs_until whose predicate holds
+/// at once, which runs no epoch (svbench's fig4 drains that way).
+TEST(RunTest, OneDomainMachineSteppedPastTheEpochsReadsItsKernel) {
+  const sim::Config cfg = sim::Config::from_args({"nodes=2", "threads=0"});
+  Machine machine(machine_params(cfg));
+  const auto run = workload("msg").launch(machine, cfg);
+  ASSERT_TRUE(machine.run_epochs_until(
+      [&] { return machine.now() >= 2 * sim::kMicrosecond; },
+      sim::kMillisecond));
+  ASSERT_FALSE(run->finished());
+  const sim::Tick epoch_clock = machine.now();
+  ASSERT_TRUE(run_until(machine.kernel(), [&] { return run->finished(); },
+                        1000 * sim::kMillisecond));
+  ASSERT_GT(machine.kernel().now(), epoch_clock);
+  EXPECT_EQ(machine.now(), machine.kernel().now());
+  EXPECT_TRUE(machine.run_epochs_until([] { return true; },
+                                       machine.now() + sim::kMillisecond));
+  EXPECT_EQ(machine.now(), machine.kernel().now());
 }
 
 TEST(StatsDumpTest, CollectsPerNodeAndMachineCounters) {
