@@ -134,16 +134,6 @@ sim::Co<void> Processor::store_uncached(mem::Addr a,
   }
 }
 
-sim::Co<void> Processor::flush_line(mem::Addr a) {
-  if (cache_ == nullptr) {
-    co_return;
-  }
-  const sim::Tick t0 = now();
-  co_await cache_->flush_line(a);
-  busy_.add_busy(now() - t0);
-  trace_busy("flush", t0, now());
-}
-
 sim::Co<void> Processor::flush_range(mem::Addr a, std::size_t len) {
   if (cache_ == nullptr) {
     co_return;
@@ -159,15 +149,6 @@ sim::Co<void> Processor::invalidate_line(mem::Addr a) {
     co_return;
   }
   co_await cache_->invalidate_line(a);
-}
-
-void Processor::run(sim::Co<void> program, sim::OneShot* done) {
-  sim::spawn([](sim::Co<void> prog, sim::OneShot* d) -> sim::Co<void> {
-    co_await std::move(prog);
-    if (d != nullptr) {
-      d->fire();
-    }
-  }(std::move(program), done));
 }
 
 void Processor::ckpt_save(ckpt::Writer& w) const {

@@ -7,7 +7,7 @@ namespace sv::fw {
 
 DmaEngine::DmaEngine(sim::Kernel& kernel, std::string name,
                      cpu::Processor& sp, niu::SBiu& sbiu)
-    : FwService(kernel, std::move(name), sp, sbiu, kDmaReqQ, kScratch),
+    : FwService(kernel, std::move(name), sp, sbiu, kScratch),
       done_seen_(kernel) {}
 
 void DmaEngine::start() {
@@ -17,11 +17,11 @@ void DmaEngine::start() {
 
 sim::Co<void> DmaEngine::loop() {
   for (;;) {
-    co_await wait_msg();
+    co_await wait_msg(kDmaReqQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    RxMsg msg = co_await read_msg();
+    RxMsg msg = co_await read_msg(kDmaReqQ);
     sp_.release();
     co_await handle(msg.as<DmaRequest>());
     trace_handler("dma", h0);
@@ -29,23 +29,15 @@ sim::Co<void> DmaEngine::loop() {
 }
 
 sim::Co<void> DmaEngine::done_loop() {
-  auto& ctrl = sbiu_.ctrl();
-  const unsigned q = kFwDoneQ;
   for (;;) {
-    while (ctrl.rxq(q).empty()) {
-      co_await ctrl.rx_arrival();
-    }
+    co_await wait_msg(kFwDoneQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    auto& rq = ctrl.rxq(q);
-    const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + 8];
-    co_await sbiu_.read_ssram(slot, buf);
+    co_await read_head(kFwDoneQ, buf);
     std::uint32_t tag = 0;
     std::memcpy(&tag, buf + niu::kBasicHeaderBytes, 4);
-    co_await sbiu_.rx_consumer_update(
-        q, static_cast<std::uint16_t>(rq.consumer + 1));
     sp_.release();
     trace_handler("dma.done", h0);
     completed_tags_.push_back(tag);

@@ -5,12 +5,11 @@
 namespace sv::fw {
 
 FwService::FwService(sim::Kernel& kernel, std::string name,
-                     cpu::Processor& sp, niu::SBiu& sbiu, unsigned hwq,
+                     cpu::Processor& sp, niu::SBiu& sbiu,
                      std::uint32_t scratch)
     : sim::SimObject(kernel, std::move(name)),
       sp_(sp),
       sbiu_(sbiu),
-      hwq_(hwq),
       scratch_(scratch) {}
 
 void FwService::trace_handler(const char* what, sim::Tick start) {
@@ -24,20 +23,15 @@ void FwService::trace_handler(const char* what, sim::Tick start) {
   tr->span(trace_track_, what, start, now());
 }
 
-bool FwService::has_msg() const {
-  return !sbiu_.ctrl().rxq(hwq_).empty();
-}
-
-sim::Co<void> FwService::wait_msg() {
+sim::Co<void> FwService::wait_msg(unsigned hwq) {
   auto& ctrl = sbiu_.ctrl();
-  while (ctrl.rxq(hwq_).empty()) {
+  while (ctrl.rxq(hwq).empty()) {
     co_await ctrl.rx_arrival();
   }
 }
 
-sim::Co<RxMsg> FwService::read_msg() {
-  auto& ctrl = sbiu_.ctrl();
-  auto& q = ctrl.rxq(hwq_);
+sim::Co<RxMsg> FwService::read_msg(unsigned hwq) {
+  auto& q = sbiu_.ctrl().rxq(hwq);
   RxMsg msg;
   const std::uint32_t slot = q.slot_addr(q.consumer);
   std::byte hdr[niu::kBasicHeaderBytes];
@@ -48,9 +42,17 @@ sim::Co<RxMsg> FwService::read_msg() {
     co_await sbiu_.read_ssram(slot + niu::kBasicHeaderBytes, msg.data);
   }
   co_await sbiu_.rx_consumer_update(
-      hwq_, static_cast<std::uint16_t>(q.consumer + 1));
+      hwq, static_cast<std::uint16_t>(q.consumer + 1));
   events_.inc();
   co_return msg;
+}
+
+sim::Co<void> FwService::read_head(unsigned hwq,
+                                   std::span<std::byte> buf) {
+  auto& q = sbiu_.ctrl().rxq(hwq);
+  co_await sbiu_.read_ssram(q.slot_addr(q.consumer), buf);
+  co_await sbiu_.rx_consumer_update(
+      hwq, static_cast<std::uint16_t>(q.consumer + 1));
 }
 
 sim::Co<void> FwService::send(sim::NodeId dest, net::QueueId q,

@@ -5,15 +5,17 @@
 // for the duration of each handler, so firmware occupancy — the effect the
 // paper's evaluation highlights — emerges naturally from contention.
 //
-// Standard queue plan (configured by sys::Node):
-//   hw rx queue 8   DMA requests            logical kDmaReqL
-//   hw rx queue 9   NUMA home requests      logical kNumaReqL
-//   hw rx queue 10  NUMA client replies     logical kNumaRspL
-//   hw rx queue 11  S-COMA home requests    logical kScomaReqL
-//   hw rx queue 12  S-COMA demands/acks     logical kScomaRspL
-//   hw rx queue 13  chunk arrivals          logical niu::kChunkArrivalQueue
-//   hw rx queue 14  firmware completions    logical kFwDoneL
-//   hw rx queue 15  miss/overflow queue     (no logical binding)
+// Standard queue plan (configured by sys::Node). A service is bound to no
+// queue: each of its loops names the hardware rx queue it serves.
+//   hw rx queue  contents              logical queue            served by
+//   8            DMA requests          kDmaReqL                 DmaEngine
+//   9            NUMA home requests    kNumaReqL                NumaEngine
+//   10           NUMA client replies   kNumaRspL                NumaEngine
+//   11           S-COMA home requests  kScomaReqL               ScomaEngine
+//   12           S-COMA demands/acks   kScomaRspL               ScomaEngine
+//   13           chunk arrivals        niu::kChunkArrivalQueue  ChunkOpener
+//   14           firmware completions  kFwDoneL                 DmaEngine
+//   15           miss/overflow queue   (no logical binding)     MissService
 #pragma once
 
 #include <algorithm>
@@ -69,8 +71,20 @@ template <typename T>
   return out;
 }
 
-/// Base class for firmware services: message receive, message send, and
-/// aP-DRAM access helpers, all with explicit sP cycle costs.
+/// A protocol header with `data` following it on the wire.
+template <typename T>
+[[nodiscard]] std::vector<std::byte> to_bytes(
+    const T& header, std::span<const std::byte> data) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::vector<std::byte> out(sizeof(T) + data.size());
+  std::memcpy(out.data(), &header, sizeof(T));
+  std::copy(data.begin(), data.end(), out.begin() + sizeof(T));
+  return out;
+}
+
+/// Base class for firmware services: message receive from the hardware rx
+/// queues a service serves, message send, and aP-DRAM access helpers, all
+/// with explicit sP cycle costs.
 class FwService : public sim::SimObject {
  public:
   // sP cycles charged per event.
@@ -78,7 +92,7 @@ class FwService : public sim::SimObject {
   static constexpr sim::Cycles kHandlerCycles = 30;   // base handling work
 
   FwService(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
-            niu::SBiu& sbiu, unsigned hwq, std::uint32_t scratch);
+            niu::SBiu& sbiu, std::uint32_t scratch);
 
   virtual ~FwService() = default;
 
@@ -91,14 +105,18 @@ class FwService : public sim::SimObject {
   virtual void ckpt_save(ckpt::Writer& w) const;
 
  protected:
-  /// Wait (without occupying the sP) until this service's queue is
+  /// Wait (without occupying the sP) until hardware rx queue `hwq` is
   /// non-empty.
-  sim::Co<void> wait_msg();
-  [[nodiscard]] bool has_msg() const;
+  sim::Co<void> wait_msg(unsigned hwq);
 
-  /// Read and consume the head message (charges sbiu costs). The caller
+  /// Read and consume the head message of `hwq`: its header, then its data
+  /// (charges sBIU costs), counted in events_. The caller must hold the sP.
+  sim::Co<RxMsg> read_msg(unsigned hwq);
+
+  /// Read the first buf.size() bytes of `hwq`'s head slot (header and data)
+  /// in one sSRAM read, then consume it. Not counted in events_. The caller
   /// must hold the sP.
-  sim::Co<RxMsg> read_msg();
+  sim::Co<void> read_head(unsigned hwq, std::span<std::byte> buf);
 
   /// Send a protocol message to `dest`'s logical queue `q`.
   sim::Co<void> send(sim::NodeId dest, net::QueueId q,
@@ -117,7 +135,6 @@ class FwService : public sim::SimObject {
 
   cpu::Processor& sp_;
   niu::SBiu& sbiu_;
-  unsigned hwq_;
   std::uint32_t scratch_;  // private sSRAM scratch area offset
   sim::Counter events_;
 

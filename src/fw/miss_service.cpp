@@ -5,8 +5,7 @@ namespace sv::fw {
 
 MissService::MissService(sim::Kernel& kernel, std::string name,
                          cpu::Processor& sp, niu::SBiu& sbiu)
-    : FwService(kernel, std::move(name), sp, sbiu, niu::kMissRxQueue,
-                kScratch) {}
+    : FwService(kernel, std::move(name), sp, sbiu, kScratch) {}
 
 void MissService::start() { sim::spawn(loop()); }
 
@@ -16,11 +15,11 @@ void MissService::register_queue(net::QueueId logical, DramQueueDesc desc) {
 
 sim::Co<void> MissService::loop() {
   for (;;) {
-    co_await wait_msg();
+    co_await wait_msg(niu::kMissRxQueue);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    RxMsg msg = co_await read_msg();
+    RxMsg msg = co_await read_msg(niu::kMissRxQueue);
 
     auto it = queues_.find(msg.desc.logical);
     if (it == queues_.end()) {

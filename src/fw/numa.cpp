@@ -3,32 +3,15 @@
 
 namespace sv::fw {
 
-namespace {
-
-std::vector<std::byte> with_data(const NumaMsg& msg,
-                                 std::span<const std::byte> data) {
-  std::vector<std::byte> out(sizeof(NumaMsg) + data.size());
-  std::memcpy(out.data(), &msg, sizeof(NumaMsg));
-  std::memcpy(out.data() + sizeof(NumaMsg), data.data(), data.size());
-  return out;
-}
-
-}  // namespace
-
 NumaEngine::NumaEngine(sim::Kernel& kernel, std::string name,
                        cpu::Processor& sp, niu::SBiu& sbiu, Params params)
-    : FwService(kernel, std::move(name), sp, sbiu, kNumaReqQ, kScratch),
+    : FwService(kernel, std::move(name), sp, sbiu, kScratch),
       params_(params) {}
 
 void NumaEngine::start() {
   sim::spawn(client_loop());
   sim::spawn(home_loop());
   sim::spawn(reply_loop());
-}
-
-void NumaEngine::claim_region(mem::Addr base, mem::Addr size,
-                              RegionHandler handler) {
-  claims_.push_back(Claim{base, size, std::move(handler)});
 }
 
 sim::NodeId NumaEngine::home_of(mem::Addr a) const {
@@ -39,18 +22,7 @@ sim::NodeId NumaEngine::home_of(mem::Addr a) const {
 sim::Co<void> NumaEngine::client_loop() {
   auto& ops = sbiu_.numa_ops();
   for (;;) {
-    niu::FwdOp op = co_await ops.pop();
-    bool claimed = false;
-    for (const Claim& c : claims_) {
-      if (op.addr >= c.base && op.addr < c.base + c.size) {
-        co_await c.handler(op);
-        claimed = true;
-        break;
-      }
-    }
-    if (!claimed) {
-      co_await handle_op(std::move(op));
-    }
+    co_await handle_op(co_await ops.pop());
   }
 }
 
@@ -89,7 +61,7 @@ sim::Co<void> NumaEngine::handle_op(niu::FwdOp op) {
       msg.kind = NumaMsg::kWrite;
       msg.requester = static_cast<std::uint16_t>(node());
       msg.addr = op.addr;
-      co_await send(home, kNumaReqL, with_data(msg, op.wdata));
+      co_await send(home, kNumaReqL, to_bytes(msg, op.wdata));
     }
   }
   sp_.release();
@@ -98,11 +70,11 @@ sim::Co<void> NumaEngine::handle_op(niu::FwdOp op) {
 
 sim::Co<void> NumaEngine::home_loop() {
   for (;;) {
-    co_await wait_msg();
+    co_await wait_msg(kNumaReqQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles + kHandlerCycles);
-    RxMsg rx = co_await read_msg();
+    RxMsg rx = co_await read_msg(kNumaReqQ);
     const auto msg = rx.as<NumaMsg>();
     const mem::Addr backing = backing_of(msg.addr);
 
@@ -113,7 +85,7 @@ sim::Co<void> NumaEngine::home_loop() {
       rsp.kind = NumaMsg::kReadRsp;
       rsp.token = msg.token;
       rsp.addr = msg.addr;
-      co_await send(msg.requester, kNumaRspL, with_data(rsp, line),
+      co_await send(msg.requester, kNumaRspL, to_bytes(rsp, line),
                     net::kPriorityHigh);
     } else if (msg.kind == NumaMsg::kWrite) {
       const std::span<const std::byte> data(
@@ -126,22 +98,14 @@ sim::Co<void> NumaEngine::home_loop() {
 }
 
 sim::Co<void> NumaEngine::reply_loop() {
-  auto& ctrl = sbiu_.ctrl();
-  const unsigned q = kNumaRspQ;
   for (;;) {
-    while (ctrl.rxq(q).empty()) {
-      co_await ctrl.rx_arrival();
-    }
+    co_await wait_msg(kNumaRspQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    auto& rq = ctrl.rxq(q);
-    const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + sizeof(NumaMsg) +
                   mem::kLineBytes];
-    co_await sbiu_.read_ssram(slot, buf);
-    co_await sbiu_.rx_consumer_update(
-        q, static_cast<std::uint16_t>(rq.consumer + 1));
+    co_await read_head(kNumaRspQ, buf);
 
     NumaMsg msg{};
     std::memcpy(&msg, buf + niu::kBasicHeaderBytes, sizeof(NumaMsg));

@@ -12,12 +12,8 @@
 //           Write      -> write backing DRAM
 //
 // There is no caching and hence no coherence traffic — exactly the
-// mechanism's contract. Regions of the window can be claimed by other
-// engines (e.g. reflective memory) through the handler registry.
+// mechanism's contract.
 #pragma once
-
-#include <functional>
-#include <map>
 
 #include "fw/firmware.hpp"
 #include "niu/regs.hpp"
@@ -47,17 +43,10 @@ class NumaEngine final : public FwService {
     std::size_t num_nodes = 2;
   };
 
-  /// A claimed sub-window handler: receives forwarded ops instead of the
-  /// NUMA protocol.
-  using RegionHandler = std::function<sim::Co<void>(const niu::FwdOp&)>;
-
   NumaEngine(sim::Kernel& kernel, std::string name, cpu::Processor& sp,
              niu::SBiu& sbiu, Params params);
 
   void start() override;
-
-  /// Route forwarded ops in [base, base+size) to `handler` instead.
-  void claim_region(mem::Addr base, mem::Addr size, RegionHandler handler);
 
   [[nodiscard]] sim::NodeId home_of(mem::Addr a) const;
   [[nodiscard]] mem::Addr backing_of(mem::Addr a) const {
@@ -72,7 +61,6 @@ class NumaEngine final : public FwService {
   }
 
   /// Snapshot state: base event counter plus remote load/store counts.
-  /// (claims_ is construction-time wiring, not dynamic state.)
   void ckpt_save(ckpt::Writer& w) const override;
 
  private:
@@ -83,12 +71,6 @@ class NumaEngine final : public FwService {
   sim::Co<void> handle_op(niu::FwdOp op);
 
   Params params_;
-  struct Claim {
-    mem::Addr base;
-    mem::Addr size;
-    RegionHandler handler;
-  };
-  std::vector<Claim> claims_;
   sim::Counter remote_loads_;
   sim::Counter remote_stores_;
 };

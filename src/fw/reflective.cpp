@@ -5,8 +5,7 @@ namespace sv::fw {
 ReflectiveEngine::ReflectiveEngine(sim::Kernel& kernel, std::string name,
                                    cpu::Processor& sp, niu::SBiu& sbiu,
                                    Params params)
-    : FwService(kernel, std::move(name), sp, sbiu, kFwDoneQ /*unused queue*/,
-                kScratch),
+    : FwService(kernel, std::move(name), sp, sbiu, kScratch),
       params_(std::move(params)) {
   sbiu_.abiu().add_reflect_range(params_.local_base, params_.size,
                                  /*hw_mode=*/false, params_.peers);

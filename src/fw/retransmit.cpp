@@ -52,11 +52,6 @@ void RetransmitEngine::disarm(sim::NodeId peer) {
   timers_[peer].armed = false;
 }
 
-bool RetransmitEngine::given_up(sim::NodeId peer) const {
-  const auto it = timers_.find(peer);
-  return it != timers_.end() && it->second.dead;
-}
-
 sim::Tick RetransmitEngine::timeout_for(unsigned attempts) const {
   double t = static_cast<double>(params_.base_timeout);
   for (unsigned i = 0; i < attempts; ++i) {

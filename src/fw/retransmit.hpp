@@ -58,7 +58,6 @@ class RetransmitEngine : public sim::SimObject {
   /// Nothing outstanding any more: stop the timer.
   void disarm(sim::NodeId peer);
 
-  [[nodiscard]] bool given_up(sim::NodeId peer) const;
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

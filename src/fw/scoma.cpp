@@ -7,21 +7,9 @@
 
 namespace sv::fw {
 
-namespace {
-
-std::vector<std::byte> with_data(const ScomaMsg& msg,
-                                 std::span<const std::byte> data) {
-  std::vector<std::byte> out(sizeof(ScomaMsg) + data.size());
-  std::memcpy(out.data(), &msg, sizeof(ScomaMsg));
-  std::memcpy(out.data() + sizeof(ScomaMsg), data.data(), data.size());
-  return out;
-}
-
-}  // namespace
-
 ScomaEngine::ScomaEngine(sim::Kernel& kernel, std::string name,
                          cpu::Processor& sp, niu::SBiu& sbiu, Params params)
-    : FwService(kernel, std::move(name), sp, sbiu, kScomaReqQ, kScratch),
+    : FwService(kernel, std::move(name), sp, sbiu, kScratch),
       params_(params),
       acks_(kernel) {}
 
@@ -126,23 +114,15 @@ sim::Co<void> ScomaEngine::client_loop() {
 }
 
 sim::Co<void> ScomaEngine::demand_loop() {
-  auto& ctrl = sbiu_.ctrl();
-  const unsigned q = kScomaRspQ;
   for (;;) {
-    while (ctrl.rxq(q).empty()) {
-      co_await ctrl.rx_arrival();
-    }
+    co_await wait_msg(kScomaRspQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    auto& rq = ctrl.rxq(q);
-    const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + sizeof(ScomaMsg) +
                   mem::kLineBytes];
-    co_await sbiu_.read_ssram(slot, buf);
+    co_await read_head(kScomaRspQ, buf);
     const auto desc = niu::RxDescriptor::decode(buf);
-    co_await sbiu_.rx_consumer_update(
-        q, static_cast<std::uint16_t>(rq.consumer + 1));
     ScomaMsg msg{};
     std::memcpy(&msg, buf + niu::kBasicHeaderBytes, sizeof(ScomaMsg));
 
@@ -177,7 +157,7 @@ sim::Co<void> ScomaEngine::demand_loop() {
         ack.kind = ScomaMsg::kAckData;
         ack.node = static_cast<std::uint16_t>(node());
         ack.addr = msg.addr;
-        co_await send(desc.src_node, kScomaRspL, with_data(ack, line),
+        co_await send(desc.src_node, kScomaRspL, to_bytes(ack, line),
                       net::kPriorityHigh);
         break;
       }
@@ -205,11 +185,11 @@ sim::Co<void> ScomaEngine::demand_loop() {
 
 sim::Co<void> ScomaEngine::home_loop() {
   for (;;) {
-    co_await wait_msg();
+    co_await wait_msg(kScomaReqQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    RxMsg rx = co_await read_msg();
+    RxMsg rx = co_await read_msg(kScomaReqQ);
     sp_.release();
     co_await serve_request(rx.as<ScomaMsg>());
     trace_handler("scoma.home", h0);
@@ -384,18 +364,18 @@ sim::Co<void> ScomaEngine::serve_request(const ScomaMsg& req) {
 ChunkOpener::ChunkOpener(sim::Kernel& kernel, std::string name,
                          cpu::Processor& sp, niu::SBiu& sbiu,
                          std::uint8_t open_bits)
-    : FwService(kernel, std::move(name), sp, sbiu, kChunkArrivalQ, kScratch),
+    : FwService(kernel, std::move(name), sp, sbiu, kScratch),
       open_bits_(open_bits) {}
 
 void ChunkOpener::start() { sim::spawn(loop()); }
 
 sim::Co<void> ChunkOpener::loop() {
   for (;;) {
-    co_await wait_msg();
+    co_await wait_msg(kChunkArrivalQ);
     const sim::Tick h0 = now();
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    RxMsg msg = co_await read_msg();
+    RxMsg msg = co_await read_msg(kChunkArrivalQ);
     std::uint64_t addr = 0;
     std::uint32_t len = 0;
     std::memcpy(&addr, msg.data.data(), 8);

@@ -51,10 +51,6 @@ ReliableChannel::ReliableChannel(Endpoint& ep, AddressMap map,
   }
 }
 
-ReliableChannel::ReliableChannel(Endpoint& ep, AddressMap map,
-                                 sim::NodeId self)
-    : ReliableChannel(ep, map, self, Params{}) {}
-
 void ReliableChannel::start() {
   if (started_) {
     throw std::logic_error("ReliableChannel: started twice");

@@ -61,8 +61,6 @@ class ReliableChannel {
   /// its receive side.
   ReliableChannel(Endpoint& ep, AddressMap map, sim::NodeId self,
                   Params params);
-  /// Default Params.
-  ReliableChannel(Endpoint& ep, AddressMap map, sim::NodeId self);
 
   /// Spawn the receive dispatcher (on the node's aP) and the retransmit
   /// timer. Call once, before any send()/recv().

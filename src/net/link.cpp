@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "ckpt/stats_io.hpp"
 #include "fault/fault.hpp"
 
 namespace sv::net {
@@ -39,7 +38,6 @@ sim::Co<void> Link::send(Packet pkt) {
   const sim::Tick ser =
       kLinkClock.to_ticks(serialize_cycles(pkt.wire_bytes()));
   busy_.add_busy(ser);
-  packets_.inc();
   bytes_.inc(pkt.wire_bytes());
   co_await sim::delay(kernel_, ser);
   if (trace::Tracer* tr = kernel_.tracer(); tr != nullptr) {
@@ -81,16 +79,6 @@ void Link::return_credit(std::uint8_t priority) {
   assert(credits_[priority] < params_.credits_per_priority);
   ++credits_[priority];
   credit_freed_.pulse();
-}
-
-void Link::ckpt_save(ckpt::Writer& w) const {
-  ckpt::save(w, packets_);
-  ckpt::save(w, bytes_);
-  ckpt::save(w, dropped_);
-  ckpt::save(w, busy_);
-  for (const std::uint32_t c : credits_) {
-    w.u32(c);
-  }
 }
 
 }  // namespace sv::net

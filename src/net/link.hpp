@@ -68,9 +68,6 @@ class Link : public sim::SimObject {
   [[nodiscard]] const sim::BusyTracker& busy() const { return busy_; }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// Snapshot state: wire counters, busy time, live credit counts.
-  void ckpt_save(ckpt::Writer& w) const;
-
  private:
   Params params_;
   Deliver deliver_;
@@ -78,7 +75,6 @@ class Link : public sim::SimObject {
   sim::Signal credit_freed_;
   sim::Semaphore wire_;
   PacketPool pool_;  // in-flight packets between wire tail and delivery
-  sim::Counter packets_;
   sim::Counter bytes_;
   sim::Counter dropped_;
   sim::BusyTracker busy_;

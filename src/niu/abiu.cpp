@@ -400,7 +400,7 @@ void ABiu::bus_write_data(const mem::BusRequest& req,
   // system registers are the sP's.
 }
 
-// --- Bus mastering (ApBusPort) ------------------------------------------------------
+// --- Bus mastering for CTRL --------------------------------------------------
 
 sim::Co<void> ABiu::master_read(mem::Addr addr, std::span<std::byte> out) {
   std::size_t done = 0;

@@ -72,7 +72,7 @@ struct ABiuStats {
   sim::Counter supplied_loads;
 };
 
-class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
+class ABiu : public sim::SimObject, public mem::BusDevice {
  public:
   // Snoop-accept latencies, in bus cycles.
   static constexpr sim::Cycles kSramReadLatency = 3;
@@ -100,16 +100,17 @@ class ABiu : public sim::SimObject, public mem::BusDevice, public ApBusPort {
   [[nodiscard]] bool bus_snoop_stable(
       const mem::BusRequest& req) const override;
 
-  // --- ApBusPort (CTRL master services) ----------------------------------------
-  sim::Co<void> master_read(mem::Addr addr,
-                            std::span<std::byte> out) override;
-  sim::Co<void> master_write(mem::Addr addr,
-                             std::span<const std::byte> in) override;
-  sim::Co<void> master_kill(mem::Addr line) override;
-  sim::Co<void> master_flush(mem::Addr line) override;
-  void supply_load(std::uint32_t tag,
-                   std::span<const std::byte> data) override;
-  void cls_updated(mem::Addr addr, std::uint32_t len) override;
+  // --- Bus mastering (CTRL's block operations, remote-command execution
+  // and coherence actions on the aP bus) ------------------------------------
+  sim::Co<void> master_read(mem::Addr addr, std::span<std::byte> out);
+  sim::Co<void> master_write(mem::Addr addr, std::span<const std::byte> in);
+  sim::Co<void> master_kill(mem::Addr line);
+  sim::Co<void> master_flush(mem::Addr line);
+  /// NUMA: complete a pending retried aP load (token from the forward).
+  void supply_load(std::uint32_t tag, std::span<const std::byte> data);
+  /// clsSRAM state changed for [addr, addr+len): pending S-COMA forwards
+  /// for those lines are complete (data grants arrive this way).
+  void cls_updated(mem::Addr addr, std::uint32_t len);
 
   // --- Firmware-side interfaces (reached through the sBIU) -----------------------
   sim::Channel<FwdOp>& numa_ops() { return numa_ops_; }

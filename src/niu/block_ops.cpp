@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "niu/abiu.hpp"
 #include "niu/ctrl.hpp"
 
 namespace sv::niu {
@@ -48,7 +49,7 @@ sim::Co<void> BlockEngines::read_chunk(const Command& cmd, mem::Addr addr,
   sim::Signal done(ctrl_.kernel());
   for (std::uint32_t off = 0; off < len; off += mem::kLineBytes) {
     auto buf = std::make_shared<std::vector<std::byte>>(mem::kLineBytes);
-    co_await ctrl_.ap_port().master_read(addr + off, *buf);
+    co_await ctrl_.abiu().master_read(addr + off, *buf);
     ++pending;
     sim::spawn([](BlockEngines* self, const Command* c,
                   std::shared_ptr<std::vector<std::byte>> data,
@@ -152,11 +153,11 @@ sim::Co<void> BlockEngines::block_diff_tx(Command cmd) {
       if (!modified) {
         continue;
       }
-      co_await ctrl_.ap_port().master_read(src, line);
+      co_await ctrl_.abiu().master_read(src, line);
       co_await cls.write_state(src, cls.peek(src) & 0x7);
     } else {
       // Value-diff mode: compare against (and refresh) the old copy.
-      co_await ctrl_.ap_port().master_read(src, line);
+      co_await ctrl_.abiu().master_read(src, line);
       co_await ctrl_.ibus_access(cmd.bank, mem::kLineBytes);
       ctrl_.sram(cmd.bank).read(cmd.sram_offset + off, old_line);
       modified = line != old_line;

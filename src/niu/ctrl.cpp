@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "ckpt/stats_io.hpp"
+#include "niu/abiu.hpp"
 #include "niu/block_ops.hpp"
 
 namespace sv::niu {
@@ -109,8 +110,8 @@ void Ctrl::trace_rx_consumed(unsigned q, unsigned count) {
 
 Ctrl::~Ctrl() = default;
 
-void Ctrl::bind(ApBusPort* ap_port, net::Network* network) {
-  ap_port_ = ap_port;
+void Ctrl::bind(ABiu* abiu, net::Network* network) {
+  abiu_ = abiu;
   network_ = network;
 }
 
@@ -118,7 +119,7 @@ void Ctrl::start() {
   if (started_) {
     throw std::logic_error(name() + ": started twice");
   }
-  if (ap_port_ == nullptr || network_ == nullptr) {
+  if (abiu_ == nullptr || network_ == nullptr) {
     throw std::logic_error(name() + ": start() before bind()");
   }
   started_ = true;
@@ -680,12 +681,12 @@ sim::Co<void> Ctrl::execute(Command cmd) {
       break;
     }
     case CmdOp::kWriteApDram: {
-      co_await ap_port_->master_write(cmd.addr, cmd.data);
+      co_await abiu_->master_write(cmd.addr, cmd.data);
       if (cmd.set_cls && cls_.covers(cmd.addr)) {
         co_await cls_.write_state_range(
             cmd.addr, static_cast<mem::Addr>(cmd.data.size()), cmd.cls_bits);
-        ap_port_->cls_updated(cmd.addr,
-                              static_cast<std::uint32_t>(cmd.data.size()));
+        abiu_->cls_updated(cmd.addr,
+                           static_cast<std::uint32_t>(cmd.data.size()));
       }
       if (cmd.chunk_notify) {
         std::byte note[12];
@@ -699,7 +700,7 @@ sim::Co<void> Ctrl::execute(Command cmd) {
     }
     case CmdOp::kReadApDram: {
       std::vector<std::byte> buf(cmd.len);
-      co_await ap_port_->master_read(cmd.addr, buf);
+      co_await abiu_->master_read(cmd.addr, buf);
       co_await ibus_access(cmd.bank, cmd.len);
       sram(cmd.bank).write(cmd.sram_offset, buf);
       break;
@@ -744,19 +745,19 @@ sim::Co<void> Ctrl::execute(Command cmd) {
     }
     case CmdOp::kWriteClsState: {
       co_await cls_.write_state_range(cmd.addr, cmd.len, cmd.cls_bits);
-      ap_port_->cls_updated(cmd.addr, cmd.len);
+      abiu_->cls_updated(cmd.addr, cmd.len);
       break;
     }
     case CmdOp::kBusKill: {
-      co_await ap_port_->master_kill(cmd.addr);
+      co_await abiu_->master_kill(cmd.addr);
       break;
     }
     case CmdOp::kBusFlush: {
-      co_await ap_port_->master_flush(cmd.addr);
+      co_await abiu_->master_flush(cmd.addr);
       break;
     }
     case CmdOp::kSupplyLoad: {
-      ap_port_->supply_load(cmd.tag, cmd.data);
+      abiu_->supply_load(cmd.tag, cmd.data);
       break;
     }
     case CmdOp::kCopySram: {

@@ -34,26 +34,8 @@
 
 namespace sv::niu {
 
+class ABiu;
 class BlockEngines;
-
-/// The aBIU's bus-master services, used by CTRL for block operations,
-/// remote-command execution and coherence actions on the aP bus.
-class ApBusPort {
- public:
-  virtual ~ApBusPort() = default;
-  virtual sim::Co<void> master_read(mem::Addr addr,
-                                    std::span<std::byte> out) = 0;
-  virtual sim::Co<void> master_write(mem::Addr addr,
-                                     std::span<const std::byte> in) = 0;
-  virtual sim::Co<void> master_kill(mem::Addr line) = 0;
-  virtual sim::Co<void> master_flush(mem::Addr line) = 0;
-  /// NUMA: complete a pending retried aP load (token from the forward).
-  virtual void supply_load(std::uint32_t tag,
-                           std::span<const std::byte> data) = 0;
-  /// clsSRAM state changed for [addr, addr+len): pending S-COMA forwards
-  /// for those lines are complete (data grants arrive this way).
-  virtual void cls_updated(mem::Addr addr, std::uint32_t len) = 0;
-};
 
 struct CtrlStats {
   sim::Counter msgs_launched;
@@ -88,8 +70,10 @@ class Ctrl : public sim::SimObject {
        mem::ClsSram& cls);
   ~Ctrl() override;
 
-  /// Late wiring (the BIUs and network are built around CTRL).
-  void bind(ApBusPort* ap_port, net::Network* network);
+  /// Late wiring (the BIUs and network are built around CTRL). The aBIU is
+  /// CTRL's bus master on the aP bus: block operations, remote-command
+  /// execution and coherence actions go through it.
+  void bind(ABiu* abiu, net::Network* network);
 
   /// Spawn the command-queue processors. Call once after bind().
   void start();
@@ -168,7 +152,7 @@ class Ctrl : public sim::SimObject {
     return bank == SramBank::kASram ? asram_ : ssram_;
   }
   [[nodiscard]] mem::ClsSram& cls() { return cls_; }
-  [[nodiscard]] ApBusPort& ap_port() { return *ap_port_; }
+  [[nodiscard]] ABiu& abiu() { return *abiu_; }
 
   // --- System registers and interrupts -----------------------------------------
   [[nodiscard]] std::uint64_t read_reg(SysReg r) const;
@@ -236,7 +220,7 @@ class Ctrl : public sim::SimObject {
   mem::DualPortedSram& asram_;
   mem::DualPortedSram& ssram_;
   mem::ClsSram& cls_;
-  ApBusPort* ap_port_ = nullptr;
+  ABiu* abiu_ = nullptr;
   net::Network* network_ = nullptr;
 
   std::array<TxQueueState, kNumTxQueues> txq_{};

@@ -21,14 +21,6 @@ void Config::set_u64(const std::string& key, std::uint64_t value) {
   values_[key] = std::to_string(value);
 }
 
-void Config::set_double(const std::string& key, double value) {
-  values_[key] = std::to_string(value);
-}
-
-void Config::set_bool(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
-}
-
 std::string Config::get_string(const std::string& key,
                                const std::string& def) const {
   auto it = values_.find(key);
@@ -97,12 +89,6 @@ bool Config::get_bool(const std::string& key, bool def) const {
     return false;
   }
   throw std::invalid_argument("Config: bad bool for " + key + ": " + v);
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) {
-    values_[k] = v;
-  }
 }
 
 }  // namespace sv::sim

@@ -21,8 +21,6 @@ class Config {
     values_[key] = value;
   }
   void set_u64(const std::string& key, std::uint64_t value);
-  void set_double(const std::string& key, double value);
-  void set_bool(const std::string& key, bool value);
 
   [[nodiscard]] bool contains(const std::string& key) const {
     return values_.count(key) != 0;
@@ -41,9 +39,6 @@ class Config {
   [[nodiscard]] const std::map<std::string, std::string>& all() const {
     return values_;
   }
-
-  /// Merge `other` on top of this config (other wins on conflicts).
-  void merge(const Config& other);
 
  private:
   std::map<std::string, std::string> values_;

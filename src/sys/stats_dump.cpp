@@ -133,12 +133,4 @@ sim::StatRegistry collect_stats(Machine& machine) {
   return reg;
 }
 
-void dump_stats(Machine& machine, std::ostream& os) {
-  collect_stats(machine).dump(os);
-}
-
-void dump_stats_json(Machine& machine, std::ostream& os) {
-  collect_stats(machine).dump_json(os);
-}
-
 }  // namespace sv::sys

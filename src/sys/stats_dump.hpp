@@ -1,9 +1,7 @@
-// Aggregate every component's counters into one registry and print it —
-// the "system workload level" observability the paper argues a real
-// platform enables (section 7).
+// Aggregate every component's counters into one registry — the "system
+// workload level" observability the paper argues a real platform enables
+// (section 7). The registry prints itself (dump, dump_json).
 #pragma once
-
-#include <ostream>
 
 #include "sim/stats.hpp"
 #include "sys/machine.hpp"
@@ -13,11 +11,5 @@ namespace sv::sys {
 /// Collect all counters of `machine` into a registry, keyed
 /// "n<i>.<unit>.<metric>" plus machine-wide "net.*" entries.
 [[nodiscard]] sim::StatRegistry collect_stats(Machine& machine);
-
-/// collect_stats + formatted print.
-void dump_stats(Machine& machine, std::ostream& os);
-
-/// collect_stats + flat JSON object print.
-void dump_stats_json(Machine& machine, std::ostream& os);
 
 }  // namespace sv::sys

@@ -38,7 +38,7 @@ struct TransferSpec {
 };
 
 struct TransferResult {
-  bool ok = false;              // completed and (if requested) verified
+  bool ok = false;              // completed and verified
   sim::Tick start = 0;
   sim::Tick notify_time = 0;    // receiver saw the completion message
   sim::Tick consume_time = 0;   // receiver finished reading the data (0 if
@@ -58,12 +58,10 @@ struct TransferResult {
 };
 
 struct RunOptions {
-  bool verify = true;
   bool consume = false;          // receiver reads the data after notify
   sim::Tick consume_delay = 0;   // wait before consuming (approach 4/5
                                  // degradation experiments read early data
                                  // late or vice versa)
-  sim::Tick deadline = 500 * sim::kMillisecond;
 };
 
 /// Drives block transfers on a Machine. Construct once per machine: the
@@ -72,11 +70,15 @@ struct RunOptions {
 /// 2, installs the SpCopyEngine on every node.
 class BlockTransferHarness {
  public:
+  /// A transfer fails (ok = false) when it has not completed this long
+  /// after its start.
+  static constexpr sim::Tick kDeadline = 500 * sim::kMillisecond;
+
   explicit BlockTransferHarness(sys::Machine& machine);
 
   /// Run one transfer with the given approach (1..5). Synchronous: drives
-  /// the machine's kernel until the transfer completes or the deadline
-  /// passes.
+  /// the machine's kernel until the transfer completes or kDeadline
+  /// passes, then verifies the data.
   TransferResult run(int approach, const TransferSpec& spec,
                      const RunOptions& options = {});
 

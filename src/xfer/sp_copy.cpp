@@ -4,7 +4,7 @@ namespace sv::xfer {
 
 SpCopyEngine::SpCopyEngine(sim::Kernel& kernel, std::string name,
                            cpu::Processor& sp, niu::SBiu& sbiu)
-    : FwService(kernel, std::move(name), sp, sbiu, kSpCopyReqQ,
+    : FwService(kernel, std::move(name), sp, sbiu,
                 sys::Node::kSpCopyScratch) {}
 
 void SpCopyEngine::bind_queues(sys::Node& node) {
@@ -31,10 +31,10 @@ void SpCopyEngine::start() {
 
 sim::Co<void> SpCopyEngine::request_loop() {
   for (;;) {
-    co_await wait_msg();
+    co_await wait_msg(kSpCopyReqQ);
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    fw::RxMsg msg = co_await read_msg();
+    fw::RxMsg msg = co_await read_msg(kSpCopyReqQ);
     const auto req = msg.as<SpCopyRequest>();
 
     // Read-packetize-send, one 64-byte chunk at a time, through the
@@ -84,22 +84,14 @@ sim::Co<void> SpCopyEngine::request_loop() {
 }
 
 sim::Co<void> SpCopyEngine::data_loop() {
-  auto& ctrl = sbiu_.ctrl();
-  const unsigned q = kSpCopyDataQ;
   for (;;) {
-    while (ctrl.rxq(q).empty()) {
-      co_await ctrl.rx_arrival();
-    }
+    co_await wait_msg(kSpCopyDataQ);
     co_await sp_.acquire();
     co_await sp_.work(kDispatchCycles);
-    auto& rq = ctrl.rxq(q);
-    const std::uint32_t slot = rq.slot_addr(rq.consumer);
     std::byte buf[niu::kBasicHeaderBytes + sizeof(SpCopyDataHdr) +
                   kSpCopyChunk];
-    co_await sbiu_.read_ssram(slot, buf);
+    co_await read_head(kSpCopyDataQ, buf);
     const auto desc = niu::RxDescriptor::decode(buf);
-    co_await sbiu_.rx_consumer_update(
-        q, static_cast<std::uint16_t>(rq.consumer + 1));
 
     SpCopyDataHdr hdr{};
     std::memcpy(&hdr, buf + niu::kBasicHeaderBytes, sizeof(SpCopyDataHdr));

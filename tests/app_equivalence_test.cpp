@@ -37,7 +37,7 @@ test::RunSpec make_spec(const std::string& app, const std::string& transport,
 
 void expect_bit_identical_across_threads(test::RunSpec spec) {
   spec.threads = 0;
-  const test::RunResult seq = test::run_machine_and_dump_stats(spec);
+  const test::RunResult seq = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(seq.completed);
   ASSERT_EQ(seq.trace_dropped, 0u)
       << "trace ring wrapped; grow kTraceCapacity so the comparison is "
@@ -48,7 +48,7 @@ void expect_bit_identical_across_threads(test::RunSpec spec) {
 
   for (const unsigned threads : kThreadSweep) {
     spec.threads = threads;
-    const test::RunResult par = test::run_machine_and_dump_stats(spec);
+    const test::RunResult par = test::run_machine_and_collect_stats(spec);
     ASSERT_TRUE(par.completed) << "threads=" << threads;
     EXPECT_EQ(par.trace_dropped, 0u) << "threads=" << threads;
     EXPECT_EQ(par.end_time, seq.end_time) << "threads=" << threads;
@@ -116,12 +116,12 @@ TEST(AppEquivalence, ScomaFastpathParityUntraced) {
   spec.trace_capacity = 0;
 
   spec.fastpath = true;
-  const test::RunResult fast = test::run_machine_and_dump_stats(spec);
+  const test::RunResult fast = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(fast.completed);
   EXPECT_EQ(fast.app.errors, 0u);
 
   spec.fastpath = false;
-  const test::RunResult slow = test::run_machine_and_dump_stats(spec);
+  const test::RunResult slow = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(slow.completed);
   EXPECT_EQ(slow.end_time, fast.end_time);
   EXPECT_EQ(slow.app.checksum, fast.app.checksum);
@@ -142,12 +142,12 @@ TEST(AppEquivalence, FastpathParityAtTerminationWindow) {
   spec.trace_capacity = 0;
 
   spec.fastpath = true;
-  const test::RunResult fast = test::run_machine_and_dump_stats(spec);
+  const test::RunResult fast = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(fast.completed);
   EXPECT_EQ(fast.app.errors, 0u);
 
   spec.fastpath = false;
-  const test::RunResult slow = test::run_machine_and_dump_stats(spec);
+  const test::RunResult slow = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(slow.completed);
   EXPECT_EQ(slow.end_time, fast.end_time);
   EXPECT_EQ(slow.app.checksum, fast.app.checksum);

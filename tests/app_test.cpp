@@ -457,7 +457,7 @@ TEST(AppWorld, RingAcrossFourRanksOnTwoNodes) {
 TEST(AppPrograms, StencilRunsCleanOnEveryTransport) {
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    const auto res = run_machine_and_dump_stats(
+    const auto res = run_machine_and_collect_stats(
         {"app.stencil", {std::string("transport=") + transport_name(tk)}});
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
@@ -469,7 +469,7 @@ TEST(AppPrograms, StencilRunsCleanOnEveryTransport) {
 TEST(AppPrograms, AllreduceSweepValidatesAgainstHost) {
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    const auto res = run_machine_and_dump_stats(
+    const auto res = run_machine_and_collect_stats(
         {"app.allreduce", {std::string("transport=") + transport_name(tk)}});
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
@@ -480,7 +480,7 @@ TEST(AppPrograms, AllreduceSweepValidatesAgainstHost) {
 TEST(AppPrograms, KvServiceAnswersEveryRequest) {
   for (const auto tk : kAllTransports) {
     SCOPED_TRACE(transport_name(tk));
-    const auto res = run_machine_and_dump_stats(
+    const auto res = run_machine_and_collect_stats(
         {"app.kv", {std::string("transport=") + transport_name(tk),
                     "requests=24"}});
     EXPECT_TRUE(res.completed);
@@ -512,7 +512,7 @@ void run_app_under_faults(const std::string& app,
     SCOPED_TRACE("seed=" + std::to_string(seed));
     RunSpec spec(app, args);
     spec.fault = lossy_plan(seed);
-    const auto res = run_machine_and_dump_stats(spec);
+    const auto res = run_machine_and_collect_stats(spec);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     EXPECT_GT(res.app.ops, 0u);

@@ -1,5 +1,5 @@
 // Steppable workload runs for the checkpoint tests: the same registry
-// entries as run_machine_and_dump_stats (test_util.hpp), but the caller
+// entries as run_machine_and_collect_stats (test_util.hpp), but the caller
 // drives time — so a run can be captured mid-flight, a second identical
 // run replayed to the same boundary, and the two snapshots byte-compared
 // (Snapshot::verify). That replay equivalence is the restore contract

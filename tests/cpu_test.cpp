@@ -122,17 +122,6 @@ TEST_F(ProcessorTest, FlushRangePushesDirtyData) {
                }(proc.get(), dram.get(), &data));
 }
 
-TEST_F(ProcessorTest, RunFiresCompletionEvent) {
-  sim::OneShot done(kernel);
-  proc->run([](Processor* p) -> sim::Co<void> {
-    co_await p->work(10);
-  }(proc.get()),
-            &done);
-  EXPECT_FALSE(done.fired());
-  kernel.run();
-  EXPECT_TRUE(done.fired());
-}
-
 TEST_F(ProcessorTest, TwoProcessorsContendOnOneBus) {
   // Both processors hammer uncached ops; the bus serializes them, so the
   // total time exceeds what either would need alone.

@@ -42,7 +42,7 @@ XferOut run_xfer(int approach, std::uint32_t bytes, bool fastpath) {
   out.executed = machine.events_executed();
   out.scheduled = machine.events_scheduled();
   std::ostringstream os;
-  sys::dump_stats_json(machine, os);
+  sys::collect_stats(machine).dump_json(os);
   out.stats = os.str();
   return out;
 }
@@ -84,9 +84,9 @@ TEST(FastPath, Fig4Approach3ByteIdentical) {
 /// identical RunSpec, fastpath pinned each way, byte-identical results.
 void expect_runspec_identical(test::RunSpec spec) {
   spec.fastpath = true;
-  const auto fast = test::run_machine_and_dump_stats(spec);
+  const auto fast = test::run_machine_and_collect_stats(spec);
   spec.fastpath = false;
-  const auto slow = test::run_machine_and_dump_stats(spec);
+  const auto slow = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(fast.completed);
   ASSERT_TRUE(slow.completed);
   EXPECT_EQ(fast.end_time, slow.end_time);
@@ -109,10 +109,10 @@ TEST(FastPath, PartitionedFastMatchesSequentialSlow) {
 
   spec.fastpath = true;
   spec.threads = 2;
-  const auto fast_par = test::run_machine_and_dump_stats(spec);
+  const auto fast_par = test::run_machine_and_collect_stats(spec);
   spec.fastpath = false;
   spec.threads = 0;
-  const auto slow_seq = test::run_machine_and_dump_stats(spec);
+  const auto slow_seq = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(fast_par.completed);
   ASSERT_TRUE(slow_seq.completed);
   EXPECT_EQ(fast_par.end_time, slow_seq.end_time);

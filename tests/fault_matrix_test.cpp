@@ -60,7 +60,7 @@ test::RunSpec matrix_ring(std::uint64_t seed) {
 /// conservation; this wrapper additionally checks the matrix actually
 /// fired and returns the machine-wide stats JSON for replay comparison.
 std::string run_matrix(std::uint64_t seed) {
-  const test::RunResult res = test::run_machine_and_dump_stats(
+  const test::RunResult res = test::run_machine_and_collect_stats(
       matrix_ring(seed));
 
   // The matrix must actually have fired: a fault plan this aggressive that

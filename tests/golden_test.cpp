@@ -86,7 +86,7 @@ std::string run_xfer(int approach, std::uint32_t bytes) {
   EXPECT_EQ(sys::workload("xfer").launch(machine, cfg)->failure(), "")
       << "approach " << approach;
   std::ostringstream os;
-  sys::dump_stats_json(machine, os);
+  sys::collect_stats(machine).dump_json(os);
   return os.str();
 }
 
@@ -103,14 +103,14 @@ TEST(GoldenStats, Fig4BandwidthApproach3) {
 }
 
 TEST(GoldenStats, ExtMsgAllToAll) {
-  const auto res = test::run_machine_and_dump_stats(
+  const auto res = test::run_machine_and_collect_stats(
       test::RunSpec("msg", {"count=16", "bytes=32"}));
   ASSERT_TRUE(res.completed);
   check_golden("ext_msg_4node", res.stats_json);
 }
 
 TEST(GoldenStats, ExtScomaContention) {
-  const auto res = test::run_machine_and_dump_stats(
+  const auto res = test::run_machine_and_collect_stats(
       test::RunSpec("scoma", {"ops=40", "words=8"}));
   ASSERT_TRUE(res.completed);
   check_golden("ext_scoma_4node", res.stats_json);
@@ -126,7 +126,7 @@ test::RunSpec lossy_ring() {
 }
 
 TEST(GoldenStats, ExtReliableUnderLoss) {
-  const auto res = test::run_machine_and_dump_stats(lossy_ring());
+  const auto res = test::run_machine_and_collect_stats(lossy_ring());
   ASSERT_TRUE(res.completed);
   check_golden("ext_reliable_4node", res.stats_json);
 }
@@ -159,7 +159,7 @@ TEST(GoldenStats, ExtReliableRestored) {
 // transport counters, so both the machine and the runtime are pinned.
 
 void check_app_golden(const std::string& name, const test::RunSpec& spec) {
-  const auto res = test::run_machine_and_dump_stats(spec);
+  const auto res = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(res.app.errors, 0u);
   check_golden(name, res.stats_json);

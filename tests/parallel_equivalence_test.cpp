@@ -30,7 +30,7 @@ void expect_bit_identical_across_threads(
   spec.trace_capacity = kTraceCapacity;
 
   spec.threads = 0;
-  const test::RunResult seq = test::run_machine_and_dump_stats(spec);
+  const test::RunResult seq = test::run_machine_and_collect_stats(spec);
   ASSERT_TRUE(seq.completed);
   ASSERT_EQ(seq.trace_dropped, 0u)
       << "trace ring wrapped; grow kTraceCapacity so the comparison is "
@@ -40,7 +40,7 @@ void expect_bit_identical_across_threads(
 
   for (const unsigned threads : sweep) {
     spec.threads = threads;
-    const test::RunResult par = test::run_machine_and_dump_stats(spec);
+    const test::RunResult par = test::run_machine_and_collect_stats(spec);
     ASSERT_TRUE(par.completed) << "threads=" << threads;
     EXPECT_EQ(par.trace_dropped, 0u) << "threads=" << threads;
     EXPECT_EQ(par.end_time, seq.end_time) << "threads=" << threads;

@@ -122,7 +122,7 @@ void sweep(const std::string& name, std::size_t nodes, test::RunSpec spec) {
     SCOPED_TRACE(golden + " " + cell_name(cell));
     spec.threads = cell.threads;
     spec.fastpath = cell.fastpath;
-    const test::RunResult res = test::run_machine_and_dump_stats(spec);
+    const test::RunResult res = test::run_machine_and_collect_stats(spec);
     ASSERT_TRUE(res.completed);
     ASSERT_EQ(res.trace_dropped, 0u)
         << "trace ring wrapped; the span digest would be incomplete";

@@ -783,17 +783,6 @@ TEST(Config, MalformedNumbersThrowNamingTheKey) {
   }
 }
 
-TEST(Config, MergeOverrides) {
-  Config base;
-  base.set_u64("a", 1);
-  base.set_u64("b", 2);
-  Config over;
-  over.set_u64("b", 3);
-  base.merge(over);
-  EXPECT_EQ(base.get_u64("a", 0), 1u);
-  EXPECT_EQ(base.get_u64("b", 0), 3u);
-}
-
 TEST(Rng, DeterministicAndUniform) {
   Rng a(42);
   Rng b(42);

@@ -1,35 +1,43 @@
 #!/bin/sh
-# svsim and svexplore must reject bad input with exactly one stderr line
-# naming the offending key or flag and exit status 2: no abort, no signal,
-# no hang, and no run. A trace= file that cannot be opened fails before
-# the run, too.
+# svsim, svexplore and svtrace must reject bad input with exactly one
+# stderr line naming the offending key or flag and exit status 2: no
+# abort, no signal, no hang, and no run. A trace= file that cannot be
+# opened fails before the run, too. A run that fails says why, in one
+# line, with its own exit status.
 #
-#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore
+#   usage: svsim_bad_input.sh PATH/TO/svsim PATH/TO/svexplore PATH/TO/svtrace
 svsim=$1
 svexplore=$2
+svtrace=$3
 corpus=$(dirname "$0")/ckpt/reliable_ring.svck
 status=0
 dir=$(mktemp -d)
 errfile=$dir/stderr
 trap 'rm -rf "$dir"' EXIT
 
-# check PATTERN TOOL ARGS...: TOOL ARGS must fail as above, with a stderr
-# line matching PATTERN.
-check() {
-  pattern=$1
-  tool=$2
-  shift 2
+# fails RC PATTERN TOOL ARGS...: TOOL ARGS must exit RC with nothing on
+# stdout and one stderr line, matching PATTERN.
+fails() {
+  want=$1
+  pattern=$2
+  tool=$3
+  shift 3
   out=$("$tool" "$@" 2>"$errfile")
   rc=$?
   err=$(cat "$errfile")
   lines=$(printf '%s\n' "$err" | wc -l)
-  if [ "$rc" -ne 2 ] || [ -n "$out" ] || [ "$lines" -ne 1 ] ||
+  if [ "$rc" -ne "$want" ] || [ -n "$out" ] || [ "$lines" -ne 1 ] ||
      ! printf '%s' "$err" | grep -q "$pattern"; then
     echo "FAIL: $(basename "$tool") $*: exit $rc, stdout '$out', stderr '$err'"
     status=1
   else
     echo "ok: $(basename "$tool") $* -> $err"
   fi
+}
+
+# check PATTERN TOOL ARGS...: bad input, rejected as above with exit 2.
+check() {
+  fails 2 "$@"
 }
 
 check count "$svsim" msg count=abc
@@ -81,4 +89,27 @@ check "'count'" "$svexplore" --snapshot="$corpus" count=3 max_drops=0
   ckpt.out="$dir/scripted.svck" >/dev/null
 check fault.drop_script "$svexplore" --snapshot="$dir/plain.svck"
 check fault.drop_script "$svexplore" --snapshot="$dir/scripted.svck"
+
+# svtrace checks its one key as svsim does, before reading the trace.
+"$svsim" msg count=4 trace="$dir/ok.json" >/dev/null
+check "usage: svtrace" "$svtrace"
+check top "$svtrace" "$dir/ok.json" top=abc
+check "'tpo'.*'top'" "$svtrace" "$dir/ok.json" tpo=3
+fails 1 "cannot open" "$svtrace" "$dir/missing.json"
+printf '{"traceEvents":[' >"$dir/truncated.json"
+fails 1 "json: unexpected end of input at offset 16" \
+  "$svtrace" "$dir/truncated.json"
+
+# Runs that fail: a run past its deadline exits 1, and an exploration
+# whose run budget ends before its bound is covered is inconclusive, 3.
+fails 1 "svsim: timed out" \
+  "$svsim" reliable nodes=4 fault.drop_rate=0.9 deadline_ms=2
+out=$("$svexplore" --snapshot="$corpus" max_drops=1 max_runs=1 2>&1)
+rc=$?
+if [ "$rc" -ne 3 ] || ! printf '%s\n' "$out" | grep -q '^INCONCLUSIVE'; then
+  echo "FAIL: svexplore max_runs=1: exit $rc, output '$out'"
+  status=1
+else
+  echo "ok: svexplore max_runs=1 -> exit 3, $(printf '%s\n' "$out" | tail -n 1)"
+fi
 exit $status

@@ -128,7 +128,7 @@ TEST(StatsDumpTest, CollectsPerNodeAndMachineCounters) {
   EXPECT_GT(reg.get("sim.now_us"), 0.0);
 
   std::ostringstream oss;
-  dump_stats(machine, oss);
+  collect_stats(machine).dump(oss);
   EXPECT_NE(oss.str().find("n0.ctrl.msgs_launched"), std::string::npos);
 }
 

@@ -141,7 +141,7 @@ inline std::string stats_json(const sys::Run& run) {
 /// suites assert and golden_test pins over time. Reliable runs also wait
 /// for empty retransmit windows and balanced books: tail ACKs are
 /// droppable too.
-inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
+inline RunResult run_machine_and_collect_stats(const RunSpec& spec) {
   sys::Machine machine(machine_params(spec));
   if (spec.trace_capacity > 0) {
     machine.enable_tracing(spec.trace_capacity);

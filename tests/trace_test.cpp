@@ -1,10 +1,13 @@
-// Tracer ring-buffer semantics, Chrome JSON round-trip, epoch drains, and
-// the end-to-end guarantee that trace-derived occupancy agrees with the
-// StatRegistry occupancy for the same run.
+// Tracer ring-buffer semantics, Chrome JSON round-trip, the JSON reader's
+// errors, epoch drains, and the end-to-end guarantee that trace-derived
+// occupancy agrees with the StatRegistry occupancy for the same run.
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include "sys/workload.hpp"
 #include "trace/analysis.hpp"
 #include "trace/chrome_sink.hpp"
+#include "trace/json.hpp"
 #include "trace/trace.hpp"
 #include "xfer/approaches.hpp"
 
@@ -135,6 +139,24 @@ TEST(ChromeSink, FlowIdsAbove2To53StayDistinctStrings) {
   ASSERT_EQ(mixed.size(), 2u);
   EXPECT_EQ(std::min(mixed[0].id, mixed[1].id), kA);
   EXPECT_EQ(std::max(mixed[0].id, mixed[1].id), kB);
+}
+
+TEST(Json, MalformedInputThrowsNamingTheOffset) {
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {R"({"a":[1,)", "json: unexpected end of input at offset 8"},
+      {R"({"a":tru})", "json: bad literal at offset 5"},
+      {R"({"a":"abc)", "json: unterminated string at offset 9"},
+      {R"({"a":"ab\)", "json: unterminated escape at offset 9"},
+      {R"({"a":1} x)", "json: trailing characters at offset 8"},
+  };
+  for (const auto& [text, what] : cases) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), what) << text;
+    }
+  }
 }
 
 TEST(ChromeWriter, DrainedRingsLoseNothing) {

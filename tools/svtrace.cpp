@@ -8,6 +8,9 @@
 //
 // Usage:
 //   svtrace <trace.json> [top=N]
+//
+// A bad or unknown key prints one line naming it and exits 2, as svsim's
+// do; an unreadable or malformed trace exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sys/workload.hpp"
 #include "trace/analysis.hpp"
 
 using namespace sv;
@@ -22,6 +26,14 @@ using namespace sv;
 namespace {
 
 double us(std::uint64_t ps) { return static_cast<double>(ps) / 1e6; }
+
+/// svtrace's own keys.
+const sys::KeyTable& trace_keys() {
+  static const sys::KeyTable keys = {
+      sys::uint_key("top", 10, 0, sys::kNoLimit, "longest spans to list"),
+  };
+  return keys;
+}
 
 }  // namespace
 
@@ -31,15 +43,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  sim::Config cfg;
+  std::uint64_t top_n = 0;
   try {
-    cfg = sim::Config::from_args(args);
+    const auto cfg = sim::Config::from_args({argv + 2, argv + argc});
+    sys::check_keys(cfg, {&trace_keys()});
+    top_n = sys::Args(cfg, trace_keys()).u64("top");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "svtrace: %s\n", e.what());
     return 2;
   }
-  const auto top_n = cfg.get_u64("top", 10);
 
   std::ifstream in(path);
   if (!in) {
